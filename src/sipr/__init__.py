@@ -19,12 +19,10 @@ from .geometry import (
 from .interpolate import (
     InterpolationModel,
     PointwisePosterior,
-    TestFunction,
     draw_sample_path,
     eta_norm_sq,
     pointwise_posterior,
     solve_interpolation,
-    test_function,
 )
 
 __version__ = "0.1.0"
@@ -56,9 +54,6 @@ from .posterior import (
     UnknownNoise,
     build_density,
     laplace_precondition,
-    log_posterior,
-    log_posterior_grad,
-    log_posterior_hessian,
     map_estimate,
 )
 from .predict import CredibleBand, credible_band, predictive_mean
@@ -85,8 +80,6 @@ __all__ = [
     "InterpolationModel",
     "solve_interpolation",
     "eta_norm_sq",
-    "TestFunction",
-    "test_function",
     "PointwisePosterior",
     "pointwise_posterior",
     "draw_sample_path",
@@ -98,9 +91,6 @@ __all__ = [
     "UnknownNoise",
     "PosteriorDensity",
     "build_density",
-    "log_posterior",
-    "log_posterior_grad",
-    "log_posterior_hessian",
     "map_estimate",
     "laplace_precondition",
     "SamplerConfig",

@@ -3,7 +3,7 @@
 The N datapoints span an (N - N0)-dimensional space of kernel combinations
 satisfying the growth constraint, plus the N0-dimensional polynomial
 nullspace. This module builds a norm-orthonormal basis H for the kernel part
-(iteratively: each new point contributes its test function against the
+(in datapoint order: each new point contributes its test function against the
 points before it, giving H a staircase zero pattern), and the extended
 objects used by regression:
 
@@ -23,19 +23,18 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve, cholesky, null_space, solve_triangular
 
 from ._linalg import solve_square
-from .errors import NotPositiveDefinite, SingularSystem, TooFewPoints
+from .errors import DimensionMismatch, NotPositiveDefinite, SingularSystem, TooFewPoints
 from .geometry import (
     Regularity,
     as_points,
     as_regularity,
     eta_norm_constant,
     greens_matrix,
-    greens_vector,
     monomial_matrix,
-    monomial_vector,
     nullspace_dim,
+    pairwise_sq_dists,
+    unit_box_map,
 )
-from .interpolate import test_function
 
 
 @dataclass(eq=False)
@@ -83,23 +82,32 @@ class SubspaceBasis:
         return self.H @ h_star[: self.n_basis], h_star[self.n_basis :]
 
 
-def _fix_sign(h: np.ndarray) -> np.ndarray:
-    """Flip the column so its last nonzero entry is positive."""
-    mag = np.abs(h)
-    tol = 1e-12 * mag.max(initial=0.0)
-    nz = np.nonzero(mag > tol)[0]
-    if nz.size and h[nz[-1]] < 0:
-        return -h
-    return h
+def _orthonormalize(Z: np.ndarray, G: np.ndarray, C: float) -> np.ndarray:
+    """Z R^-1, where R^T R = C Z^T G Z is the Cholesky factor of the Gram matrix.
+
+    R is upper triangular with a positive diagonal, so column j of the result
+    mixes only columns 0..j of Z: this is Gram-Schmidt in column order.
+    """
+    try:
+        R = cholesky(C * (Z.T @ G @ Z))
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystem("basis Gram matrix lost positive definiteness") from exc
+    return solve_triangular(R.T, Z.T, lower=True).T
 
 
 def build_orthonormal_basis(X, eta) -> SubspaceBasis:
-    """Construct the basis column by column in datapoint order.
+    """Orthonormalize the data's constrained kernel combinations in datapoint order.
 
-    Column 0 spans the one-dimensional subspace of the first N0 + 1 points
-    (the kernel of their monomial matrix); column j is the test function of
-    point N0 + 1 + j against all earlier points. Each column is scaled to
-    unit norm and sign-fixed so the construction is deterministic.
+    Column j of the staircase Z = [z_0, z_1, ...] lives on the first N0 + 1
+    points and point N0 + j: z_0 spans the one-dimensional kernel of the
+    first N0 + 1 points' monomial matrix (signed positive at point N0), and
+    z_j (j >= 1) is 1 at point N0 + j plus the minimum-norm correction on the
+    first N0 + 1 points that restores M z_j = 0. H = Z R^-1 is Gram-Schmidt
+    of Z in the eta-norm, so column j of H is the normalized test function of
+    point N0 + j against all earlier points, last entry positive. One more
+    pass against the computed Gram matrix removes the rounding the first
+    Cholesky leaves at large N (CholeskyQR2, Fukaya et al. 2014); a basis
+    that is still not orthonormal to 1e-6 raises SingularSystem.
     """
     reg = as_regularity(eta)
     X = as_points(X)
@@ -112,38 +120,28 @@ def build_orthonormal_basis(X, eta) -> SubspaceBasis:
     C = eta_norm_constant(D, reg)
     Nh = N - N0
 
-    H = np.zeros((N, Nh))
-    ker = null_space(M[:, : N0 + 1])
+    # Monomials of unit-box coordinates span the same polynomials, so they
+    # give the same constraint, better conditioned.
+    M_u = monomial_matrix(unit_box_map(X).forward(X), reg)
+    lead = M_u[:, : N0 + 1]
+    ker = null_space(lead)
     if ker.shape[1] != 1:
         raise SingularSystem(
             "the first N0 + 1 points do not span a one-dimensional subspace "
             "(their monomial matrix is rank-deficient)"
         )
-    H[: N0 + 1, 0] = ker[:, 0]
-    for j in range(1, Nh):
-        i = N0 + j  # 0-based index of the point this column adds
-        tf = test_function(X[:i], X[i], reg)
-        H[i, j] = tf.a_t
-        H[:i, j] = tf.a
+    Z = np.zeros((N, Nh))
+    Z[: N0 + 1, 0] = ker[:, 0] if ker[N0, 0] > 0 else -ker[:, 0]
+    Z[: N0 + 1, 1:] = -np.linalg.pinv(lead) @ M_u[:, N0 + 1 :]
+    Z[N0 + 1 :, 1:] = np.eye(Nh - 1)
 
-    for j in range(Nh):
-        q = C * float(H[:, j] @ G @ H[:, j])
-        if not np.isfinite(q) or q <= 0.0:
-            raise SingularSystem(f"basis column {j} has non-positive squared norm ({q:.3e})")
-        H[:, j] = _fix_sign(H[:, j] / np.sqrt(q))
-
-    # The column solves leave O(eps * cond) cross terms at large N and high
-    # eta, so re-orthonormalize once against the computed Gram matrix. R is
-    # upper triangular with a positive diagonal: H @ inv(R) only mixes
-    # earlier columns into later ones, which keeps the staircase pattern and
-    # the sign convention intact.
-    gram = C * (H.T @ G @ H)
-    try:
-        R = cholesky(gram)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystem("basis Gram matrix lost positive definiteness") from exc
-    H = solve_triangular(R.T, H.T, lower=True).T
-
+    H = _orthonormalize(_orthonormalize(Z, G, C), G, C)
+    resid = float(np.abs(C * (H.T @ G @ H) - np.eye(Nh)).max())
+    if not resid <= 1e-6:
+        raise SingularSystem(
+            f"basis is not orthonormal (max |C H^T G H - I| = {resid:.3e}); "
+            "the datapoints are too close together for the kernel system"
+        )
     return SubspaceBasis(X=X, eta=reg, H=H, G=G, M=M)
 
 
@@ -177,8 +175,18 @@ def to_subspace(basis: SubspaceBasis, y, sigma_y) -> tuple[np.ndarray, np.ndarra
     return h_mu_star, Sigma_inv
 
 
+def evaluation_matrix(basis: SubspaceBasis, probes) -> np.ndarray:
+    """Rows e(x) with e(x) . h* = value at probe x of the function with coordinates h*.
+
+    Shape (P, N): the kernel block g(x)^T H, then the probe's monomials.
+    """
+    P = as_points(probes)
+    if P.shape[1] != basis.dim:
+        raise DimensionMismatch(f"probes have {P.shape[1]} features, data has {basis.dim}")
+    g = pairwise_sq_dists(P, basis.X) ** basis.eta.value
+    return np.hstack([g @ basis.H, monomial_matrix(P, basis.eta).T])
+
+
 def eval_functional(basis: SubspaceBasis, x_t) -> np.ndarray:
     """Vector e with e . h* = value at x_t of the function with coordinates h*."""
-    g = greens_vector(basis.X, x_t, basis.eta)
-    m = monomial_vector(np.asarray(x_t, dtype=float).reshape(-1), basis.eta, dim=basis.dim)
-    return np.concatenate([basis.H.T @ g, m])
+    return evaluation_matrix(basis, np.reshape(np.asarray(x_t, dtype=float), (1, -1)))[0]

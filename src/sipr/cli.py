@@ -20,7 +20,7 @@ from ._io import atomic_write_text
 from .data import Dataset, load_csv, load_probe_csv
 from .errors import IOError_, NumericalError, ValidationError
 from .geometry import as_regularity
-from .interpolate import pointwise_posterior, draw_sample_path, solve_interpolation
+from .interpolate import draw_sample_path, solve_interpolation
 from .pipeline import crossval as run_crossval
 from .pipeline import fit_dataset, load_archive, save_archive
 from .sampler import SamplerConfig
@@ -105,8 +105,7 @@ def cmd_interpolate(data_path, target, eta, probes_path, grid, paths, seed, out_
     if paths < 0:
         raise ValidationError(f"--paths must be >= 0, got {paths}")
 
-    model = solve_interpolation(ds.X, ds.y, reg)
-    pps = [pointwise_posterior(None, None, reg, p, model=model) for p in probes]
+    mean, scale, sd = solve_interpolation(ds.X, ds.y, reg).posterior(probes)
     path_cols = []
     if paths:
         for s in np.random.SeedSequence(seed).spawn(paths):
@@ -114,8 +113,8 @@ def cmd_interpolate(data_path, target, eta, probes_path, grid, paths, seed, out_
 
     header = list(ds.feature_names) + ["mean", "scale", "sd"] + [f"path_{i}" for i in range(paths)]
     rows = []
-    for i, (p, pp) in enumerate(zip(probes, pps)):
-        rows.append(list(p) + [pp.mean, pp.scale, pp.sd] + [col[i] for col in path_cols])
+    for i, p in enumerate(probes):
+        rows.append(list(p) + [mean[i], scale[i], sd[i]] + [col[i] for col in path_cols])
     _write_csv(out_path, header, rows, seed, reg.value)
     click.echo(f"wrote {len(rows)} probes to {out_path}")
 

@@ -20,16 +20,9 @@ from itertools import product
 
 import numpy as np
 
-from ._linalg import solve_symmetric
-from .errors import (
-    CoincidesWithDatapoint,
-    ConstraintViolated,
-    DimensionMismatch,
-    SingularSystem,
-    TooFewPoints,
-)
+from ._linalg import RCOND_MIN, solve_symmetric
+from .errors import ConstraintViolated, DimensionMismatch, SingularSystem, TooFewPoints
 from .geometry import (
-    DUPLICATE_TOL,
     KernelMatrices,
     Regularity,
     as_points,
@@ -123,6 +116,30 @@ class InterpolationModel:
 
     __call__ = evaluate
 
+    @property
+    def dof(self) -> int:
+        """Degrees of freedom of the pointwise t posteriors, N - N0."""
+        return self.n_points - self.n_null
+
+    def posterior(self, probes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Mean, t scale and sd of the exact-data posterior at each probe.
+
+        The t scale is sqrt(||f||^2 / (||t_x||^2 dof)); sd exists only for
+        dof > 2 (NaN otherwise). Probes on a datapoint and exactly polynomial
+        data give point masses: scale 0 and sd 0.
+        """
+        P = as_points(probes)
+        mean = self.evaluate(P)
+        ratio = np.zeros_like(mean)
+        if self.norm_sq > POLYNOMIAL_TOL * float(self.y @ self.y):
+            ratio = self.norm_sq * power_function_sq(self.X, self.eta, P)
+        scale = np.sqrt(ratio / self.dof)
+        if self.dof > 2:
+            sd = np.sqrt(ratio / (self.dof - 2))
+        else:
+            sd = np.where(ratio == 0.0, 0.0, np.nan)
+        return mean, scale, sd
+
 
 def solve_interpolation(X, y, eta) -> InterpolationModel:
     """Fit the minimum-norm interpolant through (X, y)."""
@@ -154,11 +171,6 @@ def solve_interpolation(X, y, eta) -> InterpolationModel:
     return InterpolationModel(X=X, y=y, eta=reg, a=a, c=c, indices=indices)
 
 
-def evaluate(model: InterpolationModel, probes) -> np.ndarray:
-    """Module-level alias for InterpolationModel.evaluate."""
-    return model.evaluate(probes)
-
-
 def eta_norm_sq(a, G, eta, dim: int, M=None) -> float:
     """Squared norm of the function with kernel coefficients a on matrix G.
 
@@ -181,65 +193,34 @@ def eta_norm_sq(a, G, eta, dim: int, M=None) -> float:
     return eta_norm_constant(dim, reg) * float(a @ G @ a)
 
 
-# --- test functions -------------------------------------------------------
+# --- power function --------------------------------------------------------
 
 
-@dataclass(eq=False)
-class TestFunction:
-    """Minimum-norm function with value 1 at x_t and 0 at every datapoint.
+def power_function_sq(X, eta, probes) -> np.ndarray:
+    """Squared power function 1 / ||t_x||^2 at each probe x, shape (P,).
 
-    Internally just the interpolant through the augmented points [x_t; X]
-    with values [1, 0, ..., 0]; a_t is the coefficient on the probe's kernel.
+    t_x is the test function of x: the minimum-norm function that is 1 at x
+    and 0 at every datapoint. Bordering the data saddle K with the probe's
+    column b = [g(x); m(x)] gives ||t_x||^2 = C / s with s = -b^T K^-1 b, the
+    Schur complement (Schaback; Wendland, Scattered Data Approximation,
+    ch. 11), so one factorization of K in unit-box coordinates serves every
+    probe. s falls continuously to 0 at a datapoint, where it bottoms out at
+    rounding level; below RCOND_MIN relative to |b| |K^-1 b| the probe is
+    taken to sit on a datapoint and the result is exactly 0.
     """
-
-    x_t: np.ndarray
-    model: InterpolationModel  # over augmented points, probe first
-
-    @property
-    def a_t(self) -> float:
-        return float(self.model.a[0])
-
-    @property
-    def a(self) -> np.ndarray:
-        return self.model.a[1:]
-
-    @property
-    def c(self) -> np.ndarray:
-        return self.model.c
-
-    @cached_property
-    def norm_sq(self) -> float:
-        return self.model.norm_sq
-
-    def evaluate(self, probes) -> np.ndarray:
-        return self.model.evaluate(probes)
-
-    __call__ = evaluate
-
-
-def _nearest_datapoint(X: np.ndarray, x_t: np.ndarray) -> tuple[int, float]:
-    """Index and unit-box distance of the datapoint closest to x_t."""
-    box = unit_box_map(X)
-    du = box.forward(X) - box.forward(x_t[None, :])
-    d = np.sqrt(np.einsum("nd,nd->n", du, du))
-    n = int(np.argmin(d))
-    return n, float(d[n])
-
-
-def test_function(X, x_t, eta) -> TestFunction:
-    """Build the test function of probe x_t against datapoints X."""
+    reg = as_regularity(eta)
     X = as_points(X)
-    x_t = np.asarray(x_t, dtype=float).reshape(-1)
-    if x_t.shape[0] != X.shape[1]:
-        raise DimensionMismatch(f"probe has {x_t.shape[0]} features, data has {X.shape[1]}")
-    n, dist = _nearest_datapoint(X, x_t)
-    if dist < DUPLICATE_TOL:
-        raise CoincidesWithDatapoint(f"probe coincides with datapoint {n}")
-    X_aug = np.vstack([x_t[None, :], X])
-    y_aug = np.zeros(X_aug.shape[0])
-    y_aug[0] = 1.0
-    model = solve_interpolation(X_aug, y_aug, eta)
-    return TestFunction(x_t=x_t, model=model)
+    P = as_points(probes)
+    if P.shape[1] != X.shape[1]:
+        raise DimensionMismatch(f"probes have {P.shape[1]} features, data has {X.shape[1]}")
+    box = unit_box_map(X)
+    U, Q = box.forward(X), box.forward(P)
+    B = np.vstack([pairwise_sq_dists(U, Q) ** reg.value, monomial_matrix(Q, reg)])
+    W = solve_symmetric(kernel_system(U, reg).saddle, B)
+    C = eta_norm_constant(X.shape[1], reg)
+    s = -math.copysign(1.0, C) * np.einsum("ip,ip->p", B, W)
+    floor = RCOND_MIN * np.linalg.norm(B, axis=0) * np.linalg.norm(W, axis=0)
+    return np.where(s > floor, s * box.scale ** (2.0 * reg.value) / abs(C), 0.0)
 
 
 # --- pointwise posterior --------------------------------------------------
@@ -264,43 +245,19 @@ class PointwisePosterior:
         return self.scale == 0.0
 
 
-def _t_posterior(mean: float, dof: int, norm_ratio_sq: float) -> PointwisePosterior:
-    scale = math.sqrt(norm_ratio_sq / dof)
-    sd = math.sqrt(norm_ratio_sq / (dof - 2)) if dof > 2 else float("nan")
-    if norm_ratio_sq == 0.0:
-        sd = 0.0
-    return PointwisePosterior(mean=mean, scale=scale, dof=dof, sd=sd)
-
-
 def pointwise_posterior(X, y, eta, x_t, model: InterpolationModel | None = None) -> PointwisePosterior:
     """Posterior of f(x_t) given exact observations (X, y).
 
     dof = N - N0. Pass a pre-fitted model to avoid re-solving when probing
-    many points against the same data.
+    many points against the same data; InterpolationModel.posterior does a
+    whole probe set at once.
     """
     if model is None:
         model = solve_interpolation(X, y, eta)
-    X, y = model.X, model.y
-    x_t = np.asarray(x_t, dtype=float).reshape(-1)
-    dof = model.n_points - model.n_null
-
-    n, dist = _nearest_datapoint(X, x_t)
-    if dist < DUPLICATE_TOL:
-        return PointwisePosterior(mean=float(y[n]), scale=0.0, dof=dof, sd=0.0)
-
-    norm_f = model.norm_sq
-    mean = float(model.evaluate(x_t[None, :])[0])
-    if norm_f <= POLYNOMIAL_TOL * float(y @ y):
-        # data lies exactly on a polynomial: zero norm, degenerate posterior
-        return PointwisePosterior(mean=mean, scale=0.0, dof=dof, sd=0.0)
-    try:
-        tf = test_function(X, x_t, eta)
-    except SingularSystem:
-        # The data system itself solved, so the one-row augmentation can only
-        # degenerate when the probe sits numerically on a datapoint; take the
-        # coincident limit, where the scale vanishes.
-        return PointwisePosterior(mean=mean, scale=0.0, dof=dof, sd=0.0)
-    return _t_posterior(mean, dof, norm_f / tf.norm_sq)
+    mean, scale, sd = model.posterior(np.reshape(np.asarray(x_t, dtype=float), (1, -1)))
+    return PointwisePosterior(
+        mean=float(mean[0]), scale=float(scale[0]), dof=model.dof, sd=float(sd[0])
+    )
 
 
 def draw_sample_path(X, y, eta, grid, seed) -> np.ndarray:
@@ -308,23 +265,28 @@ def draw_sample_path(X, y, eta, grid, seed) -> np.ndarray:
 
     Each grid value is drawn from its pointwise t-posterior and then added to
     the conditioning set, so later grid points see earlier draws. Grid points
-    that land on existing points reproduce their value exactly and add
-    nothing. Deterministic for a fixed seed.
+    that land on existing points are point masses: they reproduce the value
+    there and add nothing. Deterministic for a fixed seed.
     """
     reg = as_regularity(eta)
     grid = as_points(grid)
     rng = np.random.default_rng(seed)
-    X_cur = as_points(X).copy()
-    y_cur = np.asarray(y, dtype=float).reshape(-1).copy()
     out = np.empty(grid.shape[0])
-    model = solve_interpolation(X_cur, y_cur, reg)
+    model = solve_interpolation(X, y, reg)
     for i, g in enumerate(grid):
         pp = pointwise_posterior(None, None, reg, g, model=model)
+        out[i] = pp.mean
         if pp.is_point_mass:
-            out[i] = pp.mean
             continue
-        out[i] = pp.mean + pp.scale * rng.standard_t(pp.dof)
-        X_cur = np.vstack([X_cur, g[None, :]])
-        y_cur = np.append(y_cur, out[i])
-        model = solve_interpolation(X_cur, y_cur, reg)
+        value = pp.mean + pp.scale * rng.standard_t(pp.dof)
+        try:
+            model = solve_interpolation(
+                np.vstack([model.X, g[None, :]]), np.append(model.y, value), reg
+            )
+        except SingularSystem:
+            # The grid has packed the conditioning set past what the saddle
+            # solve resolves: the scale here is below working precision, so
+            # the point keeps its coincident limit, the mean, and adds nothing.
+            continue
+        out[i] = value
     return out

@@ -15,6 +15,7 @@ prediction; a reloaded model predicts bit-identically to the fresh fit.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from dataclasses import dataclass, field
@@ -26,15 +27,10 @@ from ._io import atomic_write_text
 from .basis import SubspaceBasis, build_orthonormal_basis
 from .data import Dataset, FeatureScaling, minmax_scale
 from .errors import ArchiveVersionError, IOError_, PoleCollapse, ValidationError
-from .geometry import Regularity, as_points, as_regularity, monomial_matrix, monomial_vector
-from .interpolate import (
-    POLYNOMIAL_TOL,
-    InterpolationModel,
-    pointwise_posterior,
-    solve_interpolation,
-)
+from .geometry import Regularity, as_points, as_regularity, greens_matrix, monomial_matrix
+from .interpolate import POLYNOMIAL_TOL, InterpolationModel, solve_interpolation
 from .posterior import KnownNoise, UnknownNoise, build_density, laplace_precondition, map_estimate
-from .predict import CredibleBand, band_halfwidth, credible_band
+from .predict import CredibleBand, build_band, credible_band
 from .sampler import Regime, RegressionPosterior, SamplerConfig, run_mcmc
 
 ARCHIVE_VERSION = 1
@@ -94,35 +90,16 @@ class RegressionFit:
         """Credible band at probes given in original units."""
         P = self.to_model_space(probes)
         if self.regime == Regime.NORMAL:
-            return credible_band(
-                self.posterior,
-                self.basis,
-                self.X,
-                self.y,
-                self.eta,
-                P,
-                level=level,
-                sigma_y=self.sigma_y,
-            )
+            return credible_band(self.posterior, self.basis, P, level=level, sigma_y=self.sigma_y)
         if self.regime == Regime.INTERPOLATION_POLE:
             return self._interpolation_band(P, level)
         return self._polynomial_band(P, level)
 
     def _interpolation_band(self, P: np.ndarray, level: float) -> CredibleBand:
         model = self.interp_model
-        pps = [pointwise_posterior(None, None, self.eta, p, model=model) for p in P]
-        mean = np.array([pp.mean for pp in pps])
-        scale_t = np.array([pp.scale for pp in pps])
-        sigma_t = np.array([pp.sd for pp in pps])
-        dof = float(model.n_points - model.n_null)
-        sigma_s = np.zeros_like(mean)
-        sigma_f = sigma_t.copy()
-        sigma_d = np.sqrt(sigma_f**2 + self.sigma_y**2)
-        half = band_halfwidth(level, dof, scale_t)
-        return CredibleBand(
-            probes=P, mean=mean, sigma_s=sigma_s, sigma_t=sigma_t, sigma_f=sigma_f,
-            sigma_d=sigma_d, scale_t=scale_t, lower=mean - half, upper=mean + half,
-            dof=dof, level=level,
+        mean, scale_t, sigma_t = model.posterior(P)
+        return build_band(
+            P, mean, scale_t, sigma_t, np.zeros_like(mean), self.sigma_y, float(model.dof), level
         )
 
     def _polynomial_band(self, P: np.ndarray, level: float) -> CredibleBand:
@@ -139,18 +116,11 @@ class RegressionFit:
         else:
             s2 = rss / nu_resid
             dof = float(nu_resid)
-        mvecs = np.array([monomial_vector(p, self.eta, dim=self.dim) for p in P])
+        mvecs = monomial_matrix(P, self.eta).T
         mean = mvecs @ self.mean_c
         sigma_s = np.sqrt(np.maximum(np.einsum("pi,ij,pj->p", mvecs, gram_inv, mvecs) * s2, 0.0))
         zero = np.zeros_like(mean)
-        sigma_f = sigma_s.copy()
-        sigma_d = np.sqrt(sigma_f**2 + self.sigma_y**2)
-        half = band_halfwidth(level, dof, sigma_s)
-        return CredibleBand(
-            probes=P, mean=mean, sigma_s=sigma_s, sigma_t=zero, sigma_f=sigma_f,
-            sigma_d=sigma_d, scale_t=zero, lower=mean - half, upper=mean + half,
-            dof=dof, level=level,
-        )
+        return build_band(P, mean, zero, zero, sigma_s, self.sigma_y, dof, level)
 
     @property
     def fitted(self) -> np.ndarray:
@@ -201,14 +171,17 @@ def fit_regression(X, y, eta, noise="unknown", config: SamplerConfig | None = No
     model = solve_interpolation(X, y, reg)
     common = dict(eta=reg, X=X, y=y, noise_known=known, config=config)
 
-    if model.norm_sq <= POLYNOMIAL_TOL * float(y @ y):
-        # exactly polynomial data: nothing for the kernel part to do
+    def nullspace_pole(**extra) -> RegressionFit:
         c = _polynomial_fit(X, y, reg)
         sigma = sigma_known if known else _residual_sigma(X, y, reg, c)
         return RegressionFit(
             regime=Regime.NULLSPACE_POLE, sigma_y=sigma,
-            mean_a=np.zeros(X.shape[0]), mean_c=c, **common,
+            mean_a=np.zeros(X.shape[0]), mean_c=c, **extra, **common,
         )
+
+    if model.norm_sq <= POLYNOMIAL_TOL * float(y @ y):
+        # exactly polynomial data: nothing for the kernel part to do
+        return nullspace_pole()
 
     if known and sigma_known == 0.0:
         return RegressionFit(
@@ -229,12 +202,7 @@ def fit_regression(X, y, eta, noise="unknown", config: SamplerConfig | None = No
     try:
         h_map = map_estimate(density)
     except PoleCollapse:
-        c = _polynomial_fit(X, y, reg)
-        sigma = sigma_known if known else _residual_sigma(X, y, reg, c)
-        return RegressionFit(
-            regime=Regime.NULLSPACE_POLE, sigma_y=sigma,
-            mean_a=np.zeros(X.shape[0]), mean_c=c, basis=basis, **common,
-        )
+        return nullspace_pole(basis=basis)
 
     init = density.initial_state(h_map)
     L = laplace_precondition(init, density)
@@ -248,13 +216,7 @@ def fit_regression(X, y, eta, noise="unknown", config: SamplerConfig | None = No
     }
 
     if posterior.regime == Regime.NULLSPACE_POLE:
-        c = _polynomial_fit(X, y, reg)
-        sigma = sigma_known if known else _residual_sigma(X, y, reg, c)
-        return RegressionFit(
-            regime=Regime.NULLSPACE_POLE, sigma_y=sigma,
-            mean_a=np.zeros(X.shape[0]), mean_c=c, basis=basis,
-            posterior=posterior, diagnostics_summary=diag_summary, **common,
-        )
+        return nullspace_pole(basis=basis, posterior=posterior, diagnostics_summary=diag_summary)
     if posterior.regime == Regime.INTERPOLATION_POLE:
         sigma = sigma_known if known else float(posterior.sigma_y_median)
         return RegressionFit(
@@ -366,8 +328,6 @@ def load_archive(path: str) -> RegressionFit:
     interp_model = None
     if regime == Regime.NORMAL:
         H = np.asarray(doc["basis_H"], dtype=float)
-        from .geometry import greens_matrix  # local to avoid import noise at top
-
         basis = SubspaceBasis(X=X, eta=reg, H=H, G=greens_matrix(X, reg), M=monomial_matrix(X, reg))
         posterior = PosteriorSummary(
             h_hat=np.asarray(doc["h_hat"], dtype=float),
@@ -447,15 +407,7 @@ def crossval(
             feature_names=dataset.feature_names,
             target_name=dataset.target_name,
         )
-        cfg = SamplerConfig(
-            chains=base.chains,
-            samples_per_chain=base.samples_per_chain,
-            burn_in=base.burn_in,
-            seed=fold_seeds[j],
-            leapfrog_steps=base.leapfrog_steps,
-            target_accept=base.target_accept,
-            jobs=base.jobs,
-        )
+        cfg = dataclasses.replace(base, seed=fold_seeds[j], trace_path=None)
         fit = fit_dataset(train, eta, noise=noise, config=cfg)
         pred = fit.predict_mean(dataset.X[test_idx])
         return pred, dataset.y[test_idx], fit.regime

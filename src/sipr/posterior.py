@@ -31,9 +31,6 @@ __all__ = [
     "UnknownNoise",
     "PosteriorDensity",
     "build_density",
-    "log_posterior",
-    "log_posterior_grad",
-    "log_posterior_hessian",
     "map_estimate",
     "laplace_precondition",
 ]
@@ -216,18 +213,6 @@ def build_density(basis: SubspaceBasis, y, noise: KnownNoise | UnknownNoise) -> 
         noise=noise,
         Sigma_inv=Sigma_inv,
     )
-
-
-def log_posterior(density: PosteriorDensity, state) -> float:
-    return density.log_density(state)
-
-
-def log_posterior_grad(density: PosteriorDensity, state) -> np.ndarray:
-    return density.grad(state)
-
-
-def log_posterior_hessian(density: PosteriorDensity, state) -> np.ndarray:
-    return density.hessian(state)
 
 
 def map_estimate(density: PosteriorDensity, tol: float = 1e-10, max_iter: int = 200) -> np.ndarray:

@@ -4,7 +4,8 @@ The predictive mean at x_t is the function at the posterior mean coordinates,
 e(x_t) . h_hat. Its uncertainty has two parts that add in quadrature:
 
     sigma_t  -- the t-process band around any fixed h*, from the norm ratio
-                of the fitted function to the probe's test function, with
+                of the fitted function to the probe's test function (read off
+                the power function, one saddle solve for all probes), with
                 dof nu = Nh (sd exists only for nu > 2; the scale always does)
     sigma_s  -- the spread of the sampled coordinates, e^T Sigma_hat e
 
@@ -15,16 +16,15 @@ t quantiles at dof nu applied to the scale version of the combined width.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.stats import t as student_t
 
-from .basis import SubspaceBasis, eval_functional
-from .errors import SingularSystem, WrongRegime
-from .geometry import DUPLICATE_TOL, as_points, as_regularity
-from .interpolate import eta_norm_sq, test_function, _nearest_datapoint
+from .basis import SubspaceBasis, evaluation_matrix
+from .errors import WrongRegime
+from .geometry import as_points
+from .interpolate import eta_norm_sq, power_function_sq
 from .sampler import Regime
 
 
@@ -62,8 +62,7 @@ def _require_normal(posterior) -> None:
 def predictive_mean(posterior, basis: SubspaceBasis, probes) -> np.ndarray:
     """Posterior-mean prediction at probe points (normal regime only)."""
     _require_normal(posterior)
-    P = as_points(probes)
-    return np.array([float(eval_functional(basis, p) @ posterior.h_hat) for p in P])
+    return evaluation_matrix(basis, probes) @ posterior.h_hat
 
 
 def band_halfwidth(level: float, dof: float, scale: np.ndarray) -> np.ndarray:
@@ -74,12 +73,21 @@ def band_halfwidth(level: float, dof: float, scale: np.ndarray) -> np.ndarray:
     return q * np.asarray(scale, dtype=float)
 
 
+def build_band(probes, mean, scale_t, sigma_t, sigma_s, sigma_y, dof, level) -> CredibleBand:
+    """Assemble a band from its t part (scale_t, sigma_t) and sampling part sigma_s."""
+    sigma_f = np.sqrt(sigma_t**2 + sigma_s**2)
+    sigma_d = np.sqrt(sigma_f**2 + sigma_y**2)
+    half = band_halfwidth(level, dof, np.sqrt(scale_t**2 + sigma_s**2))
+    return CredibleBand(
+        probes=probes, mean=mean, sigma_s=sigma_s, sigma_t=sigma_t, sigma_f=sigma_f,
+        sigma_d=sigma_d, scale_t=scale_t, lower=mean - half, upper=mean + half,
+        dof=dof, level=level,
+    )
+
+
 def credible_band(
     posterior,
     basis: SubspaceBasis,
-    X,
-    y,
-    eta,
     probes,
     level: float = 0.95,
     sigma_y: float | None = None,
@@ -90,8 +98,6 @@ def credible_band(
     noise draws (unknown-noise fits) or as 0.
     """
     _require_normal(posterior)
-    reg = as_regularity(eta)
-    X = as_points(X)
     P = as_points(probes)
     nu = float(posterior.n_basis)
 
@@ -100,41 +106,13 @@ def credible_band(
         sigma_y = float(med) if med is not None else 0.0
 
     a, _ = basis.spline_coefficients(posterior.h_hat)
-    norm_mean = eta_norm_sq(a, basis.G, reg, basis.dim, M=basis.M)
+    norm_mean = eta_norm_sq(a, basis.G, basis.eta, basis.dim, M=basis.M)
     norm_mean = max(norm_mean, 0.0)
 
-    mean = np.empty(P.shape[0])
-    sigma_s = np.empty(P.shape[0])
-    scale_t = np.empty(P.shape[0])
-    sigma_t = np.empty(P.shape[0])
-    for i, p in enumerate(P):
-        e = eval_functional(basis, p)
-        mean[i] = float(e @ posterior.h_hat)
-        sigma_s[i] = math.sqrt(max(float(e @ posterior.Sigma_hat @ e), 0.0))
-        _, dist = _nearest_datapoint(X, p)
-        if dist < DUPLICATE_TOL:
-            ratio = 0.0  # probing a datapoint: the t component vanishes
-        else:
-            try:
-                ratio = norm_mean / test_function(X, p, reg).norm_sq
-            except SingularSystem:
-                ratio = 0.0  # numerically on a datapoint: same limit
-        scale_t[i] = math.sqrt(ratio / nu)
-        sigma_t[i] = math.sqrt(ratio / (nu - 2.0)) if nu > 2 else float("nan")
-
-    sigma_f = np.sqrt(sigma_t**2 + sigma_s**2)
-    sigma_d = np.sqrt(sigma_f**2 + sigma_y**2)
-    half = band_halfwidth(level, nu, np.sqrt(scale_t**2 + sigma_s**2))
-    return CredibleBand(
-        probes=P,
-        mean=mean,
-        sigma_s=sigma_s,
-        sigma_t=sigma_t,
-        sigma_f=sigma_f,
-        sigma_d=sigma_d,
-        scale_t=scale_t,
-        lower=mean - half,
-        upper=mean + half,
-        dof=nu,
-        level=level,
-    )
+    E = evaluation_matrix(basis, P)
+    mean = E @ posterior.h_hat
+    sigma_s = np.sqrt(np.maximum(np.einsum("pi,ij,pj->p", E, posterior.Sigma_hat, E), 0.0))
+    ratio = norm_mean * power_function_sq(basis.X, basis.eta, P)
+    scale_t = np.sqrt(ratio / nu)
+    sigma_t = np.sqrt(ratio / (nu - 2.0)) if nu > 2 else np.full_like(ratio, np.nan)
+    return build_band(P, mean, scale_t, sigma_t, sigma_s, sigma_y, nu, level)

@@ -5,6 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+MAX_DRAWS = 1000
+
 
 @pytest.fixture
 def rng():
@@ -15,16 +17,21 @@ def random_dataset(n: int, dim: int, seed: int = 0, min_gap: float = 1e-3):
     """Random points in [0, 1]^D with a minimum pairwise gap, plus smooth targets.
 
     The gap keeps the kernel matrix well conditioned so tolerance checks test
-    the algorithm, not the conditioning of an adversarial draw.
+    the algorithm, not the conditioning of an adversarial draw. Gives up after
+    MAX_DRAWS draws; many points at a wide gap need jittered equispaced points.
     """
     gen = np.random.default_rng(seed)
-    while True:
+    for _ in range(MAX_DRAWS):
         X = gen.uniform(0.0, 1.0, size=(n, dim))
         diff = X[:, None, :] - X[None, :, :]
         d2 = np.einsum("nmd,nmd->nm", diff, diff)
         np.fill_diagonal(d2, np.inf)
         if d2.min() > min_gap**2:
             break
+    else:
+        raise RuntimeError(
+            f"no draw of n={n} points in dim={dim} had min_gap={min_gap:g} in {MAX_DRAWS} tries"
+        )
     y = np.sin(3.0 * X.sum(axis=1)) + 0.3 * X[:, 0]
     return X, y
 

@@ -1,0 +1,157 @@
+"""Reference implementations the tests compare the library against.
+
+Both build their objects the slow, literal way, one saddle solve per probe or
+per basis column, straight from the definitions:
+
+* ``test_function`` -- the minimum-norm function that is 1 at a probe and 0 at
+  every datapoint, as the interpolant through the augmented point set. The
+  library reads its squared norm off the power function instead.
+* ``loop_orthonormal_basis`` -- the staircase basis column by column: column j
+  is the test function of point N0 + j against all earlier points, scaled to
+  unit norm and sign-fixed, then re-orthonormalized once. The library builds
+  the same basis from one Cholesky factor.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
+from scipy.linalg import cholesky, null_space, solve_triangular
+
+from sipr.basis import SubspaceBasis
+from sipr.errors import CoincidesWithDatapoint, DimensionMismatch, SingularSystem, TooFewPoints
+from sipr.geometry import (
+    DUPLICATE_TOL,
+    as_points,
+    as_regularity,
+    eta_norm_constant,
+    greens_matrix,
+    monomial_matrix,
+    nullspace_dim,
+    unit_box_map,
+)
+from sipr.interpolate import InterpolationModel, solve_interpolation
+
+
+@dataclass(eq=False)
+class TestFunction:
+    """Minimum-norm function with value 1 at x_t and 0 at every datapoint.
+
+    Internally just the interpolant through the augmented points [x_t; X]
+    with values [1, 0, ..., 0]; a_t is the coefficient on the probe's kernel.
+    """
+
+    x_t: np.ndarray
+    model: InterpolationModel  # over augmented points, probe first
+
+    @property
+    def a_t(self) -> float:
+        return float(self.model.a[0])
+
+    @property
+    def a(self) -> np.ndarray:
+        return self.model.a[1:]
+
+    @property
+    def c(self) -> np.ndarray:
+        return self.model.c
+
+    @cached_property
+    def norm_sq(self) -> float:
+        return self.model.norm_sq
+
+    def evaluate(self, probes) -> np.ndarray:
+        return self.model.evaluate(probes)
+
+    __call__ = evaluate
+
+
+def _nearest_datapoint(X: np.ndarray, x_t: np.ndarray) -> tuple[int, float]:
+    """Index and unit-box distance of the datapoint closest to x_t."""
+    box = unit_box_map(X)
+    du = box.forward(X) - box.forward(x_t[None, :])
+    d = np.sqrt(np.einsum("nd,nd->n", du, du))
+    n = int(np.argmin(d))
+    return n, float(d[n])
+
+
+def test_function(X, x_t, eta) -> TestFunction:
+    """Build the test function of probe x_t against datapoints X."""
+    X = as_points(X)
+    x_t = np.asarray(x_t, dtype=float).reshape(-1)
+    if x_t.shape[0] != X.shape[1]:
+        raise DimensionMismatch(f"probe has {x_t.shape[0]} features, data has {X.shape[1]}")
+    n, dist = _nearest_datapoint(X, x_t)
+    if dist < DUPLICATE_TOL:
+        raise CoincidesWithDatapoint(f"probe coincides with datapoint {n}")
+    X_aug = np.vstack([x_t[None, :], X])
+    y_aug = np.zeros(X_aug.shape[0])
+    y_aug[0] = 1.0
+    model = solve_interpolation(X_aug, y_aug, eta)
+    return TestFunction(x_t=x_t, model=model)
+
+
+def _fix_sign(h: np.ndarray) -> np.ndarray:
+    """Flip the column so its last nonzero entry is positive."""
+    mag = np.abs(h)
+    tol = 1e-12 * mag.max(initial=0.0)
+    nz = np.nonzero(mag > tol)[0]
+    if nz.size and h[nz[-1]] < 0:
+        return -h
+    return h
+
+
+def loop_orthonormal_basis(X, eta) -> SubspaceBasis:
+    """Construct the basis column by column in datapoint order.
+
+    Column 0 spans the one-dimensional subspace of the first N0 + 1 points
+    (the kernel of their monomial matrix); column j is the test function of
+    point N0 + 1 + j against all earlier points. Each column is scaled to
+    unit norm and sign-fixed so the construction is deterministic.
+    """
+    reg = as_regularity(eta)
+    X = as_points(X)
+    N, D = X.shape
+    N0 = nullspace_dim(D, reg)
+    if N < N0 + 1:
+        raise TooFewPoints(f"need at least {N0 + 1} points, got {N}")
+    G = greens_matrix(X, reg)
+    M = monomial_matrix(X, reg)
+    C = eta_norm_constant(D, reg)
+    Nh = N - N0
+
+    H = np.zeros((N, Nh))
+    ker = null_space(M[:, : N0 + 1])
+    if ker.shape[1] != 1:
+        raise SingularSystem(
+            "the first N0 + 1 points do not span a one-dimensional subspace "
+            "(their monomial matrix is rank-deficient)"
+        )
+    H[: N0 + 1, 0] = ker[:, 0]
+    for j in range(1, Nh):
+        i = N0 + j  # 0-based index of the point this column adds
+        tf = test_function(X[:i], X[i], reg)
+        H[i, j] = tf.a_t
+        H[:i, j] = tf.a
+
+    for j in range(Nh):
+        q = C * float(H[:, j] @ G @ H[:, j])
+        if not np.isfinite(q) or q <= 0.0:
+            raise SingularSystem(f"basis column {j} has non-positive squared norm ({q:.3e})")
+        H[:, j] = _fix_sign(H[:, j] / np.sqrt(q))
+
+    # The column solves leave O(eps * cond) cross terms at large N and high
+    # eta, so re-orthonormalize once against the computed Gram matrix. R is
+    # upper triangular with a positive diagonal: H @ inv(R) only mixes
+    # earlier columns into later ones, which keeps the staircase pattern and
+    # the sign convention intact.
+    gram = C * (H.T @ G @ H)
+    try:
+        R = cholesky(gram)
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystem("basis Gram matrix lost positive definiteness") from exc
+    H = solve_triangular(R.T, H.T, lower=True).T
+
+    return SubspaceBasis(X=X, eta=reg, H=H, G=G, M=M)

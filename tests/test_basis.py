@@ -10,6 +10,7 @@ from sipr.errors import NotPositiveDefinite, SingularSystem, TooFewPoints
 from sipr.geometry import eta_norm_constant
 from sipr.interpolate import solve_interpolation
 from tests.conftest import random_dataset
+from tests.oracles import loop_orthonormal_basis
 
 
 @pytest.mark.parametrize("n,dim", [(10, 1), (20, 2), (30, 3), (50, 3)])
@@ -23,6 +24,25 @@ def test_orthonormality_and_constraints(n, dim, eta):
     np.testing.assert_allclose(gram, np.eye(basis.n_basis), atol=1e-8)
     # Every column satisfies the growth-rate constraint.
     assert np.abs(basis.M @ H).max() < 1e-8
+
+
+@pytest.mark.parametrize("n,dim", [(10, 1), (14, 1), (20, 2), (30, 3)])
+@pytest.mark.parametrize("eta", [0.5, 1.5, 2.5])
+def test_matches_column_loop_oracle(n, dim, eta):
+    # Gram-Schmidt of the staircase via one Cholesky is the same basis the
+    # per-column test-function solves build.
+    X, _ = random_dataset(n, dim, seed=n + dim)
+    H = build_orthonormal_basis(X, eta).H
+    H_ref = loop_orthonormal_basis(X, eta).H
+    assert np.abs(H - H_ref).max() <= 1e-6 * np.abs(H_ref).max()
+
+
+def test_nearly_coincident_points_raise():
+    # A 1e-5 gap among 300 points: the Cholesky form would return a basis
+    # off orthonormal by ~1e-4, so the residual gate must refuse it.
+    X, _ = random_dataset(300, 1, seed=0, min_gap=1e-5)
+    with pytest.raises(SingularSystem, match="not orthonormal"):
+        build_orthonormal_basis(X, 1.5)
 
 
 def test_staircase_structure_and_sign():

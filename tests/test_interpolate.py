@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from sipr.errors import (
     CoincidesWithDatapoint,
@@ -13,16 +15,17 @@ from sipr.errors import (
     DimensionMismatch,
     DuplicatePoints,
 )
-from sipr.geometry import eta_norm_constant, greens_matrix, monomial_matrix
+from sipr.geometry import eta_norm_constant, greens_matrix, monomial_matrix, nullspace_dim
 from sipr.interpolate import (
     POLYNOMIAL_TOL,
     draw_sample_path,
     eta_norm_sq,
     pointwise_posterior,
+    power_function_sq,
     solve_interpolation,
 )
-from sipr.interpolate import test_function as make_test_function
 from tests.conftest import random_dataset
+from tests.oracles import test_function as make_test_function
 
 
 class TestSolveInterpolation:
@@ -141,6 +144,33 @@ class TestTestFunction:
             make_test_function(X, np.array([0.5]), 1.5)
 
 
+class TestPowerFunction:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        dim=st.integers(1, 3),
+        eta=st.sampled_from([0.5, 1.5, 2.5]),
+        extra=st.integers(1, 12),
+        seed=st.integers(0, 2**16),
+    )
+    def test_matches_test_function_norms(self, dim, eta, extra, seed):
+        # ||t_x||^2 from the Schur complement of one data factorization
+        # equals the norm of the test function solved on the augmented set,
+        # for probes inside and outside the hull of the data. Probes keep the
+        # data's gap, so the oracle's augmented system stays well conditioned.
+        X, _ = random_dataset(nullspace_dim(dim, eta) + extra, dim, seed=seed, min_gap=1e-2)
+        probes = np.random.default_rng(seed).uniform(-0.5, 1.5, size=(6, dim))
+        gap = np.sqrt(((probes[:, None, :] - X[None, :, :]) ** 2).sum(axis=2)).min(axis=1)
+        probes = probes[gap >= 1e-2]
+        assume(len(probes) > 0)
+        expected = np.array([1.0 / make_test_function(X, p, eta).norm_sq for p in probes])
+        np.testing.assert_allclose(power_function_sq(X, eta, probes), expected, rtol=1e-6)
+
+    def test_probe_dimension_checked(self):
+        X, _ = random_dataset(6, 2, seed=1)
+        with pytest.raises(DimensionMismatch):
+            power_function_sq(X, 1.5, np.zeros((2, 3)))
+
+
 class TestPointwisePosterior:
     # Three points, eta = 0.5: the posterior t has dof = N - N0 = 2 and the
     # mean is the broken-line interpolant. The scale value is frozen from an
@@ -164,9 +194,9 @@ class TestPointwisePosterior:
         assert post.sd == 0.0
 
     def test_probe_numerically_on_datapoint_takes_coincident_limit(self):
-        # A probe a hair away from a datapoint makes the augmented test
-        # system numerically singular; the returned posterior should be the
-        # coincident point mass rather than an error.
+        # A probe a hair away from a datapoint puts the power function at its
+        # rounding floor; the returned posterior should be the coincident
+        # point mass rather than noise.
         post = pointwise_posterior(self.X3, self.y3, 1.5, np.array([0.4 + 1e-9]))
         assert post.is_point_mass
         assert post.mean == pytest.approx(-0.5, abs=1e-6)
@@ -212,6 +242,15 @@ class TestSamplePaths:
         path = draw_sample_path(X, y, 0.5, grid, seed=7)
         np.testing.assert_allclose(path[-3:], y, atol=1e-9)
         assert path[5] == pytest.approx(-1.0, abs=1e-9)  # grid point 0.5 is a datapoint
+
+    def test_dense_grid_at_high_regularity_completes(self):
+        # A fine grid packs the conditioning set until the saddle solve can
+        # no longer take new points; those keep their mean instead of failing
+        # the whole path.
+        X, y = random_dataset(10, 1, seed=0)
+        grid = np.linspace(0.003, 0.997, 100)[:, None]
+        path = draw_sample_path(X, y, 2.5, grid, seed=0)
+        assert np.all(np.isfinite(path))
 
     def test_wiggles_between_data(self):
         # With dof = 2 tails the path should not equal the mean off the data.

@@ -15,9 +15,6 @@ from sipr.posterior import (
     UnknownNoise,
     build_density,
     laplace_precondition,
-    log_posterior,
-    log_posterior_grad,
-    log_posterior_hessian,
     map_estimate,
 )
 from tests.conftest import random_dataset
@@ -45,7 +42,7 @@ class TestLogDensity:
         # The residual vanishes at h*_mu, leaving only the norm penalty.
         d = make_density()
         expected = -d.n_basis * math.log(d.h_mu_norm)
-        assert log_posterior(d, d.h_mu_star) == pytest.approx(expected, rel=1e-12)
+        assert d.log_density(d.h_mu_star) == pytest.approx(expected, rel=1e-12)
 
     def test_scale_invariance_of_prior(self):
         # With the residual precision zeroed out, rescaling the state changes
@@ -61,7 +58,7 @@ class TestLogDensity:
         )
         state = np.random.default_rng(0).normal(size=d.n_points)
         for s in [0.5, 2.0, 10.0, 1e4]:
-            delta = log_posterior(d, s * state) - log_posterior(d, state)
+            delta = d.log_density(s * state) - d.log_density(state)
             assert delta == pytest.approx(-d.n_basis * math.log(s), rel=1e-10)
 
     def test_undefined_on_nullspace(self):
@@ -69,7 +66,7 @@ class TestLogDensity:
         state = np.zeros(d.n_points)
         state[d.n_basis :] = 1.0  # polynomial block only
         with pytest.raises(DomainError):
-            log_posterior(d, state)
+            d.log_density(state)
 
     def test_unknown_noise_sigma_terms(self):
         d = make_density(noise=UnknownNoise(0.2))
@@ -80,15 +77,15 @@ class TestLogDensity:
         t = math.log(0.2)
         r = h - d.h_mu_star
         q = float(r @ d.base_quad @ r)
-        lp1 = log_posterior(d, np.append(h, t))
-        lp2 = log_posterior(d, np.append(h, t + math.log(2.0)))
+        lp1 = d.log_density(np.append(h, t))
+        lp2 = d.log_density(np.append(h, t + math.log(2.0)))
         expected = -d.n_points * math.log(2.0) - 0.5 * (0.25 - 1.0) * math.exp(-2.0 * t) * q
         assert lp2 - lp1 == pytest.approx(expected, rel=1e-10)
 
     def test_rejects_wrong_state_length(self):
         d = make_density()
         with pytest.raises(DomainError):
-            log_posterior(d, np.zeros(d.n_points + 5))
+            d.log_density(np.zeros(d.n_points + 5))
 
 
 class TestDerivatives:
@@ -100,8 +97,8 @@ class TestDerivatives:
             state = d.initial_state(d.h_mu_star + 0.3 * rng.normal(size=d.n_points))
             if not d.noise.is_known:
                 state[-1] += rng.normal() * 0.3
-            g = log_posterior_grad(d, state)
-            fd = numeric_grad(lambda s: log_posterior(d, s), state, step=1e-6)
+            g = d.grad(state)
+            fd = numeric_grad(d.log_density, state, step=1e-6)
             np.testing.assert_allclose(g, fd, rtol=1e-5, atol=1e-5)
 
     @pytest.mark.parametrize("noise", [KnownNoise(0.15), UnknownNoise(0.15)])
@@ -109,9 +106,9 @@ class TestDerivatives:
         d = make_density(noise=noise)
         rng = np.random.default_rng(13)
         state = d.initial_state(d.h_mu_star + 0.3 * rng.normal(size=d.n_points))
-        H = log_posterior_hessian(d, state)
+        H = d.hessian(state)
         fd = np.column_stack(
-            [numeric_grad(lambda s: log_posterior_grad(d, s)[i], state, step=1e-4) for i in range(d.dim)]
+            [numeric_grad(lambda s: d.grad(s)[i], state, step=1e-4) for i in range(d.dim)]
         )
         np.testing.assert_allclose(H, fd, rtol=1e-4, atol=1e-4)
         np.testing.assert_allclose(H, H.T, atol=1e-12)
@@ -129,7 +126,7 @@ class TestDerivatives:
             Sigma_inv=np.zeros((base.n_points, base.n_points)),
         )
         state = np.random.default_rng(3).normal(size=d.n_points)
-        g = log_posterior_grad(d, state)
+        g = d.grad(state)
         np.testing.assert_array_equal(g[d.n_basis :], np.zeros(d.n_null))
         assert np.abs(g[: d.n_basis]).max() > 0
 
@@ -138,7 +135,7 @@ class TestMapEstimate:
     def test_stationary_point(self):
         d = make_density()
         h_map = map_estimate(d)
-        g = log_posterior_grad(d, h_map)
+        g = d.grad(h_map)
         assert np.abs(g).max() < 1e-6
 
     def test_stationary_in_unknown_mode_at_initial_sigma(self):
@@ -147,7 +144,7 @@ class TestMapEstimate:
         sigma0 = 0.02
         d = make_density(noise=UnknownNoise(sigma0))
         h_map = map_estimate(d)
-        g = log_posterior_grad(d, np.append(h_map, math.log(sigma0)))
+        g = d.grad(np.append(h_map, math.log(sigma0)))
         assert np.abs(g[: d.n_points]).max() < 1e-6
 
     def test_shrinks_kernel_block(self):
@@ -187,7 +184,7 @@ class TestLaplacePrecondition:
         d = make_density()
         h_map = map_estimate(d)
         L = laplace_precondition(h_map, d)
-        np.testing.assert_allclose(L @ L.T, -log_posterior_hessian(d, h_map), rtol=1e-9, atol=1e-12)
+        np.testing.assert_allclose(L @ L.T, -d.hessian(h_map), rtol=1e-9, atol=1e-12)
         assert np.allclose(L, np.tril(L))
 
     def test_unknown_mode_drops_sigma_cross_terms(self):
@@ -197,7 +194,7 @@ class TestLaplacePrecondition:
         h_map = map_estimate(d)
         state = d.initial_state(h_map)
         L = laplace_precondition(h_map, d)
-        expected = -log_posterior_hessian(d, state)
+        expected = -d.hessian(state)
         assert np.abs(expected[:-1, -1]).max() > 1e-8  # coupling exists...
         expected[:-1, -1] = 0.0
         expected[-1, :-1] = 0.0  # ...but the metric ignores it

@@ -8,12 +8,16 @@ import numpy as np
 import pytest
 from scipy.stats import t as student_t
 
+import sipr.interpolate
+from sipr._linalg import solve_symmetric
 from sipr.basis import build_orthonormal_basis
+from sipr.cli import main
 from sipr.errors import WrongRegime
+from sipr.pipeline import fit_regression
 from sipr.posterior import KnownNoise, build_density
 from sipr.predict import band_halfwidth, credible_band, predictive_mean
 from sipr.sampler import Regime, SamplerConfig, run_mcmc
-from tests.conftest import random_dataset
+from tests.conftest import random_dataset, write_csv
 
 
 @pytest.fixture(scope="module")
@@ -31,14 +35,14 @@ PROBES = np.linspace(0.05, 0.95, 9)[:, None]
 
 def test_mean_matches_predictive_mean(fit):
     X, y, eta, basis, posterior = fit
-    band = credible_band(posterior, basis, X, y, eta, PROBES, sigma_y=0.1)
+    band = credible_band(posterior, basis, PROBES, sigma_y=0.1)
     np.testing.assert_array_equal(band.mean, predictive_mean(posterior, basis, PROBES))
 
 
 def test_variance_decomposition(fit):
     X, y, eta, basis, posterior = fit
     sigma_y = 0.1
-    band = credible_band(posterior, basis, X, y, eta, PROBES, sigma_y=sigma_y)
+    band = credible_band(posterior, basis, PROBES, sigma_y=sigma_y)
     np.testing.assert_allclose(band.sigma_f**2, band.sigma_t**2 + band.sigma_s**2, rtol=1e-12)
     np.testing.assert_allclose(band.sigma_d**2, band.sigma_f**2 + sigma_y**2, rtol=1e-12)
     assert np.all(band.sigma_s > 0)
@@ -48,7 +52,7 @@ def test_variance_decomposition(fit):
 def test_interval_from_t_quantile(fit):
     X, y, eta, basis, posterior = fit
     level = 0.9
-    band = credible_band(posterior, basis, X, y, eta, PROBES, level=level, sigma_y=0.1)
+    band = credible_band(posterior, basis, PROBES, level=level, sigma_y=0.1)
     assert band.dof == float(posterior.n_basis)
     q = student_t.ppf(0.95, band.dof)
     half = q * np.sqrt(band.scale_t**2 + band.sigma_s**2)
@@ -58,26 +62,26 @@ def test_interval_from_t_quantile(fit):
 
 def test_levels_are_nested(fit):
     X, y, eta, basis, posterior = fit
-    b50 = credible_band(posterior, basis, X, y, eta, PROBES, level=0.5, sigma_y=0.1)
-    b95 = credible_band(posterior, basis, X, y, eta, PROBES, level=0.95, sigma_y=0.1)
+    b50 = credible_band(posterior, basis, PROBES, level=0.5, sigma_y=0.1)
+    b95 = credible_band(posterior, basis, PROBES, level=0.95, sigma_y=0.1)
     assert np.all(b95.lower < b50.lower)
     assert np.all(b95.upper > b50.upper)
 
 
 def test_probe_at_datapoint_drops_t_component(fit):
     X, y, eta, basis, posterior = fit
-    band = credible_band(posterior, basis, X, y, eta, X[4:5], sigma_y=0.1)
+    band = credible_band(posterior, basis, X[4:5], sigma_y=0.1)
     assert band.scale_t[0] == 0.0
     # sigma_s persists: the sampled coordinates still disagree at the point.
     assert band.sigma_f[0] == pytest.approx(band.sigma_s[0])
 
 
 def test_probe_numerically_at_datapoint_snaps_to_limit(fit):
-    # Close enough to a datapoint that the augmented system degenerates: the
-    # t component takes its coincident limit instead of raising.
+    # Close enough to a datapoint that the power function sits at its
+    # rounding floor: the t component takes its coincident limit, exactly 0.
     X, y, eta, basis, posterior = fit
     probe = X[4:5] + 1e-9
-    band = credible_band(posterior, basis, X, y, eta, probe, sigma_y=0.1)
+    band = credible_band(posterior, basis, probe, sigma_y=0.1)
     assert band.scale_t[0] == 0.0
     assert np.isfinite(band.mean[0])
 
@@ -90,7 +94,7 @@ def test_low_dof_has_scale_but_no_sd():
     basis = build_orthonormal_basis(X, 1.5)
     density = build_density(basis, y, KnownNoise(0.1))
     posterior = run_mcmc(density, SamplerConfig(chains=2, samples_per_chain=300, burn_in=100, seed=1))
-    band = credible_band(posterior, basis, X, y, 1.5, np.array([[0.5]]), sigma_y=0.1)
+    band = credible_band(posterior, basis, np.array([[0.5]]), sigma_y=0.1)
     assert band.dof == 2.0
     assert math.isnan(band.sigma_t[0])
     assert math.isnan(band.sigma_f[0])
@@ -103,7 +107,7 @@ def test_sigma_y_defaults_to_posterior_noise(fit):
     X, y, eta, basis, posterior = fit
     # Known-noise posterior carries no sigma draws, so the default is 0 and
     # the observation band collapses onto the function band.
-    band = credible_band(posterior, basis, X, y, eta, PROBES)
+    band = credible_band(posterior, basis, PROBES)
     np.testing.assert_allclose(band.sigma_d, band.sigma_f, rtol=1e-12)
 
 
@@ -116,7 +120,7 @@ def test_wrong_regime_rejected(fit):
     with pytest.raises(WrongRegime, match="nullspace"):
         predictive_mean(PolePosterior(), basis, PROBES)
     with pytest.raises(WrongRegime):
-        credible_band(PolePosterior(), basis, X, y, eta, PROBES)
+        credible_band(PolePosterior(), basis, PROBES)
 
 
 def test_band_halfwidth_validates_level():
@@ -127,3 +131,35 @@ def test_band_halfwidth_validates_level():
         student_t.ppf(0.975, 10.0) * 2.0,
         rtol=1e-12,
     )
+
+
+@pytest.mark.parametrize("n_probes", [5, 50])
+def test_one_saddle_solve_per_probe_set(fit, monkeypatch, tmp_path, n_probes):
+    # Every consumer reads all test-function norms off one factorization of
+    # the data saddle, so the number of solves does not grow with the probes.
+    X, y, eta, basis, posterior = fit
+    exact = fit_regression(X, y, eta, noise=0.0)
+    data = write_csv(tmp_path / "d.csv", X, y, feature_names=["x"])
+    probes = np.linspace(0.01, 0.99, n_probes)[:, None]
+    calls = []
+
+    def counting_solve(A, b):
+        calls.append(np.shape(b))
+        return solve_symmetric(A, b)
+
+    monkeypatch.setattr(sipr.interpolate, "solve_symmetric", counting_solve)
+
+    credible_band(posterior, basis, probes, sigma_y=0.1)
+    assert calls == [(len(X) + basis.n_null, n_probes)]
+
+    calls.clear()
+    exact.predict(probes)  # interpolation-pole band
+    assert calls == [(len(X) + basis.n_null, n_probes)]
+
+    calls.clear()
+    out = tmp_path / "o.csv"
+    args = ["interpolate", "--data", data, "--target", "y", "--eta", str(eta),
+            "--grid", f"0.01:0.99:{n_probes}", "--out", str(out)]
+    assert main(args) == 0
+    # one solve fits the interpolant, one serves every probe
+    assert calls == [(len(X) + basis.n_null,), (len(X) + basis.n_null, n_probes)]
