@@ -17,7 +17,7 @@ import numpy as np
 
 from . import __version__
 from ._io import atomic_write_text
-from .data import Dataset, load_csv, load_probe_csv
+from .data import load_csv, load_probe_csv
 from .errors import IOError_, NumericalError, ValidationError
 from .geometry import as_regularity
 from .interpolate import draw_sample_path, solve_interpolation
@@ -107,9 +107,12 @@ def cmd_interpolate(data_path, target, eta, probes_path, grid, paths, seed, out_
 
     mean, scale, sd = solve_interpolation(ds.X, ds.y, reg).posterior(probes)
     path_cols = []
-    if paths:
-        for s in np.random.SeedSequence(seed).spawn(paths):
-            path_cols.append(draw_sample_path(ds.X, ds.y, reg, probes, seed=s))
+    for i, s in enumerate(np.random.SeedSequence(seed).spawn(paths)):
+        col, kept_mean = draw_sample_path(ds.X, ds.y, reg, probes, seed=s)
+        path_cols.append(col)
+        if kept_mean:
+            click.echo(f"path {i}: {kept_mean} of {len(col)} grid points kept their mean "
+                       "(conditioning set too ill-conditioned)")
 
     header = list(ds.feature_names) + ["mean", "scale", "sd"] + [f"path_{i}" for i in range(paths)]
     rows = []
@@ -129,15 +132,13 @@ def _sampler_options(fn):
                          help="Burn-in iterations discarded per chain."),
             click.option("--leapfrog", type=int, default=32, show_default=True),
             click.option("--target-accept", "target_accept", type=float, default=0.8, show_default=True),
-            click.option("--jobs", type=int, default=1, show_default=True,
-                         help="Worker limit (SIPR_JOBS overrides)."),
         ]
     ):
         fn = opt(fn)
     return fn
 
 
-def _config(seed, chains, samples, burn_in, leapfrog, target_accept, jobs, trace=None) -> SamplerConfig:
+def _config(seed, chains, samples, burn_in, leapfrog, target_accept, trace=None) -> SamplerConfig:
     return SamplerConfig(
         chains=chains,
         samples_per_chain=samples,
@@ -145,7 +146,6 @@ def _config(seed, chains, samples, burn_in, leapfrog, target_accept, jobs, trace
         seed=seed,
         leapfrog_steps=leapfrog,
         target_accept=target_accept,
-        jobs=_jobs_value(jobs),
         trace_path=trace,
     )
 
@@ -161,11 +161,11 @@ def _config(seed, chains, samples, burn_in, leapfrog, target_accept, jobs, trace
 @click.option("--trace", "trace_path", type=click.Path(), help="Dump kept draws to this CSV.")
 @click.option("--model-out", "out_path", required=True, type=click.Path(), help="Model archive (JSON).")
 def cmd_fit(data_path, target, eta, noise, seed, chains, samples, burn_in, leapfrog,
-            target_accept, jobs, trace_path, out_path):
+            target_accept, trace_path, out_path):
     """Fit the regression posterior and archive the model."""
     reg = as_regularity(eta)
     ds = load_csv(data_path, target)
-    cfg = _config(seed, chains, samples, burn_in, leapfrog, target_accept, jobs, trace_path)
+    cfg = _config(seed, chains, samples, burn_in, leapfrog, target_accept, trace_path)
     fit = fit_dataset(ds, reg, noise=_noise_value(noise), config=cfg)
     save_archive(fit, out_path)
 
@@ -222,15 +222,17 @@ def cmd_predict(model_path, probes_path, grid, level, out_path):
 @click.option("--folds", type=int, default=5, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @_sampler_options
+@click.option("--jobs", type=int, default=1, show_default=True,
+              help="Limit on folds fitted at once (SIPR_JOBS overrides).")
 @click.option("--out", "out_path", required=True, type=click.Path(), help="Per-fold RMSE CSV.")
 def cmd_crossval(data_path, target, eta, noise, folds, seed, chains, samples, burn_in,
                  leapfrog, target_accept, jobs, out_path):
     """k-fold cross-validation; per-fold and pooled RMSE in original units."""
     reg = as_regularity(eta)
     ds = load_csv(data_path, target)
-    cfg = _config(seed, chains, samples, burn_in, leapfrog, target_accept, jobs)
+    cfg = _config(seed, chains, samples, burn_in, leapfrog, target_accept)
     result = run_crossval(ds, reg, noise=_noise_value(noise), k=folds, seed=seed,
-                          config=cfg, jobs=cfg.jobs)
+                          config=cfg, jobs=_jobs_value(jobs))
 
     lines = [_comment_header(seed, reg.value), "fold,n_test,rmse,regime"]
     for f in result.folds:

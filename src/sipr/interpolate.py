@@ -29,7 +29,6 @@ from .geometry import (
     as_regularity,
     check_distinct,
     eta_norm_constant,
-    greens_matrix,
     kernel_system,
     monomial_matrix,
     multi_indices,
@@ -260,18 +259,22 @@ def pointwise_posterior(X, y, eta, x_t, model: InterpolationModel | None = None)
     )
 
 
-def draw_sample_path(X, y, eta, grid, seed) -> np.ndarray:
+def draw_sample_path(X, y, eta, grid, seed) -> tuple[np.ndarray, int]:
     """One posterior sample path over grid points, drawn sequentially.
 
     Each grid value is drawn from its pointwise t-posterior and then added to
     the conditioning set, so later grid points see earlier draws. Grid points
     that land on existing points are point masses: they reproduce the value
     there and add nothing. Deterministic for a fixed seed.
+
+    Returns the path and the number of grid points that kept their mean
+    because the grown conditioning set was too ill-conditioned to refit.
     """
     reg = as_regularity(eta)
     grid = as_points(grid)
     rng = np.random.default_rng(seed)
     out = np.empty(grid.shape[0])
+    kept_mean = 0
     model = solve_interpolation(X, y, reg)
     for i, g in enumerate(grid):
         pp = pointwise_posterior(None, None, reg, g, model=model)
@@ -287,6 +290,7 @@ def draw_sample_path(X, y, eta, grid, seed) -> np.ndarray:
             # The grid has packed the conditioning set past what the saddle
             # solve resolves: the scale here is below working precision, so
             # the point keeps its coincident limit, the mean, and adds nothing.
+            kept_mean += 1
             continue
         out[i] = value
-    return out
+    return out, kept_mean

@@ -192,10 +192,19 @@ class PosteriorDensity:
         if self.noise.is_known:
             raise DomainError("the noise scale is fixed; there is nothing to draw")
         r = np.asarray(h_star, dtype=float).reshape(-1) - self.h_mu_star
-        q = max(float(r @ self.base_quad @ r), np.finfo(float).tiny)
-        u = float(rng.gamma(0.5 * self.n_points, 2.0 / q))
-        u = min(max(u, np.finfo(float).tiny), 1e300)
-        return -0.5 * math.log(u)
+        return _log_sigma_draw(self.n_points, float(r @ self.base_quad @ r), rng)
+
+
+def _log_sigma_draw(n_points: int, q: float, rng: np.random.Generator) -> float:
+    """log sigma drawn from its conditional given the squared data misfit q.
+
+    u = sigma^-2 is Gamma(N/2, rate q/2); u is clamped to the float range so
+    a perfect fit gives a very small finite sigma rather than zero.
+    """
+    q = max(q, np.finfo(float).tiny)
+    u = float(rng.gamma(0.5 * n_points, 2.0 / q))
+    u = min(max(u, np.finfo(float).tiny), 1e300)
+    return -0.5 * math.log(u)
 
 
 def build_density(basis: SubspaceBasis, y, noise: KnownNoise | UnknownNoise) -> PosteriorDensity:

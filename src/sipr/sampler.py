@@ -1,18 +1,20 @@
 """Hamiltonian Monte Carlo over the preconditioned posterior.
 
 Plain leapfrog HMC with a fixed number of integrator steps and dual-averaging
-step-size adaptation during burn-in. Chains are seeded by splitting one master
-seed, so results are bit-reproducible for a fixed configuration and invariant
-to how chains are scheduled. The sampler is generic: any target exposing
-``dim``, ``log_density(state)`` and ``grad(state)`` can be sampled; regression
-densities additionally get MAP initialization, Laplace preconditioning, noise
-extraction, and pole classification.
+step-size adaptation during burn-in. All chains advance in lockstep in one
+thread as rows of one array; each chain has its own step size and its own
+random stream split from one master seed, so results are bit-reproducible for
+a fixed configuration. The sampler is generic: any target exposing ``dim``,
+``log_density(state)`` and ``grad(state)`` can be sampled, one row at a time;
+a regression density is instead folded into its preconditioner so that one
+matrix product per leapfrog step serves every chain, and it additionally gets
+MAP initialization, Laplace preconditioning, noise extraction, and pole
+classification.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -21,7 +23,7 @@ from scipy.linalg import solve_triangular
 
 from ._io import atomic_write_text
 from .errors import DivergentChains, DomainError, TooFewSamples, ValidationError
-from .posterior import PosteriorDensity, laplace_precondition, map_estimate
+from .posterior import PosteriorDensity, _log_sigma_draw, laplace_precondition, map_estimate
 
 # A proposal whose energy error exceeds this is counted as divergent.
 ENERGY_ERROR_MAX = 1e3
@@ -54,7 +56,6 @@ class SamplerConfig:
     seed: int = 0
     leapfrog_steps: int = 32
     target_accept: float = 0.8
-    jobs: int = 1
     trace_path: str | None = None
 
     def __post_init__(self):
@@ -70,8 +71,6 @@ class SamplerConfig:
             raise ValidationError(f"leapfrog_steps must be >= 1, got {self.leapfrog_steps}")
         if not 0.0 < self.target_accept < 1.0:
             raise ValidationError(f"target_accept must be in (0, 1), got {self.target_accept}")
-        if self.jobs < 1:
-            raise ValidationError(f"jobs must be >= 1, got {self.jobs}")
 
     @property
     def kept_per_chain(self) -> int:
@@ -167,73 +166,169 @@ def detect_poles(
 
 
 # --- HMC internals --------------------------------------------------------
+#
+# Every target is batched over chains. States are rows of a (chains, dim)
+# array in whitened coordinates z = L^T x. evaluate(Z) returns P, whatever
+# grad(Z, P) and log_density(Z, P) need; the loop keeps P for the current
+# states, so a trajectory starts without a fresh evaluation. Rows never mix:
+# a chain that leaves the domain turns non-finite and stays so, and the
+# others are untouched.
 
 
-class _ZTarget:
-    """The target expressed in preconditioned coordinates z = L^T x."""
+class _Whitened:
+    """A regression density folded into its preconditioner.
 
-    def __init__(self, target, L: np.ndarray):
+    With Linv = L^-1 and B = (Linv^T)[:Nh] the kernel block is h = B z, so
+    ||h||^2 = z^T Q z with Q = B^T B, and the misfit is (z - z_mu)^T A
+    (z - z_mu) with A = Linv Sigma0 Linv^T and z_mu = L^T h*_mu, where
+    Sigma0 is the known precision or E*^T E* (unknown noise). One GEMM of
+    the coefficient block against the stacked [Q | A] gives both for all
+    chains. log sigma is carried as ell * log sigma, so L must be block
+    diagonal.
+    """
+
+    def __init__(self, density: PosteriorDensity, L: np.ndarray, Linv: np.ndarray):
+        N = self.n = density.n_points
+        self.nh = density.n_basis
+        self.draws_noise = not density.noise.is_known
+        if self.draws_noise:
+            if np.any(L[-1, :-1] != 0.0):
+                raise ValidationError("the preconditioner must not couple log sigma to the coefficients")
+            self.ell = float(L[-1, -1])
+        Li = Linv[:N, :N]
+        B = Li.T[: self.nh]
+        A = Li @ (density.base_quad if self.draws_noise else density.Sigma_inv) @ Li.T
+        A = 0.5 * (A + A.T)  # exactly symmetric, so grad is exactly the gradient of log_density
+        self.QA = np.hstack([B.T @ B, A])
+        self.z_mu = L[:N, :N].T @ density.h_mu_star
+        self.a_mu = A @ self.z_mu
+
+    def evaluate(self, Z: np.ndarray) -> np.ndarray:
+        return Z[:, : self.n] @ self.QA
+
+    def _norm_misfit(self, Z, P):
+        """||h||^2 and the misfit q of every row."""
+        N = self.n
+        Zh = Z[:, :N]
+        q = np.einsum("ij,ij->i", Zh - self.z_mu, P[:, N:] - self.a_mu)
+        return np.einsum("ij,ij->i", Zh, P[:, :N]), q
+
+    def grad(self, Z: np.ndarray, P: np.ndarray) -> np.ndarray:
+        N = self.n
+        Zh = Z[:, :N]
+        n2 = np.einsum("ij,ij->i", Zh, P[:, :N])
+        Ar = P[:, N:] - self.a_mu
+        G = np.empty_like(Z)
+        if not self.draws_noise:
+            np.multiply(P[:, :N], (-self.nh / n2)[:, None], out=G)
+            G -= Ar
+            return G
+        w = np.exp(-2.0 / self.ell * Z[:, -1])
+        G[:, :N] = (-self.nh / n2)[:, None] * P[:, :N] - w[:, None] * Ar
+        G[:, -1] = (w * np.einsum("ij,ij->i", Zh - self.z_mu, Ar) - N) / self.ell
+        return G
+
+    def log_density(self, Z: np.ndarray, P: np.ndarray) -> np.ndarray:
+        n2, q = self._norm_misfit(Z, P)
+        lp = -0.5 * self.nh * np.log(n2)
+        if self.draws_noise:
+            log_sigma = Z[:, -1] / self.ell
+            lp -= self.n * log_sigma + 0.5 * np.exp(-2.0 * log_sigma) * q
+        else:
+            lp -= 0.5 * q
+        return np.where(np.isfinite(lp), lp, -math.inf)  # ||h|| = 0 gives +inf
+
+    def draw_noise(self, Z: np.ndarray, P: np.ndarray, rngs) -> None:
+        """Redraw every chain's log sigma from its exact conditional, in place."""
+        _, q = self._norm_misfit(Z, P)
+        for c, rng in enumerate(rngs):
+            Z[c, -1] = self.ell * _log_sigma_draw(self.n, q[c], rng)
+
+
+class _Rows:
+    """Any target with log_density(x) and grad(x), called one row at a time."""
+
+    draws_noise = False
+
+    def __init__(self, target, Linv: np.ndarray):
         self.target = target
-        self.L = L
-        self.Linv = solve_triangular(L, np.eye(L.shape[0]), lower=True)
+        self.Linv = Linv
 
-    def to_z(self, x: np.ndarray) -> np.ndarray:
-        return self.L.T @ x
+    def evaluate(self, Z: np.ndarray) -> np.ndarray:
+        """The gradient rows in z; NaN where the target is undefined."""
+        G = np.full_like(Z, math.nan)
+        for c, x in enumerate(Z @ self.Linv):
+            if np.all(np.isfinite(x)):
+                try:
+                    G[c] = self.target.grad(x) @ self.Linv.T
+                except (DomainError, FloatingPointError, OverflowError):
+                    pass
+        return G
 
-    def to_x(self, z: np.ndarray) -> np.ndarray:
-        return self.Linv.T @ z
+    def grad(self, Z: np.ndarray, P: np.ndarray) -> np.ndarray:
+        return P
 
-    def log_density(self, z: np.ndarray) -> float:
-        try:
-            lp = float(self.target.log_density(self.to_x(z)))
-        except (DomainError, FloatingPointError, OverflowError):
-            return -math.inf
-        return lp if math.isfinite(lp) else -math.inf
-
-    def grad(self, z: np.ndarray) -> np.ndarray | None:
-        try:
-            g = self.Linv @ self.target.grad(self.to_x(z))
-        except (DomainError, FloatingPointError, OverflowError):
-            return None
-        return g if np.all(np.isfinite(g)) else None
+    def log_density(self, Z: np.ndarray, P: np.ndarray) -> np.ndarray:
+        out = np.full(Z.shape[0], -math.inf)
+        for c, x in enumerate(Z @ self.Linv):
+            try:
+                lp = float(self.target.log_density(x))
+            except (DomainError, FloatingPointError, OverflowError):
+                continue
+            if math.isfinite(lp):
+                out[c] = lp
+        return out
 
 
-def _leapfrog(zt: _ZTarget, z, r, eps: float, n_steps: int):
-    """n_steps of leapfrog; returns (z, r, logp) or None on a non-finite state."""
-    g = zt.grad(z)
-    if g is None:
-        return None
-    r = r + 0.5 * eps * g
+def _leapfrog(target, Z, P, R, eps, n_steps: int):
+    """n_steps of leapfrog for every chain (eps is a (chains, 1) column)."""
+    R = R + 0.5 * eps * target.grad(Z, P)
     for i in range(n_steps):
-        z = z + eps * r
-        g = zt.grad(z)
-        if g is None or not np.all(np.isfinite(z)):
-            return None
-        if i < n_steps - 1:
-            r = r + eps * g
-    r = r + 0.5 * eps * g
-    lp = zt.log_density(z)
-    if not math.isfinite(lp):
-        return None
-    return z, r, lp
+        Z = Z + eps * R
+        P = target.evaluate(Z)
+        R += (eps if i < n_steps - 1 else 0.5 * eps) * target.grad(Z, P)
+    return Z, R, P
 
 
-def _find_initial_step(zt: _ZTarget, z0: np.ndarray, rng: np.random.Generator) -> float:
+def _energy_error(target, Z, P, lp, R, eps, n_steps: int):
+    """End states of one trajectory per chain and their energy errors (inf where undefined)."""
+    h0 = 0.5 * np.einsum("ij,ij->i", R, R) - lp
+    Z1, R1, P1 = _leapfrog(target, Z, P, R, eps[:, None], n_steps)
+    lp1 = target.log_density(Z1, P1)
+    ok = np.isfinite(Z1).all(axis=1) & np.isfinite(R1).all(axis=1) & np.isfinite(lp1)
+    delta = np.where(ok, 0.5 * np.einsum("ij,ij->i", R1, R1) - lp1 - h0, math.inf)
+    return Z1, P1, lp1, delta
+
+
+def _transition(target, Z, P, lp, R, eps, n_steps: int, log_u):
+    """One HMC proposal per chain, each accepted or rejected on its own.
+
+    Returns the new (Z, P, lp) and per-chain accept, divergent and
+    acceptance-statistic arrays.
+    """
+    Z1, P1, lp1, delta = _energy_error(target, Z, P, lp, R, eps, n_steps)
+    finite = np.isfinite(delta)
+    divergent = ~finite | (np.abs(delta) > ENERGY_ERROR_MAX)
+    accept_stat = np.where(finite, np.exp(-np.clip(delta, 0.0, 700.0)), 0.0)
+    accept = ~divergent & (log_u < -delta)
+    keep = accept[:, None]
+    return (np.where(keep, Z1, Z), np.where(keep, P1, P), np.where(accept, lp1, lp),
+            accept, divergent, accept_stat)
+
+
+def _find_initial_step(target, z0: np.ndarray, rng: np.random.Generator) -> float:
     """Double/halve a unit step until one leapfrog step crosses 50% acceptance."""
-    eps = 1.0
-    lp0 = zt.log_density(z0)
-    if not math.isfinite(lp0):
+    Z0 = z0[None, :]
+    P0 = target.evaluate(Z0)
+    lp0 = target.log_density(Z0, P0)
+    if not math.isfinite(lp0[0]):
         return 0.1
-    r0 = rng.standard_normal(z0.shape[0])
-    h0 = -lp0 + 0.5 * float(r0 @ r0)
+    R0 = rng.standard_normal(Z0.shape)
 
     def log_accept(eps: float) -> float:
-        out = _leapfrog(zt, z0, r0, eps, 1)
-        if out is None:
-            return -math.inf
-        z1, r1, lp1 = out
-        return -((-lp1 + 0.5 * float(r1 @ r1)) - h0)
+        return -float(_energy_error(target, Z0, P0, lp0, R0, np.array([eps]), 1)[3][0])
 
+    eps = 1.0
     la = log_accept(eps)
     direction = 1.0 if la > math.log(0.5) else -1.0
     for _ in range(60):
@@ -273,70 +368,61 @@ class _DualAveraging:
         return math.exp(self.log_eps_bar if self.m > 0 else self.log_eps)
 
 
-def _run_chain(zt: _ZTarget, x0: np.ndarray, config: SamplerConfig, seed_seq: np.random.SeedSequence):
-    rng = np.random.default_rng(seed_seq)
-    dim = x0.shape[0]
-    z = zt.to_z(x0)
-    lp = zt.log_density(z)
-    eps0 = _find_initial_step(zt, z, rng)
-    da = _DualAveraging(eps0, config.target_accept)
-    eps = eps0
-    # Unknown-noise targets get a conjugate update of log sigma between
-    # trajectories; composing the two kernels keeps the joint invariant.
-    noise_update = None
-    if isinstance(zt.target, PosteriorDensity) and not zt.target.noise.is_known:
-        noise_update = zt.target.draw_log_sigma
+def _run_chains(target, z0: np.ndarray, eps0, rngs, config: SamplerConfig):
+    """All chains in lockstep from z0.
 
-    kept = np.empty((config.kept_per_chain, dim))
-    kept_lp = np.empty(config.kept_per_chain)
-    accepted_post = 0
-    divergent_post = 0
-    k = 0
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for it in range(config.samples_per_chain):
-            warmup = it < config.burn_in
-            r = rng.standard_normal(dim)
-            # Jitter the step: mostly +-20%, which breaks the resonance a fixed
-            # trajectory length has on near-Gaussian targets, with occasional
-            # much shorter steps so a chain sliding into a pole funnel can keep
-            # descending after the base step froze. Only the base step adapts.
+    Returns the kept draws in z, shaped (chains, kept, dim), their log
+    densities and one ChainStats per chain.
+    """
+    C, dim = len(rngs), z0.shape[0]
+    Z = np.tile(z0, (C, 1))
+    P = target.evaluate(Z)
+    lp = target.log_density(Z, P)
+    das = [_DualAveraging(e, config.target_accept) for e in eps0]
+    eps = np.array(eps0, dtype=float)
+
+    kept = np.empty((C, config.kept_per_chain, dim))
+    kept_lp = np.empty((C, config.kept_per_chain))
+    accepted = np.zeros(C, dtype=int)
+    divergent_post = np.zeros(C, dtype=int)
+    R = np.empty((C, dim))
+    eps_it = np.empty(C)
+    log_u = np.empty(C)
+    for it in range(config.samples_per_chain):
+        for c, rng in enumerate(rngs):
+            R[c] = rng.standard_normal(dim)
+            # Jitter the step: mostly +-20%, which breaks the resonance a
+            # fixed trajectory length has on near-Gaussian targets, with
+            # occasional much shorter steps so a chain sliding into a pole
+            # funnel can keep descending after the base step froze. Only
+            # the base step adapts.
             if rng.uniform() < 1.0 - _SHORT_PROB:
-                eps_it = eps * rng.uniform(0.8, 1.2)
+                eps_it[c] = eps[c] * rng.uniform(0.8, 1.2)
             else:
-                eps_it = eps * math.exp(rng.uniform(_LOG_SHORT_LO, _LOG_SHORT_HI))
-            h0 = -lp + 0.5 * float(r @ r)
-            out = _leapfrog(zt, z, r, eps_it, config.leapfrog_steps)
-            if out is None:
-                delta = math.inf
-            else:
-                z1, r1, lp1 = out
-                delta = (-lp1 + 0.5 * float(r1 @ r1)) - h0
-            divergent = not math.isfinite(delta) or abs(delta) > ENERGY_ERROR_MAX
-            accept_stat = 0.0 if not math.isfinite(delta) else min(1.0, math.exp(-min(delta, 700.0)))
-            accept = (not divergent) and (math.log(max(rng.uniform(), 1e-300)) < -delta)
-            if accept:
-                z, lp = z1, lp1
-            if noise_update is not None:
-                x = zt.to_x(z)
-                x[-1] = noise_update(x[:-1], rng)
-                z = zt.to_z(x)
-                lp = zt.log_density(z)
-            if warmup:
-                da.update(accept_stat)
-                eps = math.exp(da.log_eps)
-                if it == config.burn_in - 1:
-                    eps = da.adapted
-            else:
-                accepted_post += int(accept)
-                divergent_post += int(divergent and not accept)
-                kept[k] = zt.to_x(z)
-                kept_lp[k] = lp
-                k += 1
+                eps_it[c] = eps[c] * math.exp(rng.uniform(_LOG_SHORT_LO, _LOG_SHORT_HI))
+            log_u[c] = math.log(max(rng.uniform(), 1e-300))
+        Z, P, lp, accept, divergent, accept_stat = _transition(
+            target, Z, P, lp, R, eps_it, config.leapfrog_steps, log_u
+        )
+        # Unknown-noise targets get a conjugate update of log sigma between
+        # trajectories; composing the two kernels keeps the joint invariant.
+        if target.draws_noise:
+            target.draw_noise(Z, P, rngs)
+            lp = target.log_density(Z, P)
+        if it < config.burn_in:
+            for c, da in enumerate(das):
+                da.update(float(accept_stat[c]))
+                eps[c] = da.adapted if it == config.burn_in - 1 else math.exp(da.log_eps)
+        else:
+            k = it - config.burn_in
+            accepted += accept
+            divergent_post += divergent
+            kept[:, k] = Z
+            kept_lp[:, k] = lp
     n_post = max(1, config.kept_per_chain)
-    stats = ChainStats(
-        accept_rate=accepted_post / n_post,
-        divergence_rate=divergent_post / n_post,
-        step_size=eps,
+    stats = tuple(
+        ChainStats(accept_rate=float(a / n_post), divergence_rate=float(d / n_post), step_size=float(e))
+        for a, d, e in zip(accepted, divergent_post, eps)
     )
     return kept, kept_lp, stats
 
@@ -397,19 +483,22 @@ def run_mcmc(
         raise ValidationError(f"init has length {init.shape[0]}, target dimension is {dim}")
     if precond is None:
         precond = laplace_precondition(init, density) if is_regression else np.eye(dim)
-    zt = _ZTarget(density, np.asarray(precond, dtype=float))
+    L = np.asarray(precond, dtype=float)
+    Linv = solve_triangular(L, np.eye(dim), lower=True)
+    # The step search takes a few dozen single steps per chain, so it calls
+    # the target itself one row at a time; the chains run on the whitened form.
+    rows = _Rows(density, Linv)
+    target = _Whitened(density, L, Linv) if is_regression else rows
+    z0 = L.T @ init
+    rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(config.seed).spawn(config.chains)]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        eps0 = [_find_initial_step(rows, z0, rng) for rng in rngs]
+        kept_z, kept_lp, stats = _run_chains(target, z0, eps0, rngs, config)
 
-    seeds = np.random.SeedSequence(config.seed).spawn(config.chains)
-    if config.jobs > 1 and config.chains > 1:
-        with ThreadPoolExecutor(max_workers=min(config.jobs, config.chains)) as pool:
-            results = list(pool.map(lambda s: _run_chain(zt, init, config, s), seeds))
-    else:
-        results = [_run_chain(zt, init, config, s) for s in seeds]
-
-    chain_draws = [r[0] for r in results]
-    samples = np.vstack(chain_draws)
-    log_posts = np.concatenate([r[1] for r in results])
-    stats = tuple(r[2] for r in results)
+    draws = kept_z @ Linv  # x = Linv^T z, row by row
+    chain_draws = list(draws)
+    samples = draws.reshape(-1, dim)
+    log_posts = kept_lp.reshape(-1)
     diagnostics = Diagnostics(chains=stats, rhat_max=_split_rhat(chain_draws))
 
     if is_regression:

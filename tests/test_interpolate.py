@@ -229,9 +229,9 @@ class TestSamplePaths:
     def test_deterministic_per_seed(self):
         X, y = random_dataset(7, 1, seed=29)
         grid = np.linspace(0.0, 1.0, 25)[:, None]
-        p1 = draw_sample_path(X, y, 1.5, grid, seed=101)
-        p2 = draw_sample_path(X, y, 1.5, grid, seed=101)
-        p3 = draw_sample_path(X, y, 1.5, grid, seed=102)
+        p1, _ = draw_sample_path(X, y, 1.5, grid, seed=101)
+        p2, _ = draw_sample_path(X, y, 1.5, grid, seed=101)
+        p3, _ = draw_sample_path(X, y, 1.5, grid, seed=102)
         np.testing.assert_array_equal(p1, p2)
         assert not np.array_equal(p1, p3)
 
@@ -239,7 +239,7 @@ class TestSamplePaths:
         X = np.array([[0.1], [0.5], [0.9]])
         y = np.array([1.0, -1.0, 0.5])
         grid = np.concatenate([np.linspace(0.0, 1.0, 11)[:, None], X])
-        path = draw_sample_path(X, y, 0.5, grid, seed=7)
+        path, _ = draw_sample_path(X, y, 0.5, grid, seed=7)
         np.testing.assert_allclose(path[-3:], y, atol=1e-9)
         assert path[5] == pytest.approx(-1.0, abs=1e-9)  # grid point 0.5 is a datapoint
 
@@ -249,7 +249,7 @@ class TestSamplePaths:
         # the whole path.
         X, y = random_dataset(10, 1, seed=0)
         grid = np.linspace(0.003, 0.997, 100)[:, None]
-        path = draw_sample_path(X, y, 2.5, grid, seed=0)
+        path, _ = draw_sample_path(X, y, 2.5, grid, seed=0)
         assert np.all(np.isfinite(path))
 
     def test_wiggles_between_data(self):
@@ -257,5 +257,5 @@ class TestSamplePaths:
         X, y = random_dataset(5, 1, seed=31)
         grid = np.linspace(0.0, 1.0, 15)[:, None]
         model = solve_interpolation(X, y, 0.5)
-        path = draw_sample_path(X, y, 0.5, grid, seed=3)
+        path, _ = draw_sample_path(X, y, 0.5, grid, seed=3)
         assert np.abs(path - model.evaluate(grid)).max() > 1e-6

@@ -6,14 +6,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
+from scipy.linalg import solve_triangular
 
 from sipr.basis import build_orthonormal_basis
 from sipr.errors import DivergentChains, TooFewSamples, ValidationError
-from sipr.posterior import KnownNoise, UnknownNoise, build_density
+from sipr.posterior import KnownNoise, UnknownNoise, build_density, laplace_precondition, map_estimate
 from sipr.sampler import (
     Regime,
     SamplerConfig,
+    _Rows,
+    _transition,
+    _Whitened,
     detect_poles,
     posterior_moments,
     run_mcmc,
@@ -114,7 +120,7 @@ class TestConfigValidation:
             dict(leapfrog_steps=0),
             dict(target_accept=1.0),
             dict(target_accept=0.0),
-            dict(jobs=0),
+            dict(target_accept=1.5),
             dict(burn_in=-1),
         ],
     )
@@ -140,12 +146,83 @@ class TestReproducibility:
         p2 = run_mcmc(d, SamplerConfig(**{**SMALL, "seed": 1}))
         assert not np.array_equal(p1.samples, p2.samples)
 
-    def test_thread_count_does_not_change_draws(self):
-        # Chain seeds are split up front, so scheduling cannot matter.
-        d = make_density()
-        p1 = run_mcmc(d, SamplerConfig(**SMALL, jobs=1))
-        p2 = run_mcmc(d, SamplerConfig(**SMALL, jobs=2))
-        np.testing.assert_array_equal(p1.samples, p2.samples)
+
+def whitened(noise):
+    """A density, its Laplace factor L, L^-1, the MAP state and the whitened target."""
+    d = make_density(noise=noise)
+    x_map = d.initial_state(map_estimate(d))
+    L = laplace_precondition(x_map, d)
+    Linv = solve_triangular(L, np.eye(d.dim), lower=True)
+    return d, L, Linv, x_map, _Whitened(d, L, Linv)
+
+
+NOISES = [KnownNoise(0.1), UnknownNoise(0.05)]
+
+
+class TestWhitenedDensity:
+    @pytest.mark.parametrize("noise", NOISES, ids=["known", "unknown"])
+    @given(seed=st.integers(0, 2**32 - 1), chains=st.sampled_from([1, 3]))
+    @settings(max_examples=30, deadline=None)
+    def test_matches_the_density_in_original_coordinates(self, noise, seed, chains):
+        d, L, Linv, x_map, w = whitened(noise)
+        rng = np.random.default_rng(seed)
+        Z = (x_map + 0.5 * rng.standard_normal((chains, d.dim))) @ L  # rows z = L^T x
+        P = w.evaluate(Z)
+        lp, G = w.log_density(Z, P), w.grad(Z, P)
+        assert lp.shape == (chains,) and G.shape == (chains, d.dim)
+        for c in range(chains):
+            x = Linv.T @ Z[c]
+            np.testing.assert_allclose(lp[c], d.log_density(x), rtol=1e-9)
+            g = Linv @ d.grad(x)
+            # rtol against the gradient's scale: single components can cancel
+            np.testing.assert_allclose(G[c], g, rtol=1e-9, atol=1e-9 * np.abs(g).max())
+
+    @pytest.mark.parametrize("noise", NOISES, ids=["known", "unknown"])
+    def test_nullspace_pole_is_undefined_for_that_row_only(self, noise):
+        d, L, Linv, x_map, w = whitened(noise)
+        Z = np.vstack([x_map @ L, np.zeros(d.dim)])  # row 1: h = 0 (and log sigma 0)
+        P = w.evaluate(Z)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            lp, G = w.log_density(Z, P), w.grad(Z, P)
+        assert lp[1] == -math.inf and not np.all(np.isfinite(G[1]))
+        assert np.isfinite(lp[0]) and np.all(np.isfinite(G[0]))
+
+
+class TestChainIsolation:
+    """A chain that leaves the domain is rejected without touching the others."""
+
+    @pytest.mark.parametrize(
+        "noise, bad",
+        [(KnownNoise(0.1), "pole"), (UnknownNoise(0.05), "pole"), (UnknownNoise(0.05), "nan")],
+        ids=["known-pole", "unknown-pole", "unknown-nan"],
+    )
+    def test_bad_chain_is_rejected_alone(self, noise, bad):
+        d, L, Linv, x_map, w = whitened(noise)
+        self.check(w, x_map @ L, np.zeros(d.dim) if bad == "pole" else np.full(d.dim, np.nan))
+
+    def test_generic_target(self):
+        target = GaussianTarget([1.0, -1.0], [[1.0, 0.3], [0.3, 0.5]])
+        self.check(_Rows(target, np.eye(2)), target.mu.copy(), np.full(2, np.nan))
+
+    @staticmethod
+    def check(target, z_good, z_bad):
+        rng = np.random.default_rng(0)
+        Z = np.vstack([z_good, z_bad])
+        R = rng.standard_normal(Z.shape)
+        eps = np.array([0.05, 0.05])
+        log_u = np.full(2, -math.inf)  # accept every proposal that did not diverge
+        with np.errstate(all="ignore"):
+            P = target.evaluate(Z)
+            lp = target.log_density(Z, P)
+            Z1, _, lp1, accept, divergent, accept_stat = _transition(target, Z, P, lp, R, eps, 16, log_u)
+            alone = _transition(target, Z[:1], P[:1], lp[:1], R[:1], eps[:1], 16, log_u[:1])
+        assert divergent[1] and not accept[1] and accept_stat[1] == 0.0
+        np.testing.assert_array_equal(Z1[1], Z[1])
+        assert lp1[1] == lp[1]
+        assert accept[0] and not divergent[0] and alone[3][0]
+        np.testing.assert_allclose(Z1[0], alone[0][0], rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(lp1[0], alone[2][0], rtol=1e-12)
+        assert not np.array_equal(Z1[0], Z[0])
 
 
 class TestCalibration:
