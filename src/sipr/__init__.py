@@ -53,7 +53,6 @@ from .posterior import (
     PosteriorDensity,
     UnknownNoise,
     build_density,
-    laplace_precondition,
     map_estimate,
 )
 from .predict import CredibleBand, credible_band, predictive_mean
@@ -92,7 +91,6 @@ __all__ = [
     "PosteriorDensity",
     "build_density",
     "map_estimate",
-    "laplace_precondition",
     "SamplerConfig",
     "Regime",
     "RegressionPosterior",

@@ -1,4 +1,4 @@
-"""End-to-end regression: scale, basis, MAP, precondition, sample, classify.
+"""End-to-end regression: scale, basis, MAP, sample, classify.
 
 fit_regression runs the full chain on one dataset and returns a RegressionFit
 that knows its regime:
@@ -29,7 +29,7 @@ from .data import Dataset, FeatureScaling, minmax_scale
 from .errors import ArchiveVersionError, IOError_, PoleCollapse, ValidationError
 from .geometry import Regularity, as_points, as_regularity, greens_matrix, monomial_matrix
 from .interpolate import POLYNOMIAL_TOL, InterpolationModel, solve_interpolation
-from .posterior import KnownNoise, UnknownNoise, build_density, laplace_precondition, map_estimate
+from .posterior import KnownNoise, UnknownNoise, build_density
 from .predict import CredibleBand, build_band, credible_band
 from .sampler import Regime, RegressionPosterior, SamplerConfig, run_mcmc
 
@@ -200,19 +200,17 @@ def fit_regression(X, y, eta, noise="unknown", config: SamplerConfig | None = No
     density = build_density(basis, y, noise_model)
 
     try:
-        h_map = map_estimate(density)
+        posterior = run_mcmc(density, config)  # starts at the MAP, which may collapse
     except PoleCollapse:
         return nullspace_pole(basis=basis)
-
-    init = density.initial_state(h_map)
-    L = laplace_precondition(init, density)
-    posterior = run_mcmc(density, config, init=init, precond=L)
     diag = posterior.diagnostics
     diag_summary = {
         "accept_rates": [c.accept_rate for c in diag.chains],
         "divergence_rates": [c.divergence_rate for c in diag.chains],
         "step_sizes": [c.step_size for c in diag.chains],
         "rhat_max": diag.rhat_max,
+        "metric": diag.metric,
+        "map_iterations": diag.map_iterations,
     }
 
     if posterior.regime == Regime.NULLSPACE_POLE:
@@ -289,7 +287,7 @@ def archive_dict(fit: RegressionFit) -> dict:
 
 
 def save_archive(fit: RegressionFit, path: str) -> None:
-    atomic_write_text(path, json.dumps(archive_dict(fit), indent=1) + "\n")
+    atomic_write_text(path, json.dumps(archive_dict(fit)) + "\n")
 
 
 def load_archive(path: str) -> RegressionFit:

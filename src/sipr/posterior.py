@@ -9,9 +9,15 @@ where h is the first Nh entries of h* (the kernel part; the polynomial block
 carries no penalty). In unknown-noise mode Sigma_inv = E*^T E* / sigma^2 and
 the Gaussian normalization contributes an extra -N log sigma; parametrized in
 log sigma the scale prior 1/sigma is absorbed by the Jacobian, so no explicit
-prior term appears. The MAP point is the fixed point of a ridge-like
-iteration, and its negative Hessian Cholesky factor preconditions the
-sampler.
+prior term appears.
+
+Both quadratic forms of the density, ||h||^2 = h*^T P h* and the misfit with
+precision Sigma0 (Sigma_inv, or E*^T E* when the noise is unknown), are
+diagonal in the coordinates t = T^-1 h* of one generalized eigendecomposition
+of the pencil (P, Sigma0), computed once per density
+(``PosteriorDensity.pencil``). In t the MAP fixed point is an elementwise
+iteration, and the negative Hessian is a diagonal minus one rank-one term;
+the sampler runs its chains there.
 """
 
 from __future__ import annotations
@@ -21,8 +27,9 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from scipy.linalg import solve_triangular
 
-from ._linalg import solve_symmetric
+from ._linalg import cholesky
 from .basis import SubspaceBasis, to_subspace
 from .errors import DomainError, NoConvergence, PoleCollapse
 
@@ -32,7 +39,6 @@ __all__ = [
     "PosteriorDensity",
     "build_density",
     "map_estimate",
-    "laplace_precondition",
 ]
 
 
@@ -60,6 +66,46 @@ class UnknownNoise:
     @property
     def is_known(self) -> bool:
         return False
+
+
+class _Pencil:
+    """One generalized eigendecomposition of (P, Sigma0): T^T P T = diag(rho), T^T Sigma0 T = diag(s).
+
+    The first Nh columns of T span the Sigma0-orthogonal complement of the
+    polynomial block and are orthonormal in their kernel block (rho = 1, s =
+    the eigenvalues of the Schur complement of Sigma0's polynomial block);
+    the last N0 columns are the polynomial block, Sigma0-orthonormal (rho =
+    0, s = 1). So the kernel block h of T t is exactly 0 where the first Nh
+    entries of t are, and ||h|| = ||t[:Nh]||. The polynomial block's Cholesky
+    factor is rcond-gated (SingularSystem).
+    """
+
+    def __init__(self, Sigma0: np.ndarray, n_basis: int, h_mu_star: np.ndarray):
+        N, Nh = Sigma0.shape[0], n_basis
+        T = np.zeros((N, N))
+        schur = Sigma0[:Nh, :Nh]
+        if Nh < N:
+            L = cholesky(Sigma0[Nh:, Nh:])
+            F = solve_triangular(L, Sigma0[Nh:, :Nh], lower=True)
+            schur = schur - F.T @ F
+            T[Nh:, Nh:] = solve_triangular(L.T, np.eye(N - Nh), lower=False)
+            T[Nh:, :Nh] = -solve_triangular(L.T, F, lower=False)  # -Sigma_cc^-1 Sigma_ch
+        sigma, U = np.linalg.eigh(schur)
+        T[:Nh, :Nh] = U
+        T[Nh:, :Nh] = T[Nh:, :Nh] @ U
+        self.T = T
+        self.rho = np.zeros(N)
+        self.rho[:Nh] = 1.0
+        self.s = np.ones(N)
+        self.s[:Nh] = np.maximum(sigma, 0.0)
+        self._Sigma0 = Sigma0
+        self.t_mu = self.coordinates(h_mu_star)
+
+    def coordinates(self, h_star: np.ndarray) -> np.ndarray:
+        """t = T^-1 h*, from T^T (Sigma0 + P) T = diag(rho + s)."""
+        Bh = self._Sigma0 @ h_star
+        Bh += self.rho * h_star
+        return (self.T.T @ Bh) / (self.rho + self.s)
 
 
 @dataclass(eq=False)
@@ -103,6 +149,11 @@ class PosteriorDensity:
     def y(self) -> np.ndarray:
         """Observed values implied by the interpolant coordinates."""
         return self.Estar @ self.h_mu_star
+
+    @cached_property
+    def pencil(self) -> _Pencil:
+        """The eigendecomposition of (P, Sigma0) with Sigma0 = Sigma_inv, or E*^T E* for unknown noise."""
+        return _Pencil(self.Sigma_inv if self.noise.is_known else self.base_quad, self.n_basis, self.h_mu_star)
 
     def sigma_inv_at(self, log_sigma: float) -> np.ndarray:
         if self.noise.is_known:
@@ -152,7 +203,7 @@ class PosteriorDensity:
         return g
 
     def hessian(self, state) -> np.ndarray:
-        """Analytic Hessian of the log posterior (used for preconditioning)."""
+        """Analytic Hessian of the log posterior (the Laplace metric is tested against it)."""
         h_star, log_sigma = self._split(state)
         n2 = self._h_norm_sq(h_star)
         h = h_star[: self.n_basis]
@@ -232,55 +283,84 @@ def map_estimate(density: PosteriorDensity, tol: float = 1e-10, max_iter: int = 
     (length n_points, without the log-sigma entry). Raises PoleCollapse when
     the iterate's kernel block collapses below 1e-10 of the interpolant's.
     """
+    t, _ = _map_coordinates(density, tol, max_iter)
+    return density.pencil.T @ t
+
+
+def _map_coordinates(density: PosteriorDensity, tol: float = 1e-10, max_iter: int = 200):
+    """The MAP in pencil coordinates and the number of iterations it took.
+
+    In t the fixed point decouples: t = w s t_mu / (w s + lam rho) with
+    lam = Nh / ||h||^2 and w = sigma^-2 (1 when the noise is known), so each
+    iteration is O(N). The polynomial coordinates (rho = 0) stay at t_mu, and
+    ||h|| = ||t[:Nh]||, so the iteration runs on the kernel coordinates and
+    its relative change is that of h.
+    """
     Nh = density.n_basis
-    h_mu = density.h_mu_star
     norm_mu = density.h_mu_norm
     if norm_mu == 0.0:
         raise PoleCollapse("interpolant is exactly polynomial; no kernel component to fit")
-    Sigma_inv = density.sigma_inv_at(0.0 if density.noise.is_known else math.log(density.noise.sigma_init))
-    rhs = Sigma_inv @ h_mu
-    state = h_mu.copy()
+    p = density.pencil
+    w = 1.0 if density.noise.is_known else density.noise.sigma_init**-2
+    ws = w * p.s[:Nh]
+    rhs = ws * p.t_mu[:Nh]
+    th = p.t_mu[:Nh]
     rel = math.inf
-    for _ in range(max_iter):
-        lam = Nh / float(state[:Nh] @ state[:Nh])
-        A = Sigma_inv.copy()
-        A[np.arange(Nh), np.arange(Nh)] += lam
-        new = solve_symmetric(A, rhs)
-        if np.linalg.norm(new[:Nh]) < 1e-10 * norm_mu:
+    for it in range(1, max_iter + 1):
+        new = rhs / (ws + Nh / float(th @ th))
+        norm = math.sqrt(float(new @ new))
+        if norm < 1e-10 * norm_mu:
             raise PoleCollapse("MAP iteration collapsed onto the nullspace pole")
-        rel = float(np.linalg.norm(new - state) / max(np.linalg.norm(new), 1e-300))
-        state = new
+        rel = float(np.linalg.norm(new - th)) / norm
+        th = new
         if rel < tol:
-            return state
+            return np.concatenate([th, p.t_mu[Nh:]]), it
     raise NoConvergence(
         f"MAP iteration did not reach tol={tol:g} in {max_iter} steps (last change {rel:.3e})",
-        last_iterate=state,
+        last_iterate=p.T @ np.concatenate([th, p.t_mu[Nh:]]),
         residual=rel,
     )
 
 
-def laplace_precondition(h_map, density: PosteriorDensity) -> np.ndarray:
-    """Lower-triangular L with L L^T = -Hessian of the log posterior at h_map.
+@dataclass(frozen=True)
+class _LaplaceMetric:
+    """The negative Hessian at a state, in pencil coordinates scaled by sqrt(d).
 
-    Preconditioned coordinates are z = L^T h*; near the MAP the density is
-    approximately a unit Gaussian there. When the negative Hessian is not
-    positive definite, falls back to a diagonal preconditioner from the
-    positive part of its diagonal.
+    In t the kernel-block curvature is diag(d) - k (rho t)(rho t)^T with
+    d = c rho + w s, c = Nh/||h||^2 and k = 2c/||h||^2; after scaling by
+    sqrt(d) it is I - k u u^T with u = (rho t)/sqrt(d). Where that is not
+    positive definite (k ||u||^2 >= 1) the radial term is dropped (k = 0),
+    leaving diag(d), which is positive definite by construction. ell is the
+    log-sigma curvature sqrt(2 w q) (the cross terms with the coefficients
+    are dropped), or 1 where that is not positive; None for known noise.
     """
-    state = density.initial_state(np.asarray(h_map, dtype=float).reshape(-1))
-    negH = -density.hessian(state)
-    noise = getattr(density, "noise", None)
-    if noise is not None and not noise.is_known:
-        # The sigma-coordinate cross terms hold only at the MAP residual and
-        # shear the whitened space badly away from it; the block-diagonal
-        # metric mixes the coefficient block an order of magnitude faster.
-        negH[:-1, -1] = 0.0
-        negH[-1, :-1] = 0.0
-    try:
-        return np.linalg.cholesky(negH)
-    except np.linalg.LinAlgError:
-        d = np.diag(negH).copy()
-        floor = max(float(np.abs(d).max(initial=0.0)) * 1e-12, 1e-12)
-        d[~np.isfinite(d) | (d <= 0.0)] = 1.0
-        d = np.maximum(d, floor)
-        return np.diag(np.sqrt(d))
+
+    sqrt_d: np.ndarray
+    u: np.ndarray
+    k: float
+    ell: float | None
+
+    @property
+    def name(self) -> str:
+        return "laplace" if self.k > 0.0 else "laplace_without_radial_term"
+
+
+def _laplace_metric(density: PosteriorDensity, t: np.ndarray, log_sigma: float | None) -> _LaplaceMetric:
+    """The Laplace metric at pencil coordinates t (and log sigma when unknown)."""
+    p = density.pencil
+    w = 1.0 if log_sigma is None else math.exp(-2.0 * log_sigma)
+    n2 = float(p.rho @ (t * t))
+    if not np.isfinite(n2) or n2 == 0.0:
+        raise DomainError("no Laplace metric at ||h|| = 0 (nullspace pole)")
+    c = density.n_basis / n2
+    k = 2.0 * c / n2
+    sqrt_d = np.sqrt(c * p.rho + w * p.s)
+    u = p.rho * t / sqrt_d
+    if not k * float(u @ u) < 1.0:
+        k = 0.0
+    ell = None
+    if log_sigma is not None:
+        r = t - p.t_mu
+        curv = 2.0 * w * float(p.s @ (r * r))
+        ell = math.sqrt(curv) if math.isfinite(curv) and curv > 0.0 else 1.0
+    return _LaplaceMetric(sqrt_d=sqrt_d, u=u, k=k, ell=ell)

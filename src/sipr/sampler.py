@@ -5,11 +5,15 @@ step-size adaptation during burn-in. All chains advance in lockstep in one
 thread as rows of one array; each chain has its own step size and its own
 random stream split from one master seed, so results are bit-reproducible for
 a fixed configuration. The sampler is generic: any target exposing ``dim``,
-``log_density(state)`` and ``grad(state)`` can be sampled, one row at a time;
-a regression density is instead folded into its preconditioner so that one
-matrix product per leapfrog step serves every chain, and it additionally gets
-MAP initialization, Laplace preconditioning, noise extraction, and pole
-classification.
+``log_density(state)`` and ``grad(state)`` can be sampled, one row at a time,
+with an optional fixed preconditioner. A regression density instead runs in
+the coordinates of its pencil eigendecomposition, where both quadratic forms
+are diagonal, with its Laplace metric at the MAP as the mass matrix: every
+leapfrog step is a few elementwise operations on length-N rows, and the kept
+draws go back to the original coordinates in one matrix product. HMC with a
+given mass matrix is the same chain after any linear change of coordinates,
+so this changes the cost, not the law. Regression runs additionally get MAP
+initialization, noise extraction, and pole classification.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from scipy.linalg import solve_triangular
 
 from ._io import atomic_write_text
 from .errors import DivergentChains, DomainError, TooFewSamples, ValidationError
-from .posterior import PosteriorDensity, _log_sigma_draw, laplace_precondition, map_estimate
+from .posterior import PosteriorDensity, _laplace_metric, _log_sigma_draw, _map_coordinates
 
 # A proposal whose energy error exceeds this is counted as divergent.
 ENERGY_ERROR_MAX = 1e3
@@ -88,6 +92,8 @@ class ChainStats:
 class Diagnostics:
     chains: tuple[ChainStats, ...]
     rhat_max: float
+    metric: str | None = None  # regression only: "laplace" or "laplace_without_radial_term"
+    map_iterations: int | None = None  # regression runs started at the MAP
 
     @property
     def divergence_rate(self) -> float:
@@ -168,68 +174,107 @@ def detect_poles(
 # --- HMC internals --------------------------------------------------------
 #
 # Every target is batched over chains. States are rows of a (chains, dim)
-# array in whitened coordinates z = L^T x. evaluate(Z) returns P, whatever
-# grad(Z, P) and log_density(Z, P) need; the loop keeps P for the current
-# states, so a trajectory starts without a fresh evaluation. Rows never mix:
-# a chain that leaves the domain turns non-finite and stays so, and the
-# others are untouched.
+# array in whitened coordinates z. evaluate(Z) returns P, whatever drift(Z, P)
+# and log_density(Z, P) need; the loop keeps P for the current states, so a
+# trajectory starts without a fresh evaluation. The momentum is carried as
+# the velocity M^-1 r of the target's mass matrix M: drift is M^-1 grad,
+# kinetic(V) is (1/2) V^T M V, and velocity(Xi) turns standard normals into
+# velocities. Rows never mix: a chain that leaves the domain turns non-finite
+# and stays so, and the others are untouched.
 
 
-class _Whitened:
-    """A regression density folded into its preconditioner.
+class _Diagonalised:
+    """A regression density in its pencil coordinates, scaled by its Laplace metric.
 
-    With Linv = L^-1 and B = (Linv^T)[:Nh] the kernel block is h = B z, so
-    ||h||^2 = z^T Q z with Q = B^T B, and the misfit is (z - z_mu)^T A
-    (z - z_mu) with A = Linv Sigma0 Linv^T and z_mu = L^T h*_mu, where
-    Sigma0 is the known precision or E*^T E* (unknown noise). One GEMM of
-    the coefficient block against the stacked [Q | A] gives both for all
-    chains. log sigma is carried as ell * log sigma, so L must be block
-    diagonal.
+    z = sqrt(d) * t with t = T^-1 h*, so both quadratic forms of the density
+    are diagonal: ||h||^2 = sum(a z^2) and the misfit q = sum(b (z - z_mu)^2),
+    with a = rho / d and b = s / d.
+    The mass matrix is the metric I - k u u^T, applied through its inverse
+    I + g u u^T and its inverse square root I + beta u u^T, so every leapfrog
+    step is a few elementwise operations per chain and no array here is
+    larger than N. log sigma is carried as ell * log sigma with unit mass.
     """
 
-    def __init__(self, density: PosteriorDensity, L: np.ndarray, Linv: np.ndarray):
-        N = self.n = density.n_points
+    def __init__(self, density: PosteriorDensity, metric):
+        p = density.pencil
+        self.n = density.n_points
         self.nh = density.n_basis
         self.draws_noise = not density.noise.is_known
+        self.ell = metric.ell
+        self.sqrt_d = metric.sqrt_d
+        d = metric.sqrt_d**2
+        self.ab = np.concatenate([p.rho / d, p.s / d])  # [a | b]
+        self.z_mu = metric.sqrt_d * p.t_mu
+        self.k = metric.k
+        self.u = metric.u
+        u2 = float(self.u @ self.u)
+        self.gu = self.k / (1.0 - self.k * u2) * self.u
+        # (1 + beta u2)^2 = 1 / (1 - k u2), kept accurate for small k u2
+        self.beta_u = (math.expm1(-0.5 * math.log1p(-self.k * u2)) / u2 if self.k else 0.0) * self.u
+
+    def start(self, t: np.ndarray, log_sigma: float | None) -> np.ndarray:
+        z = self.sqrt_d * t
+        return z if log_sigma is None else np.append(z, self.ell * log_sigma)
+
+    def to_x(self, Z: np.ndarray, T: np.ndarray) -> np.ndarray:
+        """States x = (T t, log sigma) of the rows of Z, given the pencil's T."""
+        X = np.empty(Z.shape)
+        X[..., : self.n] = (Z[..., : self.n] / self.sqrt_d) @ T.T
         if self.draws_noise:
-            if np.any(L[-1, :-1] != 0.0):
-                raise ValidationError("the preconditioner must not couple log sigma to the coefficients")
-            self.ell = float(L[-1, -1])
-        Li = Linv[:N, :N]
-        B = Li.T[: self.nh]
-        A = Li @ (density.base_quad if self.draws_noise else density.Sigma_inv) @ Li.T
-        A = 0.5 * (A + A.T)  # exactly symmetric, so grad is exactly the gradient of log_density
-        self.QA = np.hstack([B.T @ B, A])
-        self.z_mu = L[:N, :N].T @ density.h_mu_star
-        self.a_mu = A @ self.z_mu
+            X[..., -1] = Z[..., -1] / self.ell
+        return X
 
     def evaluate(self, Z: np.ndarray) -> np.ndarray:
-        return Z[:, : self.n] @ self.QA
-
-    def _norm_misfit(self, Z, P):
-        """||h||^2 and the misfit q of every row."""
+        """[z | z - z_mu | a z | b (z - z_mu)] of every row."""
         N = self.n
         Zh = Z[:, :N]
-        q = np.einsum("ij,ij->i", Zh - self.z_mu, P[:, N:] - self.a_mu)
-        return np.einsum("ij,ij->i", Zh, P[:, :N]), q
+        P = np.empty((Z.shape[0], 4 * N))
+        P[:, :N] = Zh
+        np.subtract(Zh, self.z_mu, out=P[:, N : 2 * N])
+        np.multiply(self.ab, P[:, : 2 * N], out=P[:, 2 * N :])
+        return P
 
-    def grad(self, Z: np.ndarray, P: np.ndarray) -> np.ndarray:
+    def _norm_misfit(self, P):
+        """P as (chains, 4, N) and the (chains, 2) columns ||h||^2 and misfit q."""
+        Q = P.reshape(P.shape[0], 4, self.n)
+        return Q, np.einsum("ikn,ikn->ik", Q[:, :2], Q[:, 2:])
+
+    def drift(self, Z: np.ndarray, P: np.ndarray) -> np.ndarray:
+        """M^-1 grad log p of every row."""
         N = self.n
-        Zh = Z[:, :N]
-        n2 = np.einsum("ij,ij->i", Zh, P[:, :N])
-        Ar = P[:, N:] - self.a_mu
+        Q, nq = self._norm_misfit(P)
+        # the gradient's coefficient block is -(Nh/||h||^2) a z - w b (z - z_mu)
+        coef = np.empty((Z.shape[0], 1, 2))
+        coef[:, 0, 0] = -self.nh / nq[:, 0]
         G = np.empty_like(Z)
-        if not self.draws_noise:
-            np.multiply(P[:, :N], (-self.nh / n2)[:, None], out=G)
-            G -= Ar
-            return G
-        w = np.exp(-2.0 / self.ell * Z[:, -1])
-        G[:, :N] = (-self.nh / n2)[:, None] * P[:, :N] - w[:, None] * Ar
-        G[:, -1] = (w * np.einsum("ij,ij->i", Zh - self.z_mu, Ar) - N) / self.ell
+        if self.draws_noise:
+            w = np.exp(-2.0 / self.ell * Z[:, -1])
+            coef[:, 0, 1] = -w
+            G[:, -1] = (w * nq[:, 1] - N) / self.ell
+        else:
+            coef[:, 0, 1] = -1.0
+        Gh = G[:, :N]
+        np.matmul(coef, Q[:, 2:], out=Gh[:, None, :])
+        if self.k:
+            Gh += (Gh @ self.u)[:, None] * self.gu
         return G
 
+    def kinetic(self, V: np.ndarray) -> np.ndarray:
+        """(1/2) v^T M v of every velocity row."""
+        ke = 0.5 * np.einsum("ij,ij->i", V, V)
+        if self.k:
+            ke -= 0.5 * self.k * (V[:, : self.n] @ self.u) ** 2
+        return ke
+
+    def velocity(self, Xi: np.ndarray) -> np.ndarray:
+        """M^-1/2 xi of every standard normal row, in place."""
+        if self.k:
+            Xi[:, : self.n] += (Xi[:, : self.n] @ self.u)[:, None] * self.beta_u
+        return Xi
+
     def log_density(self, Z: np.ndarray, P: np.ndarray) -> np.ndarray:
-        n2, q = self._norm_misfit(Z, P)
+        _, nq = self._norm_misfit(P)
+        n2, q = nq[:, 0], nq[:, 1]
         lp = -0.5 * self.nh * np.log(n2)
         if self.draws_noise:
             log_sigma = Z[:, -1] / self.ell
@@ -240,13 +285,13 @@ class _Whitened:
 
     def draw_noise(self, Z: np.ndarray, P: np.ndarray, rngs) -> None:
         """Redraw every chain's log sigma from its exact conditional, in place."""
-        _, q = self._norm_misfit(Z, P)
+        _, nq = self._norm_misfit(P)
         for c, rng in enumerate(rngs):
-            Z[c, -1] = self.ell * _log_sigma_draw(self.n, q[c], rng)
+            Z[c, -1] = self.ell * _log_sigma_draw(self.n, nq[c, 1], rng)
 
 
 class _Rows:
-    """Any target with log_density(x) and grad(x), called one row at a time."""
+    """Any target with log_density(x) and grad(x), called one row at a time (unit mass in z)."""
 
     draws_noise = False
 
@@ -265,8 +310,16 @@ class _Rows:
                     pass
         return G
 
-    def grad(self, Z: np.ndarray, P: np.ndarray) -> np.ndarray:
+    def drift(self, Z: np.ndarray, P: np.ndarray) -> np.ndarray:
         return P
+
+    @staticmethod
+    def kinetic(V: np.ndarray) -> np.ndarray:
+        return 0.5 * np.einsum("ij,ij->i", V, V)
+
+    @staticmethod
+    def velocity(Xi: np.ndarray) -> np.ndarray:
+        return Xi
 
     def log_density(self, Z: np.ndarray, P: np.ndarray) -> np.ndarray:
         out = np.full(Z.shape[0], -math.inf)
@@ -282,21 +335,21 @@ class _Rows:
 
 def _leapfrog(target, Z, P, R, eps, n_steps: int):
     """n_steps of leapfrog for every chain (eps is a (chains, 1) column)."""
-    R = R + 0.5 * eps * target.grad(Z, P)
+    R = R + 0.5 * eps * target.drift(Z, P)
     for i in range(n_steps):
         Z = Z + eps * R
         P = target.evaluate(Z)
-        R += (eps if i < n_steps - 1 else 0.5 * eps) * target.grad(Z, P)
+        R += (eps if i < n_steps - 1 else 0.5 * eps) * target.drift(Z, P)
     return Z, R, P
 
 
 def _energy_error(target, Z, P, lp, R, eps, n_steps: int):
     """End states of one trajectory per chain and their energy errors (inf where undefined)."""
-    h0 = 0.5 * np.einsum("ij,ij->i", R, R) - lp
+    h0 = target.kinetic(R) - lp
     Z1, R1, P1 = _leapfrog(target, Z, P, R, eps[:, None], n_steps)
     lp1 = target.log_density(Z1, P1)
     ok = np.isfinite(Z1).all(axis=1) & np.isfinite(R1).all(axis=1) & np.isfinite(lp1)
-    delta = np.where(ok, 0.5 * np.einsum("ij,ij->i", R1, R1) - lp1 - h0, math.inf)
+    delta = np.where(ok, target.kinetic(R1) - lp1 - h0, math.inf)
     return Z1, P1, lp1, delta
 
 
@@ -323,7 +376,7 @@ def _find_initial_step(target, z0: np.ndarray, rng: np.random.Generator) -> floa
     lp0 = target.log_density(Z0, P0)
     if not math.isfinite(lp0[0]):
         return 0.1
-    R0 = rng.standard_normal(Z0.shape)
+    R0 = target.velocity(rng.standard_normal(Z0.shape))
 
     def log_accept(eps: float) -> float:
         return -float(_energy_error(target, Z0, P0, lp0, R0, np.array([eps]), 1)[3][0])
@@ -402,7 +455,7 @@ def _run_chains(target, z0: np.ndarray, eps0, rngs, config: SamplerConfig):
                 eps_it[c] = eps[c] * math.exp(rng.uniform(_LOG_SHORT_LO, _LOG_SHORT_HI))
             log_u[c] = math.log(max(rng.uniform(), 1e-300))
         Z, P, lp, accept, divergent, accept_stat = _transition(
-            target, Z, P, lp, R, eps_it, config.leapfrog_steps, log_u
+            target, Z, P, lp, target.velocity(R), eps_it, config.leapfrog_steps, log_u
         )
         # Unknown-noise targets get a conjugate update of log sigma between
         # trajectories; composing the two kernels keeps the joint invariant.
@@ -466,40 +519,55 @@ def run_mcmc(
 ) -> RegressionPosterior:
     """Sample the density and summarize the draws.
 
-    For a regression PosteriorDensity, init defaults to the MAP point (plus
-    the initial log sigma in unknown-noise mode) and precond to its Laplace
-    factor; pole regimes are classified from the traces. Generic targets must
-    pass init and are always reported as the normal regime.
+    A regression PosteriorDensity runs in its pencil coordinates with the
+    Laplace metric at init, which defaults to the MAP point (plus the initial
+    log sigma in unknown-noise mode); pole regimes are classified from the
+    traces. Generic targets must pass init, may pass a lower-triangular
+    precond L (z = L^T x; identity by default) and are always reported as the
+    normal regime.
     """
     is_regression = isinstance(density, PosteriorDensity)
-    if init is None:
-        if not is_regression:
-            raise ValidationError("generic targets require an explicit init state")
-        h_map = map_estimate(density)
-        init = density.initial_state(h_map)
-    init = np.asarray(init, dtype=float).reshape(-1)
-    dim = getattr(density, "dim", init.shape[0])
-    if init.shape[0] != dim:
-        raise ValidationError(f"init has length {init.shape[0]}, target dimension is {dim}")
-    if precond is None:
-        precond = laplace_precondition(init, density) if is_regression else np.eye(dim)
-    L = np.asarray(precond, dtype=float)
-    Linv = solve_triangular(L, np.eye(dim), lower=True)
-    # The step search takes a few dozen single steps per chain, so it calls
-    # the target itself one row at a time; the chains run on the whitened form.
-    rows = _Rows(density, Linv)
-    target = _Whitened(density, L, Linv) if is_regression else rows
-    z0 = L.T @ init
+    if init is None and not is_regression:
+        raise ValidationError("generic targets require an explicit init state")
+    if precond is not None and is_regression:
+        raise ValidationError("a regression density brings its own metric; precond is for generic targets")
+    if init is not None:
+        init = np.asarray(init, dtype=float).reshape(-1)
+        dim = getattr(density, "dim", init.shape[0])
+        if init.shape[0] != dim:
+            raise ValidationError(f"init has length {init.shape[0]}, target dimension is {dim}")
     rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(config.seed).spawn(config.chains)]
+
+    map_iterations = None
+    if is_regression:
+        if init is None:
+            t0, map_iterations = _map_coordinates(density)
+            log_sigma0 = None if density.noise.is_known else math.log(density.noise.sigma_init)
+        else:
+            h0, log_sigma0 = density._split(init)
+            t0 = density.pencil.coordinates(h0)
+        metric = _laplace_metric(density, t0, log_sigma0)
+        target = _Diagonalised(density, metric)
+        z0 = target.start(t0, log_sigma0)
+    else:
+        L = np.eye(init.shape[0]) if precond is None else np.asarray(precond, dtype=float)
+        Linv = solve_triangular(L, np.eye(init.shape[0]), lower=True)
+        target = _Rows(density, Linv)
+        z0 = L.T @ init
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        eps0 = [_find_initial_step(rows, z0, rng) for rng in rngs]
+        eps0 = [_find_initial_step(target, z0, rng) for rng in rngs]
         kept_z, kept_lp, stats = _run_chains(target, z0, eps0, rngs, config)
 
-    draws = kept_z @ Linv  # x = Linv^T z, row by row
+    draws = target.to_x(kept_z, density.pencil.T) if is_regression else kept_z @ Linv
     chain_draws = list(draws)
-    samples = draws.reshape(-1, dim)
+    samples = draws.reshape(-1, z0.shape[0])
     log_posts = kept_lp.reshape(-1)
-    diagnostics = Diagnostics(chains=stats, rhat_max=_split_rhat(chain_draws))
+    diagnostics = Diagnostics(
+        chains=stats,
+        rhat_max=_split_rhat(chain_draws),
+        metric=metric.name if is_regression else None,
+        map_iterations=map_iterations,
+    )
 
     if is_regression:
         n_state = density.n_points

@@ -1,4 +1,7 @@
-"""Every name a sipr module imports is used there (no linter is a test dependency)."""
+"""Every name a sipr module imports is used there, and every name it exports is bound there.
+
+No linter is a test dependency; these scans use the standard library's ast.
+"""
 
 from __future__ import annotations
 
@@ -24,15 +27,37 @@ def imported_names(tree: ast.Module) -> dict[str, int]:
     return out
 
 
-def used_names(tree: ast.Module) -> set[str]:
-    """Names read anywhere in the module, plus the strings listed in __all__."""
-    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+def exported_names(tree: ast.Module) -> list[str]:
+    """The strings listed in the module's __all__ (empty without one)."""
     for node in tree.body:
         if isinstance(node, ast.Assign) and any(
             isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
         ):
-            used |= {e.value for e in node.value.elts if isinstance(e, ast.Constant)}
-    return used
+            return [e.value for e in node.value.elts if isinstance(e, ast.Constant)]
+    return []
+
+
+def used_names(tree: ast.Module) -> set[str]:
+    """Names read anywhere in the module, plus the strings listed in __all__."""
+    return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)} | set(exported_names(tree))
+
+
+def bound_names(tree: ast.Module) -> set[str]:
+    """Names the module binds at top level: imports, functions, classes, assignments."""
+    out = set(imported_names(tree))
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            out.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            out |= {t.id for t in targets if isinstance(t, ast.Name)}
+    return out
+
+
+def dangling_exports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    bound = bound_names(tree)
+    return [name for name in exported_names(tree) if name not in bound]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -53,3 +78,20 @@ def test_scan_flags_an_unused_import_and_spares_exports():
         "def f():\n    return np.zeros(1), load_csv\n"
     )
     assert unused_imports(source) == ["os (line 1)", "Dataset (line 3)"]
+
+
+EXPORTING = [p for p in MODULES if exported_names(ast.parse(p.read_text()))]
+
+
+@pytest.mark.parametrize("path", EXPORTING, ids=lambda p: p.name)
+def test_module_binds_every_export(path):
+    assert dangling_exports(path.read_text()) == []
+
+
+def test_scan_flags_a_dangling_export():
+    source = (
+        "from .data import load_csv\nimport numpy as np\nX: int = 1\nY = 2\n"
+        "def f():\n    pass\nclass C:\n    pass\n"
+        "__all__ = ['load_csv', 'np', 'X', 'Y', 'f', 'C', 'gone']\n"
+    )
+    assert dangling_exports(source) == ["gone"]

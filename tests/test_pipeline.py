@@ -11,6 +11,7 @@ from sipr.data import Dataset, higdon, higdon_truth, kfold, load_csv, rmse
 from sipr.errors import ArchiveVersionError, IOError_, KTooLarge, ValidationError
 from sipr.interpolate import solve_interpolation
 from sipr.pipeline import (
+    archive_dict,
     crossval,
     fit_dataset,
     fit_regression,
@@ -40,6 +41,8 @@ class TestRegimes:
         err = rmse(fit.predict_mean(higdon_ds.X), higdon_truth(higdon_ds.X[:, 0]))
         assert err < 0.1
         assert fit.diagnostics_summary["rhat_max"] < 1.2
+        assert fit.diagnostics_summary["metric"] in ("laplace", "laplace_without_radial_term")
+        assert fit.diagnostics_summary["map_iterations"] > 0
 
     def test_unknown_noise_estimates_sigma(self, higdon_ds):
         fit = fit_dataset(higdon_ds, 1.5, noise="unknown", config=QUICK)
@@ -144,6 +147,21 @@ class TestArchives:
         assert doc["regime"] == "normal"
         assert doc["eta"] == 1.5
         assert doc["sigma_y"]["mode"] == "known"
+
+    def test_archive_is_compact_and_parses_like_the_indented_form(self, tmp_path, normal_fit):
+        path = tmp_path / "model.json"
+        save_archive(normal_fit, str(path))
+        text = path.read_text()
+        assert "\n" not in text.rstrip("\n")
+        assert json.loads(text) == json.loads(json.dumps(archive_dict(normal_fit), indent=1))
+
+    def test_indented_archive_still_loads(self, tmp_path, normal_fit):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(archive_dict(normal_fit), indent=1) + "\n")
+        loaded = load_archive(str(path))
+        probes = np.linspace(-2.0, 12.0, 13)[:, None]
+        np.testing.assert_array_equal(loaded.predict(probes).mean, normal_fit.predict(probes).mean)
+        assert loaded.diagnostics_summary == json.loads(json.dumps(normal_fit.diagnostics_summary))
 
     def test_version_mismatch_rejected(self, tmp_path, normal_fit):
         path = tmp_path / "model.json"

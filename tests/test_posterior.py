@@ -1,4 +1,4 @@
-"""Log posterior over subspace coordinates: derivatives, MAP, preconditioner."""
+"""Log posterior over subspace coordinates: derivatives, MAP, Laplace metric."""
 
 from __future__ import annotations
 
@@ -6,17 +6,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from sipr.basis import build_orthonormal_basis
-from sipr.errors import DomainError, NoConvergence, PoleCollapse
+from sipr.errors import DomainError, NoConvergence, PoleCollapse, SingularSystem
 from sipr.posterior import (
     KnownNoise,
     PosteriorDensity,
     UnknownNoise,
+    _laplace_metric,
     build_density,
-    laplace_precondition,
     map_estimate,
 )
+from tests import oracles
 from tests.conftest import random_dataset
 
 
@@ -131,6 +134,26 @@ class TestDerivatives:
         assert np.abs(g[: d.n_basis]).max() > 0
 
 
+class TestPencil:
+    @pytest.mark.parametrize(
+        "noise", [KnownNoise(0.15), KnownNoise(0.02 * np.eye(12) + 0.01), UnknownNoise(0.15)]
+    )
+    def test_diagonalises_both_quadratic_forms(self, noise):
+        d = make_density(noise=noise)
+        p = d.pencil
+        Sigma0 = d.Sigma_inv if d.noise.is_known else d.base_quad
+        P = np.diag(p.rho)
+        np.testing.assert_array_equal(p.rho, [1.0] * d.n_basis + [0.0] * d.n_null)
+        np.testing.assert_allclose(p.T[: d.n_basis].T @ p.T[: d.n_basis], P, atol=1e-12)
+        S = p.T.T @ Sigma0 @ p.T
+        np.testing.assert_allclose(S, np.diag(p.s), atol=1e-10 * np.abs(S).max())
+        # the polynomial columns carry no kernel part at all
+        assert not np.any(p.T[: d.n_basis, d.n_basis :])
+        t = np.random.default_rng(0).normal(size=d.n_points)
+        np.testing.assert_allclose(p.coordinates(p.T @ t), t, rtol=1e-9, atol=1e-9)
+        np.testing.assert_allclose(p.T @ p.t_mu, d.h_mu_star, rtol=1e-9, atol=1e-12)
+
+
 class TestMapEstimate:
     def test_stationary_point(self):
         d = make_density()
@@ -172,50 +195,127 @@ class TestMapEstimate:
         assert exc.value.residual > 1e-10
 
 
+class TestMapMatchesDenseOracle:
+    """The elementwise MAP against the dense fixed point, one solve per iteration."""
+
+    @staticmethod
+    def noise_model(kind: str, sd: float, n: int, seed: int):
+        if kind == "scalar":
+            return KnownNoise(sd)
+        if kind == "covariance":
+            A = np.random.default_rng(seed).normal(size=(n, n))
+            return KnownNoise(sd**2 * (A @ A.T / n + np.eye(n)))
+        return UnknownNoise(sd)
+
+    @given(
+        seed=st.integers(0, 2**16),
+        eta=st.sampled_from([0.5, 1.5, 2.5]),
+        kind=st.sampled_from(["scalar", "covariance", "unknown"]),
+        sd=st.sampled_from([0.1, 0.01, 0.001]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_matches_or_collapses_with_the_oracle(self, seed, eta, kind, sd):
+        X, y = random_dataset(10, 1, seed=seed)
+        d = build_density(build_orthonormal_basis(X, eta), y, self.noise_model(kind, sd, 10, seed))
+        self.check(d)
+
+    def test_collapses_where_the_oracle_collapses(self):
+        X, y = random_dataset(10, 1, seed=2)
+        d = build_density(build_orthonormal_basis(X, 1.5), y, KnownNoise(0.1))
+        with pytest.raises(PoleCollapse):
+            oracles.map_estimate(d)
+        self.check(d)
+
+    @staticmethod
+    def check(d):
+        try:
+            expected = oracles.map_estimate(d)
+        except PoleCollapse:
+            with pytest.raises(PoleCollapse):
+                map_estimate(d)
+            return
+        except SingularSystem:
+            # the oracle's dense system is past the rcond gate (often at eta =
+            # 2.5); the elementwise iteration needs no such solve
+            assume(False)
+        h = map_estimate(d)
+        np.testing.assert_allclose(h, expected, rtol=0.0, atol=1e-8 * np.abs(expected).max())
+
+
+def whitening(d, state):
+    """J with J^T (metric) J = I: x = J z for the sampler's whitened coordinates z.
+
+    The metric in pencil coordinates scaled by sqrt(d) is M = I - k u u^T, so
+    J = T diag(1/sqrt(d)) L_M^-T with L_M the Cholesky factor of M (and 1/ell
+    for log sigma). Returns J and the metric.
+    """
+    h_star, log_sigma = d._split(state)
+    m = _laplace_metric(d, d.pencil.coordinates(h_star), log_sigma)
+    N = d.n_points
+    L_M = np.linalg.cholesky(np.eye(N) - m.k * np.outer(m.u, m.u))
+    J = np.zeros((d.dim, d.dim))
+    J[:N, :N] = (d.pencil.T / m.sqrt_d) @ np.linalg.inv(L_M).T
+    if m.ell is not None:
+        J[-1, -1] = 1.0 / m.ell
+    return J, m
+
+
 class TestLaplacePrecondition:
     def test_recovers_gaussian_factor_far_from_pole(self):
-        # At huge ||h|| the prior curvature is negligible, so the negative
-        # Hessian is the residual precision and L is its Cholesky factor.
+        # At huge ||h|| the prior curvature is negligible, so the metric is
+        # the residual precision.
         d = make_density()
-        L = laplace_precondition(1e8 * d.h_mu_star, d)
-        np.testing.assert_allclose(L @ L.T, d.Sigma_inv, rtol=1e-6, atol=1e-8)
+        J, _ = whitening(d, 1e8 * d.h_mu_star)
+        Jinv = np.linalg.inv(J)
+        np.testing.assert_allclose(Jinv.T @ Jinv, d.Sigma_inv, rtol=1e-6, atol=1e-8)
 
     def test_factorizes_negative_hessian_at_map(self):
         d = make_density()
         h_map = map_estimate(d)
-        L = laplace_precondition(h_map, d)
-        np.testing.assert_allclose(L @ L.T, -d.hessian(h_map), rtol=1e-9, atol=1e-12)
-        assert np.allclose(L, np.tril(L))
+        J, m = whitening(d, h_map)
+        assert m.name == "laplace" and m.k > 0.0
+        np.testing.assert_allclose(J.T @ -d.hessian(h_map) @ J, np.eye(d.dim), rtol=0.0, atol=1e-9)
+        L = oracles.laplace_precondition(h_map, d)  # the dense factor of the same metric
+        np.testing.assert_allclose(J.T @ L @ L.T @ J, np.eye(d.dim), rtol=0.0, atol=1e-9)
 
     def test_unknown_mode_drops_sigma_cross_terms(self):
         # The off-diagonal sigma curvature holds only at the MAP residual, so
         # the metric keeps the two blocks but not the coupling between them.
         d = make_density(noise=UnknownNoise(0.1))
-        h_map = map_estimate(d)
-        state = d.initial_state(h_map)
-        L = laplace_precondition(h_map, d)
+        state = d.initial_state(map_estimate(d))
+        J, m = whitening(d, state)
         expected = -d.hessian(state)
         assert np.abs(expected[:-1, -1]).max() > 1e-8  # coupling exists...
         expected[:-1, -1] = 0.0
         expected[-1, :-1] = 0.0  # ...but the metric ignores it
-        np.testing.assert_allclose(L @ L.T, expected, rtol=1e-9, atol=1e-12)
+        assert m.ell == pytest.approx(math.sqrt(expected[-1, -1]), rel=1e-12)
+        np.testing.assert_allclose(J.T @ expected @ J, np.eye(d.dim), rtol=0.0, atol=1e-9)
+        L = oracles.laplace_precondition(state[:-1], d)
+        np.testing.assert_allclose(J.T @ L @ L.T @ J, np.eye(d.dim), rtol=0.0, atol=1e-9)
 
     def test_indefinite_hessian_falls_back_to_diagonal(self):
-        class Stub:
-            def initial_state(self, h):
-                return np.asarray(h, dtype=float)
-
-            def hessian(self, state):
-                return np.diag([1.0, -2.0, 3.0])  # negative Hessian is indefinite
-
-        L = laplace_precondition(np.zeros(3), Stub())
+        # Where the prior dominates, the radial term makes the negative
+        # Hessian indefinite; the metric drops it and keeps diag(d) > 0.
+        d = make_density(noise=KnownNoise(1e3))
+        state = d.h_mu_star
+        negH = -d.hessian(state)
+        assert np.linalg.eigvalsh(negH).min() < 0.0
+        J, m = whitening(d, state)
+        assert m.name == "laplace_without_radial_term" and m.k == 0.0
+        L = oracles.laplace_precondition(state, d)  # the dense factor falls back too
         assert np.array_equal(L, np.diag(np.diag(L)))
-        assert np.all(np.diag(L) > 0)
-        # The one direction with usable curvature (-H = 2) is kept, the
-        # others fall back to unit scale.
-        assert L[1, 1] == pytest.approx(math.sqrt(2.0))
-        assert L[0, 0] == pytest.approx(1.0)
-        assert L[2, 2] == pytest.approx(1.0)
+        assert np.all(m.sqrt_d > 0.0)
+        # what is left is exactly the negative Hessian without the radial term
+        h = state[: d.n_basis]
+        negH[: d.n_basis, : d.n_basis] += 2.0 * d.n_basis * np.outer(h, h) / float(h @ h) ** 2
+        np.testing.assert_allclose(J.T @ negH @ J, np.eye(d.dim), rtol=0.0, atol=1e-9)
+
+    def test_unit_sigma_scale_at_zero_misfit(self):
+        # At the interpolant the misfit and with it the sigma curvature vanish;
+        # the metric falls back to a unit scale for log sigma.
+        d = make_density(noise=UnknownNoise(0.1))
+        _, m = whitening(d, d.initial_state(d.h_mu_star))
+        assert m.ell == 1.0
 
 
 class TestDrawLogSigma:

@@ -9,17 +9,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
-from scipy.linalg import solve_triangular
 
+from sipr import sampler
 from sipr.basis import build_orthonormal_basis
 from sipr.errors import DivergentChains, TooFewSamples, ValidationError
-from sipr.posterior import KnownNoise, UnknownNoise, build_density, laplace_precondition, map_estimate
+from sipr.posterior import KnownNoise, UnknownNoise, _laplace_metric, _map_coordinates, build_density
 from sipr.sampler import (
     Regime,
     SamplerConfig,
+    _Diagonalised,
     _Rows,
     _transition,
-    _Whitened,
     detect_poles,
     posterior_moments,
     run_mcmc,
@@ -147,13 +147,21 @@ class TestReproducibility:
         assert not np.array_equal(p1.samples, p2.samples)
 
 
-def whitened(noise):
-    """A density, its Laplace factor L, L^-1, the MAP state and the whitened target."""
+def diagonalised(noise):
+    """A density, its chain target at the MAP, the MAP in z and the linear z -> x map as a matrix K."""
     d = make_density(noise=noise)
-    x_map = d.initial_state(map_estimate(d))
-    L = laplace_precondition(x_map, d)
-    Linv = solve_triangular(L, np.eye(d.dim), lower=True)
-    return d, L, Linv, x_map, _Whitened(d, L, Linv)
+    t, _ = _map_coordinates(d)
+    log_sigma = None if d.noise.is_known else math.log(d.noise.sigma_init)
+    target = _Diagonalised(d, _laplace_metric(d, t, log_sigma))
+    K = target.to_x(np.eye(d.dim), d.pencil.T).T  # x = K z
+    return d, target, target.start(t, log_sigma), K
+
+
+def mass_matrix(target, dim):
+    """The metric I - k u u^T on the coefficients, unit mass for log sigma."""
+    M = np.eye(dim)
+    M[: target.n, : target.n] -= target.k * np.outer(target.u, target.u)
+    return M
 
 
 NOISES = [KnownNoise(0.1), UnknownNoise(0.05)]
@@ -164,28 +172,59 @@ class TestWhitenedDensity:
     @given(seed=st.integers(0, 2**32 - 1), chains=st.sampled_from([1, 3]))
     @settings(max_examples=30, deadline=None)
     def test_matches_the_density_in_original_coordinates(self, noise, seed, chains):
-        d, L, Linv, x_map, w = whitened(noise)
+        d, w, z_map, K = diagonalised(noise)
         rng = np.random.default_rng(seed)
-        Z = (x_map + 0.5 * rng.standard_normal((chains, d.dim))) @ L  # rows z = L^T x
+        X = K @ z_map + 0.5 * rng.standard_normal((chains, d.dim))
+        Z = np.linalg.solve(K, X.T).T  # rows z = K^-1 x
         P = w.evaluate(Z)
-        lp, G = w.log_density(Z, P), w.grad(Z, P)
+        lp, G = w.log_density(Z, P), w.drift(Z, P)
         assert lp.shape == (chains,) and G.shape == (chains, d.dim)
+        M = mass_matrix(w, d.dim)
         for c in range(chains):
-            x = Linv.T @ Z[c]
+            x = K @ Z[c]
             np.testing.assert_allclose(lp[c], d.log_density(x), rtol=1e-9)
-            g = Linv @ d.grad(x)
-            # rtol against the gradient's scale: single components can cancel
-            np.testing.assert_allclose(G[c], g, rtol=1e-9, atol=1e-9 * np.abs(g).max())
+            g = K.T @ d.grad(x)
+            # drift is M^-1 grad; rtol against the gradient's scale: single components can cancel
+            np.testing.assert_allclose(M @ G[c], g, rtol=1e-9, atol=1e-9 * np.abs(g).max())
 
     @pytest.mark.parametrize("noise", NOISES, ids=["known", "unknown"])
     def test_nullspace_pole_is_undefined_for_that_row_only(self, noise):
-        d, L, Linv, x_map, w = whitened(noise)
-        Z = np.vstack([x_map @ L, np.zeros(d.dim)])  # row 1: h = 0 (and log sigma 0)
+        d, w, z_map, _ = diagonalised(noise)
+        Z = np.vstack([z_map, np.zeros(d.dim)])  # row 1: h = 0 (and log sigma 0)
         P = w.evaluate(Z)
         with np.errstate(divide="ignore", invalid="ignore"):
-            lp, G = w.log_density(Z, P), w.grad(Z, P)
+            lp, G = w.log_density(Z, P), w.drift(Z, P)
         assert lp[1] == -math.inf and not np.all(np.isfinite(G[1]))
         assert np.isfinite(lp[0]) and np.all(np.isfinite(G[0]))
+
+    @pytest.mark.parametrize("noise", NOISES, ids=["known", "unknown"])
+    def test_velocity_and_kinetic_energy_follow_the_metric(self, noise):
+        # Momenta r ~ N(0, M) are carried as velocities M^-1 r ~ N(0, M^-1),
+        # whose kinetic energy is (1/2) v^T M v.
+        d, w, _, _ = diagonalised(noise)
+        assert w.k > 0.0
+        M = mass_matrix(w, d.dim)
+        S = w.velocity(np.eye(d.dim))  # M^-1/2, symmetric
+        np.testing.assert_allclose(S @ S.T, np.linalg.inv(M), rtol=1e-12, atol=1e-12)
+        V = np.random.default_rng(3).standard_normal((4, d.dim))
+        np.testing.assert_allclose(w.kinetic(V), 0.5 * np.einsum("ij,jk,ik->i", V, M, V), rtol=1e-12)
+
+    @pytest.mark.parametrize("noise", NOISES, ids=["known", "unknown"])
+    def test_chains_hold_no_matrix(self, noise, monkeypatch):
+        # Every leapfrog step is O(N) per chain: nothing the regression
+        # target keeps is larger than a vector.
+        seen = []
+        run_chains = sampler._run_chains
+
+        def spy(target, *args):
+            seen.append(target)
+            return run_chains(target, *args)
+
+        monkeypatch.setattr(sampler, "_run_chains", spy)
+        run_mcmc(make_density(noise=noise), SamplerConfig(chains=2, samples_per_chain=30, burn_in=10))
+        [target] = seen
+        arrays = [v for v in vars(target).values() if isinstance(v, np.ndarray)]
+        assert arrays and all(v.ndim <= 1 for v in arrays)
 
 
 class TestChainIsolation:
@@ -197,8 +236,8 @@ class TestChainIsolation:
         ids=["known-pole", "unknown-pole", "unknown-nan"],
     )
     def test_bad_chain_is_rejected_alone(self, noise, bad):
-        d, L, Linv, x_map, w = whitened(noise)
-        self.check(w, x_map @ L, np.zeros(d.dim) if bad == "pole" else np.full(d.dim, np.nan))
+        d, w, z_map, _ = diagonalised(noise)
+        self.check(w, z_map, np.zeros(d.dim) if bad == "pole" else np.full(d.dim, np.nan))
 
     def test_generic_target(self):
         target = GaussianTarget([1.0, -1.0], [[1.0, 0.3], [0.3, 0.5]])
@@ -301,6 +340,19 @@ class TestRegressionRuns:
         assert post.sigma_y_median > 0
         # Moments cover the h* block only, not log sigma.
         assert post.h_hat.shape == (d.n_points,)
+
+    def test_records_the_metric_and_map_iterations(self):
+        d = make_density()
+        diag = run_mcmc(d, SamplerConfig(**SMALL)).diagnostics
+        assert diag.metric == "laplace" and diag.map_iterations > 0
+        # a given init skips the MAP
+        diag = run_mcmc(d, SamplerConfig(**SMALL), init=d.h_mu_star).diagnostics
+        assert diag.metric in ("laplace", "laplace_without_radial_term") and diag.map_iterations is None
+
+    def test_regression_density_rejects_a_preconditioner(self):
+        d = make_density()
+        with pytest.raises(ValidationError):
+            run_mcmc(d, SamplerConfig(**SMALL), precond=np.eye(d.dim))
 
     def test_generic_target_requires_init(self):
         with pytest.raises(ValidationError):
