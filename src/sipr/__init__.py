@@ -9,10 +9,7 @@ from .geometry import (
     Regularity,
     eta_norm_constant,
     greens_matrix,
-    greens_vector,
-    kernel_system,
     monomial_matrix,
-    monomial_vector,
     multi_indices,
     nullspace_dim,
 )
@@ -28,7 +25,7 @@ from .interpolate import (
 __version__ = "0.1.0"
 
 # these import `__version__` back from the package, so they come after it
-from .basis import SubspaceBasis, build_orthonormal_basis, eval_functional, to_subspace
+from .basis import SubspaceBasis, build_orthonormal_basis, to_subspace
 from .data import (
     Dataset,
     add_jitter,
@@ -72,10 +69,7 @@ __all__ = [
     "nullspace_dim",
     "eta_norm_constant",
     "greens_matrix",
-    "greens_vector",
     "monomial_matrix",
-    "monomial_vector",
-    "kernel_system",
     "InterpolationModel",
     "solve_interpolation",
     "eta_norm_sq",
@@ -85,7 +79,6 @@ __all__ = [
     "SubspaceBasis",
     "build_orthonormal_basis",
     "to_subspace",
-    "eval_functional",
     "KnownNoise",
     "UnknownNoise",
     "PosteriorDensity",

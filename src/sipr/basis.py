@@ -64,14 +64,6 @@ class SubspaceBasis:
         return self.H.shape[1]
 
     @cached_property
-    def Hstar(self) -> np.ndarray:
-        """Block-diagonal extension of H by the polynomial identity."""
-        N0 = self.n_null
-        top = np.hstack([self.H, np.zeros((self.n_points, N0))])
-        bot = np.hstack([np.zeros((N0, self.n_basis)), np.eye(N0)])
-        return np.vstack([top, bot])
-
-    @cached_property
     def Estar(self) -> np.ndarray:
         """Map from subspace coordinates to function values at the datapoints."""
         return np.hstack([self.G @ self.H, self.M.T])
@@ -186,7 +178,3 @@ def evaluation_matrix(basis: SubspaceBasis, probes) -> np.ndarray:
     g = pairwise_sq_dists(P, basis.X) ** basis.eta.value
     return np.hstack([g @ basis.H, monomial_matrix(P, basis.eta).T])
 
-
-def eval_functional(basis: SubspaceBasis, x_t) -> np.ndarray:
-    """Vector e with e . h* = value at x_t of the function with coordinates h*."""
-    return evaluation_matrix(basis, np.reshape(np.asarray(x_t, dtype=float), (1, -1)))[0]

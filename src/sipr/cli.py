@@ -20,7 +20,7 @@ from ._io import atomic_write_text
 from .data import load_csv, load_probe_csv
 from .errors import IOError_, NumericalError, ValidationError
 from .geometry import as_regularity
-from .interpolate import draw_sample_path, solve_interpolation
+from .interpolate import solve_interpolation
 from .pipeline import crossval as run_crossval
 from .pipeline import fit_dataset, load_archive, save_archive
 from .sampler import SamplerConfig
@@ -105,14 +105,9 @@ def cmd_interpolate(data_path, target, eta, probes_path, grid, paths, seed, out_
     if paths < 0:
         raise ValidationError(f"--paths must be >= 0, got {paths}")
 
-    mean, scale, sd = solve_interpolation(ds.X, ds.y, reg).posterior(probes)
-    path_cols = []
-    for i, s in enumerate(np.random.SeedSequence(seed).spawn(paths)):
-        col, kept_mean = draw_sample_path(ds.X, ds.y, reg, probes, seed=s)
-        path_cols.append(col)
-        if kept_mean:
-            click.echo(f"path {i}: {kept_mean} of {len(col)} grid points kept their mean "
-                       "(conditioning set too ill-conditioned)")
+    model = solve_interpolation(ds.X, ds.y, reg)
+    mean, scale, sd = model.posterior(probes)
+    path_cols = model.sample_paths(probes, np.random.SeedSequence(seed).spawn(paths)).T
 
     header = list(ds.feature_names) + ["mean", "scale", "sd"] + [f"path_{i}" for i in range(paths)]
     rows = []

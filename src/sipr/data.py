@@ -78,7 +78,11 @@ def _read_rows(path: str) -> tuple[list[str], list[list[str]]]:
     rows = [r for r in rows if r and not (len(r) == 1 and not r[0].strip())]
     if len(rows) < 2:
         raise ValidationError(f"{path}: need a header row and at least one data row")
-    return [h.strip() for h in rows[0]], rows[1:]
+    header = [h.strip() for h in rows[0]]
+    repeated = sorted({h for h in header if header.count(h) > 1})
+    if repeated:
+        raise ValidationError(f"{path}: repeated column name(s) in the header: {', '.join(repeated)}")
+    return header, rows[1:]
 
 
 def _parse_cell(path: str, cell: str, row: int, col: str) -> float:

@@ -1,11 +1,10 @@
 """Kernel geometry: the radial basis, its polynomial nullspace, and the norm constant.
 
-Everything downstream is built from three arrays computed here for a point set
-X (N x D) and a regularity exponent eta:
+Everything downstream is built from two arrays computed here for a point set
+X (N x D) and a regularity exponent eta,
 
     G[n, m] = ||x_n - x_m||^(2 eta)        (symmetric, zero diagonal)
     M[v, n] = x_n^v                        (one row per multi-index |v| < eta)
-    saddle  = [[G, M^T], [M, 0]]
 
 and the constant that turns the quadratic form a^T G a into a squared norm.
 """
@@ -149,17 +148,6 @@ def greens_matrix(X, eta) -> np.ndarray:
     return G
 
 
-def greens_vector(X, x_t, eta) -> np.ndarray:
-    """g[n] = ||x_t - x_n||^(2 eta) for a single probe point x_t."""
-    reg = as_regularity(eta)
-    X = as_points(X)
-    x_t = np.asarray(x_t, dtype=float).reshape(-1)
-    if x_t.shape[0] != X.shape[1]:
-        raise DimensionMismatch(f"probe has {x_t.shape[0]} features, data has {X.shape[1]}")
-    d2 = np.einsum("nd,nd->n", X - x_t, X - x_t)
-    return d2**reg.value
-
-
 def monomial_matrix(X, eta) -> np.ndarray:
     """M[v, n] = x_n^v over the multi-indices with |v| < eta (N0 x N)."""
     X = as_points(X)
@@ -168,43 +156,6 @@ def monomial_matrix(X, eta) -> np.ndarray:
     for i, v in enumerate(idx):
         M[i] = np.prod(X ** np.asarray(v, dtype=float), axis=1)
     return M
-
-
-def monomial_vector(x_t, eta, dim: int | None = None) -> np.ndarray:
-    """m[v] = x_t^v over the multi-indices with |v| < eta."""
-    x_t = np.asarray(x_t, dtype=float).reshape(-1)
-    d = x_t.shape[0] if dim is None else dim
-    if x_t.shape[0] != d:
-        raise DimensionMismatch(f"probe has {x_t.shape[0]} features, expected {d}")
-    idx = multi_indices(d, eta)
-    return np.array([np.prod(x_t ** np.asarray(v, dtype=float)) for v in idx])
-
-
-@dataclass(frozen=True)
-class KernelMatrices:
-    """The assembled kernel system for one point set."""
-
-    G: np.ndarray  # (N, N)
-    M: np.ndarray  # (N0, N)
-
-    @property
-    def n_points(self) -> int:
-        return self.G.shape[0]
-
-    @property
-    def n_null(self) -> int:
-        return self.M.shape[0]
-
-    @property
-    def saddle(self) -> np.ndarray:
-        """[[G, M^T], [M, 0]], shape (N + N0, N + N0)."""
-        N0 = self.n_null
-        return np.block([[self.G, self.M.T], [self.M, np.zeros((N0, N0))]])
-
-
-def kernel_system(X, eta) -> KernelMatrices:
-    """Build G and M together for one point set."""
-    return KernelMatrices(G=greens_matrix(X, eta), M=monomial_matrix(X, eta))
 
 
 # --- conditioning transform ----------------------------------------------
@@ -224,9 +175,6 @@ class UnitBoxMap:
 
     def forward(self, X: np.ndarray) -> np.ndarray:
         return (np.atleast_2d(X) - self.shift) / self.scale
-
-    def inverse(self, U: np.ndarray) -> np.ndarray:
-        return np.atleast_2d(U) * self.scale + self.shift
 
 
 def unit_box_map(X) -> UnitBoxMap:

@@ -7,8 +7,10 @@ The interpolant through (X, y) is
 obtained from the saddle system [[G, M^T], [M, 0]] [a; c] = [y; 0]. Among all
 functions of finite norm that hit the data it minimizes the norm, and the
 posterior of the function value at any other point is a Student-t centered on
-it. Solves run in unit-box coordinates for conditioning; coefficients are
-mapped back, so everything reported here is in the caller's original units.
+it, and its values on any finite grid are jointly multivariate t. Solves run
+in unit-box coordinates for conditioning, from one factorization of the
+saddle per fit; coefficients are mapped back, so everything reported here is
+in the caller's original units.
 """
 
 from __future__ import annotations
@@ -20,16 +22,16 @@ from itertools import product
 
 import numpy as np
 
-from ._linalg import RCOND_MIN, solve_symmetric
-from .errors import ConstraintViolated, DimensionMismatch, SingularSystem, TooFewPoints
+from ._linalg import RCOND_MIN, SymmetricFactor, solve_symmetric
+from .errors import ConstraintViolated, DimensionMismatch, TooFewPoints
 from .geometry import (
-    KernelMatrices,
     Regularity,
+    UnitBoxMap,
     as_points,
     as_regularity,
     check_distinct,
     eta_norm_constant,
-    kernel_system,
+    greens_matrix,
     monomial_matrix,
     multi_indices,
     nullspace_dim,
@@ -70,9 +72,21 @@ def _rebase_polynomial(
     return out
 
 
+def _saddle(U: np.ndarray, reg: Regularity) -> np.ndarray:
+    """The data saddle [[G, M^T], [M, 0]] of points U, shape (N + N0, N + N0)."""
+    G, M = greens_matrix(U, reg), monomial_matrix(U, reg)
+    N0 = M.shape[0]
+    return np.block([[G, M.T], [M, np.zeros((N0, N0))]])
+
+
+def _border(U: np.ndarray, Q: np.ndarray, reg: Regularity) -> np.ndarray:
+    """Columns b = [g(q); m(q)] that border the saddle of U, one per probe q, shape (N + N0, P)."""
+    return np.vstack([pairwise_sq_dists(U, Q) ** reg.value, monomial_matrix(Q, reg)])
+
+
 @dataclass(eq=False)
 class InterpolationModel:
-    """Fitted interpolant in original coordinates."""
+    """Fitted interpolant in original coordinates, with its factored unit-box saddle."""
 
     X: np.ndarray  # (N, D) datapoint locations
     y: np.ndarray  # (N,) values
@@ -80,6 +94,8 @@ class InterpolationModel:
     a: np.ndarray  # (N,) kernel coefficients, M a = 0
     c: np.ndarray  # (N0,) polynomial coefficients over `indices`
     indices: list[tuple[int, ...]] = field(repr=False)
+    box: UnitBoxMap = field(repr=False)  # the unit-box map the saddle was built in
+    saddle: SymmetricFactor = field(repr=False)
 
     @property
     def n_points(self) -> int:
@@ -94,13 +110,15 @@ class InterpolationModel:
         return len(self.indices)
 
     @cached_property
-    def kernels(self) -> KernelMatrices:
-        return kernel_system(self.X, self.eta)
-
-    @cached_property
     def norm_sq(self) -> float:
         """Squared norm of the interpolant, eta_norm_sq of its coefficients."""
-        return eta_norm_sq(self.a, self.kernels.G, self.eta, self.dim, M=self.kernels.M)
+        G, M = greens_matrix(self.X, self.eta), monomial_matrix(self.X, self.eta)
+        return eta_norm_sq(self.a, G, self.eta, self.dim, M=M)
+
+    @property
+    def _spread(self) -> float:
+        """||f||^2, or 0 for exactly polynomial data, whose posterior is a point mass."""
+        return self.norm_sq if self.norm_sq > POLYNOMIAL_TOL * float(self.y @ self.y) else 0.0
 
     def evaluate(self, probes) -> np.ndarray:
         """Interpolant values at probe points, shape (P,)."""
@@ -130,14 +148,58 @@ class InterpolationModel:
         P = as_points(probes)
         mean = self.evaluate(P)
         ratio = np.zeros_like(mean)
-        if self.norm_sq > POLYNOMIAL_TOL * float(self.y @ self.y):
-            ratio = self.norm_sq * power_function_sq(self.X, self.eta, P)
+        if self._spread:
+            _, B, W = self._bordered(P)
+            ratio = self._spread * _power_sq(B, W, self.dim, self.eta, self.box.scale)
         scale = np.sqrt(ratio / self.dof)
         if self.dof > 2:
             sd = np.sqrt(ratio / (self.dof - 2))
         else:
             sd = np.where(ratio == 0.0, 0.0, np.nan)
         return mean, scale, sd
+
+    def sample_paths(self, grid, seeds) -> np.ndarray:
+        """Joint posterior sample paths over grid points, one column per seed, shape (G, S).
+
+        The exact-data posterior is a t-process, so its values on a grid are
+        jointly multivariate t (Shah, Wilson & Ghahramani, AISTATS 2014): a
+        path is mean + sqrt(||f||^2 / u) R xi with u ~ chi^2(dof), xi ~ N(0, I)
+        and R R^T = K_c, the grid's kernel conditioned on the data,
+
+            K_c = (Phi - B^T K^-1 B) scale^(2 eta) / C,   Phi[p, q] = ||q_p - q_q||^(2 eta),
+
+        in unit-box coordinates; its diagonal is the power function. R = V
+        sqrt(lam) comes from one eigendecomposition of K_c for every seed,
+        with negative rounding eigenvalues clamped to 0. Grid points on a
+        datapoint (power function 0) and exactly polynomial data reproduce
+        the mean. Deterministic for fixed seeds.
+        """
+        P = as_points(grid)
+        mean = self.evaluate(P)
+        seeds = list(seeds)
+        paths = np.repeat(mean[:, None], len(seeds), axis=1)
+        if not (seeds and self._spread):
+            return paths
+        Q, B, W = self._bordered(P)
+        free = _power_sq(B, W, self.dim, self.eta, self.box.scale) > 0.0
+        Q, B, W = Q[free], B[:, free], W[:, free]
+        C = eta_norm_constant(self.dim, self.eta)
+        K_c = (pairwise_sq_dists(Q, Q) ** self.eta.value - B.T @ W) * (
+            self.box.scale ** (2.0 * self.eta.value) / C
+        )
+        lam, V = np.linalg.eigh(0.5 * (K_c + K_c.T))
+        R = V * np.sqrt(np.maximum(lam, 0.0))
+        for j, seed in enumerate(seeds):
+            rng = np.random.default_rng(seed)
+            u = rng.chisquare(self.dof)
+            paths[free, j] += math.sqrt(self._spread / u) * (R @ rng.standard_normal(R.shape[1]))
+        return paths
+
+    def _bordered(self, P: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Unit-box probes Q, their saddle border B and W = K^-1 B from the fit's factor."""
+        Q = self.box.forward(P)
+        B = _border(self.box.forward(self.X), Q, self.eta)
+        return Q, B, self.saddle.solve(B)
 
 
 def solve_interpolation(X, y, eta) -> InterpolationModel:
@@ -158,16 +220,16 @@ def solve_interpolation(X, y, eta) -> InterpolationModel:
     check_distinct(X)
 
     box = unit_box_map(X)
-    U = box.forward(X)
-    sys = kernel_system(U, reg)
-    rhs = np.concatenate([y, np.zeros(N0)])
-    sol = solve_symmetric(sys.saddle, rhs)
+    saddle = SymmetricFactor(_saddle(box.forward(X), reg))
+    sol = saddle.solve(np.concatenate([y, np.zeros(N0)]))
     a_u, c_u = sol[:N], sol[N:]
 
     indices = multi_indices(D, reg)
     a = a_u * box.scale ** (-2.0 * reg.value)
     c = _rebase_polynomial(c_u, indices, box.shift, box.scale)
-    return InterpolationModel(X=X, y=y, eta=reg, a=a, c=c, indices=indices)
+    return InterpolationModel(
+        X=X, y=y, eta=reg, a=a, c=c, indices=indices, box=box, saddle=saddle
+    )
 
 
 def eta_norm_sq(a, G, eta, dim: int, M=None) -> float:
@@ -213,13 +275,18 @@ def power_function_sq(X, eta, probes) -> np.ndarray:
     if P.shape[1] != X.shape[1]:
         raise DimensionMismatch(f"probes have {P.shape[1]} features, data has {X.shape[1]}")
     box = unit_box_map(X)
-    U, Q = box.forward(X), box.forward(P)
-    B = np.vstack([pairwise_sq_dists(U, Q) ** reg.value, monomial_matrix(Q, reg)])
-    W = solve_symmetric(kernel_system(U, reg).saddle, B)
-    C = eta_norm_constant(X.shape[1], reg)
+    U = box.forward(X)
+    B = _border(U, box.forward(P), reg)
+    W = solve_symmetric(_saddle(U, reg), B)
+    return _power_sq(B, W, X.shape[1], reg, box.scale)
+
+
+def _power_sq(B: np.ndarray, W: np.ndarray, dim: int, reg: Regularity, scale: float) -> np.ndarray:
+    """The power function in original units from the unit-box border B and W = K^-1 B."""
+    C = eta_norm_constant(dim, reg)
     s = -math.copysign(1.0, C) * np.einsum("ip,ip->p", B, W)
     floor = RCOND_MIN * np.linalg.norm(B, axis=0) * np.linalg.norm(W, axis=0)
-    return np.where(s > floor, s * box.scale ** (2.0 * reg.value) / abs(C), 0.0)
+    return np.where(s > floor, s * scale ** (2.0 * reg.value) / abs(C), 0.0)
 
 
 # --- pointwise posterior --------------------------------------------------
@@ -259,38 +326,6 @@ def pointwise_posterior(X, y, eta, x_t, model: InterpolationModel | None = None)
     )
 
 
-def draw_sample_path(X, y, eta, grid, seed) -> tuple[np.ndarray, int]:
-    """One posterior sample path over grid points, drawn sequentially.
-
-    Each grid value is drawn from its pointwise t-posterior and then added to
-    the conditioning set, so later grid points see earlier draws. Grid points
-    that land on existing points are point masses: they reproduce the value
-    there and add nothing. Deterministic for a fixed seed.
-
-    Returns the path and the number of grid points that kept their mean
-    because the grown conditioning set was too ill-conditioned to refit.
-    """
-    reg = as_regularity(eta)
-    grid = as_points(grid)
-    rng = np.random.default_rng(seed)
-    out = np.empty(grid.shape[0])
-    kept_mean = 0
-    model = solve_interpolation(X, y, reg)
-    for i, g in enumerate(grid):
-        pp = pointwise_posterior(None, None, reg, g, model=model)
-        out[i] = pp.mean
-        if pp.is_point_mass:
-            continue
-        value = pp.mean + pp.scale * rng.standard_t(pp.dof)
-        try:
-            model = solve_interpolation(
-                np.vstack([model.X, g[None, :]]), np.append(model.y, value), reg
-            )
-        except SingularSystem:
-            # The grid has packed the conditioning set past what the saddle
-            # solve resolves: the scale here is below working precision, so
-            # the point keeps its coincident limit, the mean, and adds nothing.
-            kept_mean += 1
-            continue
-        out[i] = value
-    return out, kept_mean
+def draw_sample_path(X, y, eta, grid, seed) -> np.ndarray:
+    """One posterior sample path over grid points; see InterpolationModel.sample_paths."""
+    return solve_interpolation(X, y, eta).sample_paths(grid, [seed])[:, 0]

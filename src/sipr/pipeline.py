@@ -299,11 +299,22 @@ def load_archive(path: str) -> RegressionFit:
         raise IOError_(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ArchiveVersionError(f"{path} is not a model archive: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ArchiveVersionError(f"{path} is not a model archive: the document is not a JSON object")
     version = doc.get("format_version")
     if version != ARCHIVE_VERSION:
         raise ArchiveVersionError(
             f"{path} has archive format {version!r}; this build reads {ARCHIVE_VERSION}"
         )
+    try:
+        return _fit_from_archive(doc)
+    except (KeyError, TypeError, ValueError, IndexError) as exc:
+        raise ArchiveVersionError(
+            f"{path} is not a model archive: missing or ill-typed entry ({type(exc).__name__}: {exc})"
+        ) from exc
+
+
+def _fit_from_archive(doc: dict) -> RegressionFit:
     reg = Regularity(float(doc["eta"]))
     regime = Regime(doc["regime"])
     X = np.asarray(doc["X"], dtype=float)

@@ -155,11 +155,6 @@ class PosteriorDensity:
         """The eigendecomposition of (P, Sigma0) with Sigma0 = Sigma_inv, or E*^T E* for unknown noise."""
         return _Pencil(self.Sigma_inv if self.noise.is_known else self.base_quad, self.n_basis, self.h_mu_star)
 
-    def sigma_inv_at(self, log_sigma: float) -> np.ndarray:
-        if self.noise.is_known:
-            return self.Sigma_inv
-        return self.base_quad * math.exp(-2.0 * log_sigma)
-
     def _split(self, state: np.ndarray) -> tuple[np.ndarray, float | None]:
         state = np.asarray(state, dtype=float).reshape(-1)
         if state.shape[0] != self.dim:
@@ -201,49 +196,6 @@ class PosteriorDensity:
         g[: self.n_points] -= w * Ar
         g[-1] = -self.n_points + w * float(r @ Ar)
         return g
-
-    def hessian(self, state) -> np.ndarray:
-        """Analytic Hessian of the log posterior (the Laplace metric is tested against it)."""
-        h_star, log_sigma = self._split(state)
-        n2 = self._h_norm_sq(h_star)
-        h = h_star[: self.n_basis]
-        Hm = np.zeros((self.dim, self.dim))
-        Nh = self.n_basis
-        Hm[:Nh, :Nh] = -self.n_basis * (np.eye(Nh) / n2 - 2.0 * np.outer(h, h) / n2**2)
-        N = self.n_points
-        if self.noise.is_known:
-            Hm[:N, :N] -= self.Sigma_inv
-            return Hm
-        w = math.exp(-2.0 * log_sigma)
-        r = h_star - self.h_mu_star
-        Ar = self.base_quad @ r
-        Hm[:N, :N] -= w * self.base_quad
-        Hm[:N, -1] = 2.0 * w * Ar
-        Hm[-1, :N] = Hm[:N, -1]
-        Hm[-1, -1] = -2.0 * w * float(r @ Ar)
-        return Hm
-
-    def initial_state(self, h_star: np.ndarray) -> np.ndarray:
-        """Append the initial log sigma in unknown-noise mode."""
-        h_star = np.asarray(h_star, dtype=float).reshape(-1)
-        if self.noise.is_known:
-            return h_star.copy()
-        if h_star.shape[0] == self.dim:
-            return h_star.copy()
-        return np.append(h_star, math.log(self.noise.sigma_init))
-
-    def draw_log_sigma(self, h_star: np.ndarray, rng: np.random.Generator) -> float:
-        """Exact draw of log sigma from its conditional at fixed coordinates.
-
-        In u = sigma^-2 the conditional is Gamma(N/2, rate q/2) with q the
-        squared data misfit, so the noise scale can be resampled in one move.
-        Leapfrog steps alone crawl down the interpolation-pole funnel far too
-        slowly for the pole to show up within any reasonable budget.
-        """
-        if self.noise.is_known:
-            raise DomainError("the noise scale is fixed; there is nothing to draw")
-        r = np.asarray(h_star, dtype=float).reshape(-1) - self.h_mu_star
-        return _log_sigma_draw(self.n_points, float(r @ self.base_quad @ r), rng)
 
 
 def _log_sigma_draw(n_points: int, q: float, rng: np.random.Generator) -> float:

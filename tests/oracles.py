@@ -16,6 +16,12 @@ definitions, one dense solve per probe, per basis column or per iteration:
 * ``laplace_precondition`` -- the Cholesky factor of the dense negative
   Hessian at a state, with a diagonal fallback. The library applies the same
   metric as a diagonal and one rank-one term in those coordinates.
+* ``sigma_inv_at``, ``hessian``, ``initial_state`` and ``draw_log_sigma`` --
+  the dense precision, the analytic Hessian, the state layout and the exact
+  log-sigma draw of a ``PosteriorDensity`` in its original coordinates.
+* ``sequential_sample_path`` -- a sample path drawn one grid point at a time,
+  each value from its pointwise t posterior and then added to the data by a
+  refit. The library draws the whole grid jointly from one factored saddle.
 """
 
 from __future__ import annotations
@@ -32,6 +38,7 @@ from sipr._linalg import solve_symmetric
 from sipr.errors import (
     CoincidesWithDatapoint,
     DimensionMismatch,
+    DomainError,
     NoConvergence,
     PoleCollapse,
     SingularSystem,
@@ -47,7 +54,8 @@ from sipr.geometry import (
     nullspace_dim,
     unit_box_map,
 )
-from sipr.interpolate import InterpolationModel, solve_interpolation
+from sipr.interpolate import InterpolationModel, pointwise_posterior, solve_interpolation
+from sipr.posterior import _log_sigma_draw
 
 
 @dataclass(eq=False)
@@ -185,7 +193,7 @@ def map_estimate(density, tol: float = 1e-10, max_iter: int = 200) -> np.ndarray
     norm_mu = density.h_mu_norm
     if norm_mu == 0.0:
         raise PoleCollapse("interpolant is exactly polynomial; no kernel component to fit")
-    Sigma_inv = density.sigma_inv_at(0.0 if density.noise.is_known else math.log(density.noise.sigma_init))
+    Sigma_inv = sigma_inv_at(density, 0.0 if density.noise.is_known else math.log(density.noise.sigma_init))
     rhs = Sigma_inv @ h_mu
     state = h_mu.copy()
     rel = math.inf
@@ -215,8 +223,8 @@ def laplace_precondition(h_map, density) -> np.ndarray:
     positive definite, falls back to a diagonal preconditioner from the
     positive part of its diagonal.
     """
-    state = density.initial_state(np.asarray(h_map, dtype=float).reshape(-1))
-    negH = -density.hessian(state)
+    state = initial_state(density, np.asarray(h_map, dtype=float).reshape(-1))
+    negH = -hessian(density, state)
     noise = getattr(density, "noise", None)
     if noise is not None and not noise.is_known:
         # The sigma-coordinate cross terms hold only at the MAP residual and
@@ -232,3 +240,92 @@ def laplace_precondition(h_map, density) -> np.ndarray:
         d[~np.isfinite(d) | (d <= 0.0)] = 1.0
         d = np.maximum(d, floor)
         return np.diag(np.sqrt(d))
+
+
+def sigma_inv_at(density, log_sigma: float) -> np.ndarray:
+    if density.noise.is_known:
+        return density.Sigma_inv
+    return density.base_quad * math.exp(-2.0 * log_sigma)
+
+
+def hessian(density, state) -> np.ndarray:
+    """Analytic Hessian of the log posterior (the Laplace metric is tested against it)."""
+    h_star, log_sigma = density._split(state)
+    n2 = density._h_norm_sq(h_star)
+    h = h_star[: density.n_basis]
+    Hm = np.zeros((density.dim, density.dim))
+    Nh = density.n_basis
+    Hm[:Nh, :Nh] = -density.n_basis * (np.eye(Nh) / n2 - 2.0 * np.outer(h, h) / n2**2)
+    N = density.n_points
+    if density.noise.is_known:
+        Hm[:N, :N] -= density.Sigma_inv
+        return Hm
+    w = math.exp(-2.0 * log_sigma)
+    r = h_star - density.h_mu_star
+    Ar = density.base_quad @ r
+    Hm[:N, :N] -= w * density.base_quad
+    Hm[:N, -1] = 2.0 * w * Ar
+    Hm[-1, :N] = Hm[:N, -1]
+    Hm[-1, -1] = -2.0 * w * float(r @ Ar)
+    return Hm
+
+
+def initial_state(density, h_star: np.ndarray) -> np.ndarray:
+    """Append the initial log sigma in unknown-noise mode."""
+    h_star = np.asarray(h_star, dtype=float).reshape(-1)
+    if density.noise.is_known:
+        return h_star.copy()
+    if h_star.shape[0] == density.dim:
+        return h_star.copy()
+    return np.append(h_star, math.log(density.noise.sigma_init))
+
+
+def draw_log_sigma(density, h_star: np.ndarray, rng: np.random.Generator) -> float:
+    """Exact draw of log sigma from its conditional at fixed coordinates.
+
+    In u = sigma^-2 the conditional is Gamma(N/2, rate q/2) with q the
+    squared data misfit, so the noise scale can be resampled in one move.
+    Leapfrog steps alone crawl down the interpolation-pole funnel far too
+    slowly for the pole to show up within any reasonable budget.
+    """
+    if density.noise.is_known:
+        raise DomainError("the noise scale is fixed; there is nothing to draw")
+    r = np.asarray(h_star, dtype=float).reshape(-1) - density.h_mu_star
+    return _log_sigma_draw(density.n_points, float(r @ density.base_quad @ r), rng)
+
+
+def sequential_sample_path(X, y, eta, grid, seed) -> tuple[np.ndarray, int]:
+    """One posterior sample path over grid points, drawn sequentially.
+
+    Each grid value is drawn from its pointwise t-posterior and then added to
+    the conditioning set, so later grid points see earlier draws. Grid points
+    that land on existing points are point masses: they reproduce the value
+    there and add nothing. Deterministic for a fixed seed.
+
+    Returns the path and the number of grid points that kept their mean
+    because the grown conditioning set was too ill-conditioned to refit.
+    """
+    reg = as_regularity(eta)
+    grid = as_points(grid)
+    rng = np.random.default_rng(seed)
+    out = np.empty(grid.shape[0])
+    kept_mean = 0
+    model = solve_interpolation(X, y, reg)
+    for i, g in enumerate(grid):
+        pp = pointwise_posterior(None, None, reg, g, model=model)
+        out[i] = pp.mean
+        if pp.is_point_mass:
+            continue
+        value = pp.mean + pp.scale * rng.standard_t(pp.dof)
+        try:
+            model = solve_interpolation(
+                np.vstack([model.X, g[None, :]]), np.append(model.y, value), reg
+            )
+        except SingularSystem:
+            # The grid has packed the conditioning set past what the saddle
+            # solve resolves: the scale here is below working precision, so
+            # the point keeps its coincident limit, the mean, and adds nothing.
+            kept_mean += 1
+            continue
+        out[i] = value
+    return out, kept_mean

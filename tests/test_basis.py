@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from sipr.basis import build_orthonormal_basis, eval_functional, to_subspace
+from sipr.basis import build_orthonormal_basis, evaluation_matrix, to_subspace
 from sipr.errors import NotPositiveDefinite, SingularSystem, TooFewPoints
 from sipr.geometry import eta_norm_constant
 from sipr.interpolate import solve_interpolation
@@ -88,7 +88,7 @@ def test_subspace_coordinates_match_interpolant():
     model = solve_interpolation(X, y, eta)
     probes = np.linspace(0.05, 0.95, 11)[:, None]
     direct = model.evaluate(probes)
-    via_basis = np.array([eval_functional(basis, p) @ h_mu for p in probes])
+    via_basis = evaluation_matrix(basis, probes) @ h_mu
     np.testing.assert_allclose(via_basis, direct, rtol=1e-7, atol=1e-9)
 
 
@@ -123,10 +123,10 @@ def test_non_spd_noise_covariance_rejected():
         to_subspace(basis, y, bad)
 
 
-def test_eval_functional_shape_and_polynomial_block():
+def test_evaluation_matrix_shape_and_polynomial_block():
     X, _ = random_dataset(9, 2, seed=41)
     basis = build_orthonormal_basis(X, 1.5)
-    e = eval_functional(basis, np.array([0.3, 0.7]))
+    e = evaluation_matrix(basis, np.array([[0.3, 0.7]]))[0]
     assert e.shape == (9,)
     # Last N0 entries are the probe's monomials 1, x0, x1.
     np.testing.assert_allclose(e[-3:], [1.0, 0.3, 0.7], rtol=1e-14)

@@ -12,8 +12,6 @@ import pytest
 from sipr import __version__
 from sipr.cli import main
 from sipr.data import higdon
-from sipr.interpolate import draw_sample_path
-from tests.conftest import random_dataset, write_csv
 
 pytestmark = pytest.mark.usefixtures("clean_env")
 
@@ -82,28 +80,6 @@ class TestInterpolate:
         _, header, rows = read_output(out1)
         assert header[-3:] == ["path_0", "path_1", "path_2"]
         assert rows.shape == (21, 7)
-
-    def test_sample_paths_report_points_that_kept_their_mean(self, tmp_path, capsys):
-        # At eta = 2.5 a 100-point grid packs the conditioning set until the
-        # refit is too ill-conditioned for a few grid points; they keep their
-        # mean, and both the function and the command say how many.
-        X, y = random_dataset(10, 1, seed=0)
-        grid = np.linspace(0.003, 0.997, 100)[:, None]
-        _, kept_mean = draw_sample_path(X, y, 2.5, grid, seed=0)
-        assert kept_mean > 0
-
-        data = tmp_path / "d.csv"
-        write_csv(data, X, y, feature_names=["x"])
-        code = main(["interpolate", "--data", str(data), "--target", "y", "--eta", "2.5",
-                     "--grid", "0.003:0.997:100", "--paths", "1",
-                     "--out", str(tmp_path / "o.csv")])
-        assert code == 0
-        lines = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("path 0:")]
-        assert len(lines) == 1
-        k = int(lines[0].split()[2])
-        assert k > 0
-        assert lines[0] == (f"path 0: {k} of 100 grid points kept their mean "
-                            "(conditioning set too ill-conditioned)")
 
     def test_probes_file_with_extra_columns(self, tmp_path):
         data = tmp_path / "d.csv"
@@ -326,6 +302,25 @@ class TestExitCodes:
                      "--out", str(tmp_path / "o.csv")])
         assert code == 2
         assert "not a model archive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("document", ["[]", '{"format_version": 1}'])
+    def test_json_that_is_not_an_archive_is_2(self, tmp_path, capsys, document):
+        model = tmp_path / "m.json"
+        model.write_text(document + "\n")
+        code = main(["predict", "--model", str(model), "--grid", "0:1:5",
+                     "--out", str(tmp_path / "o.csv")])
+        assert code == 2
+        assert "not a model archive" in capsys.readouterr().err
+
+    def test_repeated_probe_column_is_2(self, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        write_higdon(data, n=8)
+        probes = tmp_path / "p.csv"
+        probes.write_text("x,x\n0.5,100\n")
+        code = main(["interpolate", "--data", str(data), "--target", "y", "--eta", "1.5",
+                     "--probes", str(probes), "--out", str(tmp_path / "o.csv")])
+        assert code == 2
+        assert "repeated column name(s) in the header: x" in capsys.readouterr().err
 
     def test_unknown_flag_is_2(self, capsys):
         assert main(["interpolate", "--frobnicate"]) == 2

@@ -11,6 +11,7 @@ from sipr.data import (
     higdon_truth,
     kfold,
     load_csv,
+    load_probe_csv,
     minmax_scale,
     rmse,
 )
@@ -75,6 +76,18 @@ class TestLoadCsv:
     def test_missing_file(self, tmp_path):
         with pytest.raises(IOError_):
             load_csv(str(tmp_path / "absent.csv"), target="y")
+
+    def test_repeated_column_name_rejected(self, tmp_path):
+        # Two columns called x would both become feature "x", and a probe
+        # file looks each name up once, so the second column would be lost.
+        p = tmp_path / "d.csv"
+        p.write_text("x,x,y\n0.1,0.2,1\n0.3,0.4,2\n")
+        with pytest.raises(ValidationError, match="repeated column name.*: x$"):
+            load_csv(str(p), target="y")
+        probes = tmp_path / "p.csv"
+        probes.write_text("x, x,z,z\n0.5,100,1,2\n")
+        with pytest.raises(ValidationError, match="repeated column name.*: x, z$"):
+            load_probe_csv(str(probes), ["x"])
 
 
 class TestMinmaxScale:

@@ -15,10 +15,7 @@ from sipr.geometry import (
     check_distinct,
     eta_norm_constant,
     greens_matrix,
-    greens_vector,
-    kernel_system,
     monomial_matrix,
-    monomial_vector,
     multi_indices,
     nullspace_dim,
     unit_box_map,
@@ -109,12 +106,6 @@ class TestGreensMatrix:
         assert G[1, 2] == pytest.approx(2.0**3)
         assert np.array_equal(G, G.T)
 
-    def test_matches_greens_vector(self):
-        X = np.random.default_rng(1).uniform(size=(6, 2))
-        G = greens_matrix(X, 2.5)
-        for n in range(6):
-            np.testing.assert_allclose(greens_vector(X, X[n], 2.5), G[n], atol=1e-14)
-
     def test_duplicate_points_rejected(self):
         X = np.array([[0.0, 0.0], [1.0, 2.0], [1.0, 2.0]])
         with pytest.raises(DuplicatePoints, match="1 and 2"):
@@ -136,29 +127,9 @@ def test_monomial_matrix_rows_are_monomials():
     assert M.shape == (len(idx), 4)
     for i, v in enumerate(idx):
         np.testing.assert_allclose(M[i], X[:, 0] ** v[0] * X[:, 1] ** v[1], rtol=1e-14)
-    # Single-point version agrees column by column.
-    for n in range(4):
-        np.testing.assert_allclose(monomial_vector(X[n], 2.5), M[:, n], rtol=1e-14)
-
-
-def test_kernel_system_saddle_layout():
-    X = np.random.default_rng(3).uniform(size=(5, 2))
-    ks = kernel_system(X, 1.5)
-    S = ks.saddle
-    N, N0 = ks.n_points, ks.n_null
-    assert S.shape == (N + N0, N + N0)
-    np.testing.assert_array_equal(S[:N, :N], ks.G)
-    np.testing.assert_array_equal(S[N:, :N], ks.M)
-    np.testing.assert_array_equal(S[:N, N:], ks.M.T)
-    np.testing.assert_array_equal(S[N:, N:], np.zeros((N0, N0)))
 
 
 class TestUnitBoxMap:
-    def test_roundtrip(self):
-        X = np.random.default_rng(7).normal(5.0, 20.0, size=(30, 3))
-        box = unit_box_map(X)
-        np.testing.assert_allclose(box.inverse(box.forward(X)), X, rtol=1e-12, atol=1e-12)
-
     def test_forward_lands_in_unit_box(self):
         X = np.random.default_rng(8).normal(size=(50, 2)) * [100.0, 0.01]
         U = unit_box_map(X).forward(X)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from sipr.errors import (
     CoincidesWithDatapoint,
@@ -15,15 +16,23 @@ from sipr.errors import (
     DimensionMismatch,
     DuplicatePoints,
 )
-from sipr.geometry import eta_norm_constant, greens_matrix, monomial_matrix, nullspace_dim
+from sipr.geometry import (
+    Regularity,
+    eta_norm_constant,
+    greens_matrix,
+    monomial_matrix,
+    nullspace_dim,
+)
 from sipr.interpolate import (
     POLYNOMIAL_TOL,
+    _saddle,
     draw_sample_path,
     eta_norm_sq,
     pointwise_posterior,
     power_function_sq,
     solve_interpolation,
 )
+from tests import oracles
 from tests.conftest import random_dataset
 from tests.oracles import test_function as make_test_function
 
@@ -229,9 +238,9 @@ class TestSamplePaths:
     def test_deterministic_per_seed(self):
         X, y = random_dataset(7, 1, seed=29)
         grid = np.linspace(0.0, 1.0, 25)[:, None]
-        p1, _ = draw_sample_path(X, y, 1.5, grid, seed=101)
-        p2, _ = draw_sample_path(X, y, 1.5, grid, seed=101)
-        p3, _ = draw_sample_path(X, y, 1.5, grid, seed=102)
+        p1 = draw_sample_path(X, y, 1.5, grid, seed=101)
+        p2 = draw_sample_path(X, y, 1.5, grid, seed=101)
+        p3 = draw_sample_path(X, y, 1.5, grid, seed=102)
         np.testing.assert_array_equal(p1, p2)
         assert not np.array_equal(p1, p3)
 
@@ -239,17 +248,17 @@ class TestSamplePaths:
         X = np.array([[0.1], [0.5], [0.9]])
         y = np.array([1.0, -1.0, 0.5])
         grid = np.concatenate([np.linspace(0.0, 1.0, 11)[:, None], X])
-        path, _ = draw_sample_path(X, y, 0.5, grid, seed=7)
+        path = draw_sample_path(X, y, 0.5, grid, seed=7)
         np.testing.assert_allclose(path[-3:], y, atol=1e-9)
         assert path[5] == pytest.approx(-1.0, abs=1e-9)  # grid point 0.5 is a datapoint
 
     def test_dense_grid_at_high_regularity_completes(self):
-        # A fine grid packs the conditioning set until the saddle solve can
-        # no longer take new points; those keep their mean instead of failing
-        # the whole path.
+        # A fine grid at eta = 2.5 makes the grid's conditional kernel
+        # numerically rank-deficient; its square root still gives every
+        # grid point a finite draw.
         X, y = random_dataset(10, 1, seed=0)
         grid = np.linspace(0.003, 0.997, 100)[:, None]
-        path, _ = draw_sample_path(X, y, 2.5, grid, seed=0)
+        path = draw_sample_path(X, y, 2.5, grid, seed=0)
         assert np.all(np.isfinite(path))
 
     def test_wiggles_between_data(self):
@@ -257,5 +266,69 @@ class TestSamplePaths:
         X, y = random_dataset(5, 1, seed=31)
         grid = np.linspace(0.0, 1.0, 15)[:, None]
         model = solve_interpolation(X, y, 0.5)
-        path, _ = draw_sample_path(X, y, 0.5, grid, seed=3)
+        path = draw_sample_path(X, y, 0.5, grid, seed=3)
         assert np.abs(path - model.evaluate(grid)).max() > 1e-6
+
+    def test_polynomial_data_gives_the_mean(self):
+        X = np.linspace(0.0, 1.0, 6)[:, None]
+        y = 3.0 - 2.0 * X[:, 0]
+        grid = np.linspace(-0.5, 1.5, 30)[:, None]
+        model = solve_interpolation(X, y, 1.5)
+        np.testing.assert_array_equal(draw_sample_path(X, y, 1.5, grid, seed=4), model.evaluate(grid))
+
+    def test_columns_match_single_seed_draws(self):
+        # The last two grid points are datapoints: every path takes exactly
+        # the mean there.
+        X, y = random_dataset(8, 2, seed=37)
+        grid = np.vstack([np.random.default_rng(38).uniform(-0.2, 1.2, size=(10, 2)), X[:2]])
+        model = solve_interpolation(X, y, 1.5)
+        paths = model.sample_paths(grid, [5, 6, 7])
+        assert paths.shape == (12, 3)
+        for j, seed in enumerate([5, 6, 7]):
+            np.testing.assert_array_equal(paths[:, j], draw_sample_path(X, y, 1.5, grid, seed))
+            np.testing.assert_array_equal(paths[-2:, j], model.evaluate(X[:2]))
+        assert model.sample_paths(grid, []).shape == (12, 0)
+
+    @pytest.mark.parametrize("eta", [0.5, 1.5, 2.5])
+    def test_same_law_as_sequential_draws(self, eta):
+        # The t-process chain rule: drawing the grid jointly and drawing it
+        # one point at a time, refitting after each, give the same law. The
+        # grid reaches outside the data hull; two-sample KS tests on four path
+        # statistics, Bonferroni-corrected over 4 statistics x 3 etas at 1%.
+        # The grid is dense enough for neighbouring values to be strongly
+        # correlated, so independent draws with the right marginals fail.
+        X, y = random_dataset(6, 1, seed=43)
+        grid = np.linspace(-0.2, 1.2, 16)[:, None]
+        n = 400
+        joint = solve_interpolation(X, y, eta).sample_paths(grid, range(n)).T
+        sequential = []
+        for seed in range(10_000, 10_000 + n):
+            path, kept_mean = oracles.sequential_sample_path(X, y, eta, grid, seed)
+            assert kept_mean == 0
+            sequential.append(path)
+        sequential = np.array(sequential)
+
+        def statistics(paths):
+            return {
+                "mid-grid value": paths[:, len(grid) // 2],
+                "end-to-end difference": paths[:, -1] - paths[:, 0],
+                "maximum": paths.max(axis=1),
+                "sum of squared increments": (np.diff(paths, axis=1) ** 2).sum(axis=1),
+            }
+
+        ours, reference = statistics(joint), statistics(sequential)
+        for name in ours:
+            p = stats.ks_2samp(ours[name], reference[name]).pvalue
+            assert p > 0.01 / 12, f"{name}: KS p = {p:.2e}"
+
+
+def test_saddle_layout():
+    U = np.random.default_rng(3).uniform(size=(5, 2))
+    S = _saddle(U, Regularity(1.5))
+    G, M = greens_matrix(U, 1.5), monomial_matrix(U, 1.5)
+    N, N0 = G.shape[0], M.shape[0]
+    assert S.shape == (N + N0, N + N0)
+    np.testing.assert_array_equal(S[:N, :N], G)
+    np.testing.assert_array_equal(S[N:, :N], M)
+    np.testing.assert_array_equal(S[:N, N:], M.T)
+    np.testing.assert_array_equal(S[N:, N:], np.zeros((N0, N0)))

@@ -97,7 +97,7 @@ class TestDerivatives:
         d = make_density(noise=noise)
         rng = np.random.default_rng(11)
         for _ in range(20):
-            state = d.initial_state(d.h_mu_star + 0.3 * rng.normal(size=d.n_points))
+            state = oracles.initial_state(d, d.h_mu_star + 0.3 * rng.normal(size=d.n_points))
             if not d.noise.is_known:
                 state[-1] += rng.normal() * 0.3
             g = d.grad(state)
@@ -108,8 +108,8 @@ class TestDerivatives:
     def test_hessian_matches_finite_differences(self, noise):
         d = make_density(noise=noise)
         rng = np.random.default_rng(13)
-        state = d.initial_state(d.h_mu_star + 0.3 * rng.normal(size=d.n_points))
-        H = d.hessian(state)
+        state = oracles.initial_state(d, d.h_mu_star + 0.3 * rng.normal(size=d.n_points))
+        H = oracles.hessian(d, state)
         fd = np.column_stack(
             [numeric_grad(lambda s: d.grad(s)[i], state, step=1e-4) for i in range(d.dim)]
         )
@@ -274,7 +274,7 @@ class TestLaplacePrecondition:
         h_map = map_estimate(d)
         J, m = whitening(d, h_map)
         assert m.name == "laplace" and m.k > 0.0
-        np.testing.assert_allclose(J.T @ -d.hessian(h_map) @ J, np.eye(d.dim), rtol=0.0, atol=1e-9)
+        np.testing.assert_allclose(J.T @ -oracles.hessian(d, h_map) @ J, np.eye(d.dim), rtol=0.0, atol=1e-9)
         L = oracles.laplace_precondition(h_map, d)  # the dense factor of the same metric
         np.testing.assert_allclose(J.T @ L @ L.T @ J, np.eye(d.dim), rtol=0.0, atol=1e-9)
 
@@ -282,9 +282,9 @@ class TestLaplacePrecondition:
         # The off-diagonal sigma curvature holds only at the MAP residual, so
         # the metric keeps the two blocks but not the coupling between them.
         d = make_density(noise=UnknownNoise(0.1))
-        state = d.initial_state(map_estimate(d))
+        state = oracles.initial_state(d, map_estimate(d))
         J, m = whitening(d, state)
-        expected = -d.hessian(state)
+        expected = -oracles.hessian(d, state)
         assert np.abs(expected[:-1, -1]).max() > 1e-8  # coupling exists...
         expected[:-1, -1] = 0.0
         expected[-1, :-1] = 0.0  # ...but the metric ignores it
@@ -298,7 +298,7 @@ class TestLaplacePrecondition:
         # Hessian indefinite; the metric drops it and keeps diag(d) > 0.
         d = make_density(noise=KnownNoise(1e3))
         state = d.h_mu_star
-        negH = -d.hessian(state)
+        negH = -oracles.hessian(d, state)
         assert np.linalg.eigvalsh(negH).min() < 0.0
         J, m = whitening(d, state)
         assert m.name == "laplace_without_radial_term" and m.k == 0.0
@@ -314,7 +314,7 @@ class TestLaplacePrecondition:
         # At the interpolant the misfit and with it the sigma curvature vanish;
         # the metric falls back to a unit scale for log sigma.
         d = make_density(noise=UnknownNoise(0.1))
-        _, m = whitening(d, d.initial_state(d.h_mu_star))
+        _, m = whitening(d, oracles.initial_state(d, d.h_mu_star))
         assert m.ell == 1.0
 
 
@@ -322,7 +322,7 @@ class TestDrawLogSigma:
     def test_rejected_for_known_noise(self):
         d = make_density()
         with pytest.raises(DomainError):
-            d.draw_log_sigma(d.h_mu_star, np.random.default_rng(0))
+            oracles.draw_log_sigma(d, d.h_mu_star, np.random.default_rng(0))
 
     def test_matches_conditional_density(self):
         # In u = sigma^-2 the conditional at fixed coordinates is
@@ -332,7 +332,7 @@ class TestDrawLogSigma:
         h = d.h_mu_star + 0.2 * rng.normal(size=d.n_points)
         r = h - d.h_mu_star
         q = float(r @ d.base_quad @ r)
-        draws = np.array([d.draw_log_sigma(h, rng) for _ in range(20000)])
+        draws = np.array([oracles.draw_log_sigma(d, h, rng) for _ in range(20000)])
         u = np.exp(-2.0 * draws)
         mean, var = d.n_points / q, 2.0 * d.n_points / q**2
         assert abs(u.mean() - mean) < 4.0 * math.sqrt(var / u.size)
@@ -342,18 +342,18 @@ class TestDrawLogSigma:
         # A perfect fit sends the conditional mass to sigma -> 0; the draw
         # clamps instead of returning -inf so the chain state stays usable.
         d = make_density(noise=UnknownNoise(0.1))
-        t = d.draw_log_sigma(d.h_mu_star, np.random.default_rng(2))
+        t = oracles.draw_log_sigma(d, d.h_mu_star, np.random.default_rng(2))
         assert math.isfinite(t) and t < -300.0
 
 
 def test_initial_state_modes():
     d_known = make_density()
     h = d_known.h_mu_star
-    out = d_known.initial_state(h)
+    out = oracles.initial_state(d_known, h)
     assert np.array_equal(out, h) and out is not h
     d_unknown = make_density(noise=UnknownNoise(0.25))
-    out = d_unknown.initial_state(h)
+    out = oracles.initial_state(d_unknown, h)
     assert out.shape == (d_unknown.dim,)
     assert out[-1] == pytest.approx(math.log(0.25))
     # Already-complete states pass through unchanged.
-    np.testing.assert_array_equal(d_unknown.initial_state(out), out)
+    np.testing.assert_array_equal(oracles.initial_state(d_unknown, out), out)

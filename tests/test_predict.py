@@ -9,7 +9,7 @@ import pytest
 from scipy.stats import t as student_t
 
 import sipr.interpolate
-from sipr._linalg import solve_symmetric
+from sipr._linalg import SymmetricFactor, solve_symmetric
 from sipr.basis import build_orthonormal_basis
 from sipr.cli import main
 from sipr.errors import WrongRegime
@@ -142,24 +142,33 @@ def test_one_saddle_solve_per_probe_set(fit, monkeypatch, tmp_path, n_probes):
     data = write_csv(tmp_path / "d.csv", X, y, feature_names=["x"])
     probes = np.linspace(0.01, 0.99, n_probes)[:, None]
     calls = []
+    factorizations = []
 
     def counting_solve(A, b):
         calls.append(np.shape(b))
         return solve_symmetric(A, b)
 
+    factor = SymmetricFactor.__init__
+
+    def counting_factor(self, A):
+        factorizations.append(np.shape(A))
+        factor(self, A)
+
     monkeypatch.setattr(sipr.interpolate, "solve_symmetric", counting_solve)
+    monkeypatch.setattr(SymmetricFactor, "__init__", counting_factor)
+    saddle = (len(X) + basis.n_null, len(X) + basis.n_null)
 
     credible_band(posterior, basis, probes, sigma_y=0.1)
     assert calls == [(len(X) + basis.n_null, n_probes)]
 
     calls.clear()
-    exact.predict(probes)  # interpolation-pole band
-    assert calls == [(len(X) + basis.n_null, n_probes)]
+    factorizations.clear()
+    exact.predict(probes)  # interpolation-pole band, from the fit's own factor
+    assert calls == [] and factorizations == []
 
-    calls.clear()
     out = tmp_path / "o.csv"
     args = ["interpolate", "--data", data, "--target", "y", "--eta", str(eta),
-            "--grid", f"0.01:0.99:{n_probes}", "--out", str(out)]
+            "--grid", f"0.01:0.99:{n_probes}", "--paths", "3", "--out", str(out)]
     assert main(args) == 0
-    # one solve fits the interpolant, one serves every probe
-    assert calls == [(len(X) + basis.n_null,), (len(X) + basis.n_null, n_probes)]
+    # one factorization fits the interpolant and serves every probe and path
+    assert calls == [] and factorizations == [saddle]
