@@ -8,6 +8,7 @@ Monte Carlo, for small noisy datasets with a single regularity knob eta.
 from .geometry import (
     Regularity,
     eta_norm_constant,
+    eta_norm_sq,
     greens_matrix,
     monomial_matrix,
     multi_indices,
@@ -17,7 +18,6 @@ from .interpolate import (
     InterpolationModel,
     PointwisePosterior,
     draw_sample_path,
-    eta_norm_sq,
     pointwise_posterior,
     solve_interpolation,
 )

@@ -41,11 +41,6 @@ class SymmetricFactor:
         return x
 
 
-def solve_symmetric(A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve A x = b for symmetric indefinite A, gating on rcond."""
-    return SymmetricFactor(A).solve(b)
-
-
 def solve_square(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve A x = b for general square A, gating on rcond."""
     A = np.ascontiguousarray(A, dtype=float)

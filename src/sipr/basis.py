@@ -24,40 +24,31 @@ from scipy.linalg import cho_factor, cho_solve, cholesky, null_space, solve_tria
 
 from ._linalg import solve_square
 from .errors import DimensionMismatch, NotPositiveDefinite, SingularSystem, TooFewPoints
-from .geometry import (
-    Regularity,
-    as_points,
-    as_regularity,
-    eta_norm_constant,
-    greens_matrix,
-    monomial_matrix,
-    nullspace_dim,
-    pairwise_sq_dists,
-    unit_box_map,
-)
+from .geometry import Regularity, _Geometry, eta_norm_constant
 
 
 @dataclass(eq=False)
 class SubspaceBasis:
     """Norm-orthonormal basis of the data-spanned subspace for one point set."""
 
-    X: np.ndarray  # (N, D)
-    eta: Regularity
+    geometry: _Geometry = field(repr=False)  # the points, eta, G and M
     H: np.ndarray  # (N, Nh) coefficient columns, M H = 0, C H^T G H = I
-    G: np.ndarray = field(repr=False)  # (N, N)
-    M: np.ndarray = field(repr=False)  # (N0, N)
+
+    @property
+    def X(self) -> np.ndarray:
+        return self.geometry.X
+
+    @property
+    def eta(self) -> Regularity:
+        return self.geometry.eta
 
     @property
     def n_points(self) -> int:
-        return self.X.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.X.shape[1]
+        return self.geometry.n_points
 
     @property
     def n_null(self) -> int:
-        return self.M.shape[0]
+        return self.geometry.n_null
 
     @property
     def n_basis(self) -> int:
@@ -66,7 +57,7 @@ class SubspaceBasis:
     @cached_property
     def Estar(self) -> np.ndarray:
         """Map from subspace coordinates to function values at the datapoints."""
-        return np.hstack([self.G @ self.H, self.M.T])
+        return np.hstack([self.geometry.G @ self.H, self.geometry.M.T])
 
     def spline_coefficients(self, h_star: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Kernel and polynomial coefficients (a, c) of the function at h*."""
@@ -100,21 +91,21 @@ def build_orthonormal_basis(X, eta) -> SubspaceBasis:
     pass against the computed Gram matrix removes the rounding the first
     Cholesky leaves at large N (CholeskyQR2, Fukaya et al. 2014); a basis
     that is still not orthonormal to 1e-6 raises SingularSystem.
+
+    X may also be the _Geometry of the points already assembled (a fit shares
+    its interpolant's); eta is then the geometry's own.
     """
-    reg = as_regularity(eta)
-    X = as_points(X)
-    N, D = X.shape
-    N0 = nullspace_dim(D, reg)
+    geometry = X if isinstance(X, _Geometry) else _Geometry(X, eta)
+    N, N0 = geometry.n_points, geometry.n_null
     if N < N0 + 1:
         raise TooFewPoints(f"need at least {N0 + 1} points, got {N}")
-    G = greens_matrix(X, reg)
-    M = monomial_matrix(X, reg)
-    C = eta_norm_constant(D, reg)
+    G = geometry.G
+    C = eta_norm_constant(geometry.dim, geometry.eta)
     Nh = N - N0
 
     # Monomials of unit-box coordinates span the same polynomials, so they
     # give the same constraint, better conditioned.
-    M_u = monomial_matrix(unit_box_map(X).forward(X), reg)
+    M_u = geometry.M_u
     lead = M_u[:, : N0 + 1]
     ker = null_space(lead)
     if ker.shape[1] != 1:
@@ -134,7 +125,7 @@ def build_orthonormal_basis(X, eta) -> SubspaceBasis:
             f"basis is not orthonormal (max |C H^T G H - I| = {resid:.3e}); "
             "the datapoints are too close together for the kernel system"
         )
-    return SubspaceBasis(X=X, eta=reg, H=H, G=G, M=M)
+    return SubspaceBasis(geometry=geometry, H=H)
 
 
 def to_subspace(basis: SubspaceBasis, y, sigma_y) -> tuple[np.ndarray, np.ndarray]:
@@ -146,7 +137,7 @@ def to_subspace(basis: SubspaceBasis, y, sigma_y) -> tuple[np.ndarray, np.ndarra
     """
     y = np.asarray(y, dtype=float).reshape(-1)
     if y.shape[0] != basis.n_points:
-        raise SingularSystem(f"{basis.n_points} points but {y.shape[0]} values")
+        raise DimensionMismatch(f"{basis.n_points} points but {y.shape[0]} values")
     E = basis.Estar
     h_mu_star = solve_square(E, y)
     sig = np.asarray(sigma_y, dtype=float)
@@ -172,9 +163,5 @@ def evaluation_matrix(basis: SubspaceBasis, probes) -> np.ndarray:
 
     Shape (P, N): the kernel block g(x)^T H, then the probe's monomials.
     """
-    P = as_points(probes)
-    if P.shape[1] != basis.dim:
-        raise DimensionMismatch(f"probes have {P.shape[1]} features, data has {basis.dim}")
-    g = pairwise_sq_dists(P, basis.X) ** basis.eta.value
-    return np.hstack([g @ basis.H, monomial_matrix(P, basis.eta).T])
-
+    g, m = basis.geometry.probe_rows(probes)
+    return np.hstack([g @ basis.H, m.T])

@@ -9,7 +9,6 @@ codes: 0 success, 2 invalid input, 3 numerical failure, 4 I/O failure.
 
 from __future__ import annotations
 
-import os
 import sys
 
 import click
@@ -58,16 +57,6 @@ def _load_probes(probes_path, grid, feature_names) -> np.ndarray:
             raise ValidationError("--grid only applies to one-dimensional data; use --probes")
         return _parse_grid(grid)
     return load_probe_csv(probes_path, feature_names)
-
-
-def _jobs_value(jobs: int) -> int:
-    env = os.environ.get("SIPR_JOBS")
-    if env is not None:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ValidationError(f"SIPR_JOBS must be an integer, got {env!r}") from None
-    return max(1, jobs)
 
 
 def _noise_value(noise: str):
@@ -217,17 +206,14 @@ def cmd_predict(model_path, probes_path, grid, level, out_path):
 @click.option("--folds", type=int, default=5, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @_sampler_options
-@click.option("--jobs", type=int, default=1, show_default=True,
-              help="Limit on folds fitted at once (SIPR_JOBS overrides).")
 @click.option("--out", "out_path", required=True, type=click.Path(), help="Per-fold RMSE CSV.")
 def cmd_crossval(data_path, target, eta, noise, folds, seed, chains, samples, burn_in,
-                 leapfrog, target_accept, jobs, out_path):
+                 leapfrog, target_accept, out_path):
     """k-fold cross-validation; per-fold and pooled RMSE in original units."""
     reg = as_regularity(eta)
     ds = load_csv(data_path, target)
     cfg = _config(seed, chains, samples, burn_in, leapfrog, target_accept)
-    result = run_crossval(ds, reg, noise=_noise_value(noise), k=folds, seed=seed,
-                          config=cfg, jobs=_jobs_value(jobs))
+    result = run_crossval(ds, reg, noise=_noise_value(noise), k=folds, seed=seed, config=cfg)
 
     lines = [_comment_header(seed, reg.value), "fold,n_test,rmse,regime"]
     for f in result.folds:

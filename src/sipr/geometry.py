@@ -7,18 +7,23 @@ X (N x D) and a regularity exponent eta,
     M[v, n] = x_n^v                        (one row per multi-index |v| < eta)
 
 and the constant that turns the quadratic form a^T G a into a squared norm.
+_Geometry holds them, and the factored kernel system they form, for one point
+set: the interpolant, its posterior, the orthonormal basis and the bands all
+read them from one instance.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 
 import numpy as np
 from scipy.special import gammaln
 
-from .errors import DimensionMismatch, DuplicatePoints, IntegerEta
+from ._linalg import RCOND_MIN, SymmetricFactor
+from .errors import ConstraintViolated, DimensionMismatch, DuplicatePoints, IntegerEta
 
 # Tolerance for "two points coincide", applied in unit-box coordinates.
 DUPLICATE_TOL = 1e-12
@@ -158,6 +163,28 @@ def monomial_matrix(X, eta) -> np.ndarray:
     return M
 
 
+def eta_norm_sq(a, G, eta, dim: int, M=None) -> float:
+    """Squared norm of the function with kernel coefficients a on matrix G.
+
+    Requires the growth-rate constraint M a = 0; pass M to have it checked
+    (violations beyond 1e-6 raise ConstraintViolated, since the quadratic
+    form has no norm meaning off the constraint set).
+    """
+    reg = as_regularity(eta)
+    a = np.asarray(a, dtype=float).reshape(-1)
+    G = np.asarray(G, dtype=float)
+    if G.shape != (a.shape[0], a.shape[0]):
+        raise DimensionMismatch(f"G has shape {G.shape}, coefficients have length {a.shape[0]}")
+    if M is not None:
+        resid = np.abs(np.asarray(M) @ a)
+        scale = max(float(np.abs(a).max(initial=0.0)), 1.0)
+        if resid.size and resid.max() > 1e-6 * scale:
+            raise ConstraintViolated(
+                f"coefficients violate the growth-rate constraint (|M a| up to {resid.max():.3e})"
+            )
+    return eta_norm_constant(dim, reg) * float(a @ G @ a)
+
+
 # --- conditioning transform ----------------------------------------------
 
 
@@ -190,3 +217,88 @@ def unit_box_map(X) -> UnitBoxMap:
     if not np.isfinite(span) or span <= 0.0:
         span = 1.0
     return UnitBoxMap(shift=lo, scale=span)
+
+
+# --- one point set --------------------------------------------------------
+
+
+class _Geometry:
+    """The kernel system of one point set X at regularity eta, assembled once.
+
+    G and M are in the caller's units; building G rejects duplicate points.
+    Solves run in the unit box u = (x - shift) / s for conditioning: distances
+    shrink by s, so the saddle there is
+
+        K = [[G s^(-2 eta), M_u^T], [M_u, 0]],
+
+    with M_u the unit-box monomials, which span the same polynomials. K is
+    factored on first use and serves every solve and probe set of the point
+    set.
+    """
+
+    def __init__(self, X, eta):
+        self.eta = as_regularity(eta)
+        self.X = as_points(X)
+        self.G = greens_matrix(self.X, self.eta)
+        self.M = monomial_matrix(self.X, self.eta)
+        self.box = unit_box_map(self.X)
+        self.U = self.box.forward(self.X)
+        self.M_u = monomial_matrix(self.U, self.eta)
+
+    @property
+    def n_points(self) -> int:
+        return self.X.shape[0]
+
+    @property
+    def dim(self) -> int:
+        return self.X.shape[1]
+
+    @property
+    def n_null(self) -> int:
+        return self.M.shape[0]
+
+    @cached_property
+    def saddle(self) -> SymmetricFactor:
+        """The factored unit-box saddle K, shape (N + N0, N + N0)."""
+        N0, to_unit = self.n_null, self.box.scale ** (-2.0 * self.eta.value)
+        K = np.block([[self.G * to_unit, self.M_u.T], [self.M_u, np.zeros((N0, N0))]])
+        return SymmetricFactor(K)
+
+    def as_probes(self, probes) -> np.ndarray:
+        """Probe points as a (P, D) array, rejecting a feature count other than the data's."""
+        P = as_points(probes)
+        if P.shape[1] != self.dim:
+            raise DimensionMismatch(f"probes have {P.shape[1]} features, data has {self.dim}")
+        return P
+
+    def probe_rows(self, probes) -> tuple[np.ndarray, np.ndarray]:
+        """Kernel rows g(p)[n] = ||p - x_n||^(2 eta), shape (P, N), and monomials m(p), shape (N0, P)."""
+        P = self.as_probes(probes)
+        return pairwise_sq_dists(P, self.X) ** self.eta.value, monomial_matrix(P, self.eta)
+
+    def border(self, probes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Unit-box probes Q, their columns B = [g(Q); m(Q)] bordering K, and W = K^-1 B."""
+        Q = self.box.forward(self.as_probes(probes))
+        B = np.vstack([pairwise_sq_dists(self.U, Q) ** self.eta.value, monomial_matrix(Q, self.eta)])
+        return Q, B, self.saddle.solve(B)
+
+    def power_function(self, B: np.ndarray, W: np.ndarray) -> np.ndarray:
+        """Squared power function 1 / ||t_x||^2 at each probe x of a border, shape (P,).
+
+        t_x is the test function of x: the minimum-norm function that is 1 at
+        x and 0 at every datapoint. Bordering K with the probe's column b
+        gives ||t_x||^2 = C / s with s = -b^T K^-1 b, the Schur complement
+        (Schaback; Wendland, Scattered Data Approximation, ch. 11), mapped
+        back to the caller's units. s falls continuously to 0 at a datapoint,
+        where it bottoms out at rounding level; below RCOND_MIN relative to
+        |b| |K^-1 b| the probe is taken to sit on a datapoint and the result
+        is exactly 0.
+        """
+        C = eta_norm_constant(self.dim, self.eta)
+        s = -math.copysign(1.0, C) * np.einsum("ip,ip->p", B, W)
+        floor = RCOND_MIN * np.linalg.norm(B, axis=0) * np.linalg.norm(W, axis=0)
+        return np.where(s > floor, s * self.box.scale ** (2.0 * self.eta.value) / abs(C), 0.0)
+
+    def norm_sq(self, a) -> float:
+        """Squared norm of the function with kernel coefficients a on these points."""
+        return eta_norm_sq(a, self.G, self.eta, self.dim, M=self.M)

@@ -27,7 +27,7 @@ from ._io import atomic_write_text
 from .basis import SubspaceBasis, build_orthonormal_basis
 from .data import Dataset, FeatureScaling, minmax_scale
 from .errors import ArchiveVersionError, IOError_, PoleCollapse, ValidationError
-from .geometry import Regularity, as_points, as_regularity, greens_matrix, monomial_matrix
+from .geometry import Regularity, _Geometry, as_points, as_regularity, monomial_matrix
 from .interpolate import POLYNOMIAL_TOL, InterpolationModel, solve_interpolation
 from .posterior import KnownNoise, UnknownNoise, build_density
 from .predict import CredibleBand, build_band, credible_band
@@ -189,7 +189,7 @@ def fit_regression(X, y, eta, noise="unknown", config: SamplerConfig | None = No
             mean_a=model.a, mean_c=model.c, interp_model=model, **common,
         )
 
-    basis = build_orthonormal_basis(X, reg)
+    basis = build_orthonormal_basis(model.geometry, reg)
     if known:
         noise_model = KnownNoise(sigma_known)
     else:
@@ -337,7 +337,7 @@ def _fit_from_archive(doc: dict) -> RegressionFit:
     interp_model = None
     if regime == Regime.NORMAL:
         H = np.asarray(doc["basis_H"], dtype=float)
-        basis = SubspaceBasis(X=X, eta=reg, H=H, G=greens_matrix(X, reg), M=monomial_matrix(X, reg))
+        basis = SubspaceBasis(geometry=_Geometry(X, reg), H=H)
         posterior = PosteriorSummary(
             h_hat=np.asarray(doc["h_hat"], dtype=float),
             Sigma_hat=np.asarray(doc["Sigma_hat"], dtype=float),
@@ -392,7 +392,6 @@ def crossval(
     k: int = 5,
     seed: int = 0,
     config: SamplerConfig | None = None,
-    jobs: int = 1,
 ) -> CrossvalResult:
     """k-fold CV of the full pipeline; pooled RMSE over all held-out points.
 
@@ -400,16 +399,15 @@ def crossval(
     held-out rows in original units. Fold seeds are split from the master
     seed, so results do not depend on execution order.
     """
-    from concurrent.futures import ThreadPoolExecutor
-
     from .data import kfold, rmse as _rmse
 
     base = config or SamplerConfig()
     splits = kfold(dataset.n, k, seed=seed)
     fold_seeds = [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(seed).spawn(k)]
 
-    def run_fold(j: int):
-        train_idx, test_idx = splits[j]
+    folds = []
+    sq_errors = []
+    for j, (train_idx, test_idx) in enumerate(splits):
         train = Dataset(
             X=dataset.X[train_idx],
             y=dataset.y[train_idx],
@@ -418,19 +416,10 @@ def crossval(
         )
         cfg = dataclasses.replace(base, seed=fold_seeds[j], trace_path=None)
         fit = fit_dataset(train, eta, noise=noise, config=cfg)
-        pred = fit.predict_mean(dataset.X[test_idx])
-        return pred, dataset.y[test_idx], fit.regime
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=min(jobs, k)) as pool:
-            results = list(pool.map(run_fold, range(k)))
-    else:
-        results = [run_fold(j) for j in range(k)]
-
-    folds = []
-    sq_errors = []
-    for j, (pred, actual, regime) in enumerate(results):
-        folds.append(FoldResult(fold=j, n_test=len(actual), rmse=_rmse(pred, actual), regime=regime.value))
+        pred, actual = fit.predict_mean(dataset.X[test_idx]), dataset.y[test_idx]
+        folds.append(
+            FoldResult(fold=j, n_test=len(actual), rmse=_rmse(pred, actual), regime=fit.regime.value)
+        )
         sq_errors.append((pred - actual) ** 2)
     pooled = float(np.sqrt(np.mean(np.concatenate(sq_errors))))
     return CrossvalResult(folds=tuple(folds), pooled_rmse=pooled)

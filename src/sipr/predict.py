@@ -24,7 +24,6 @@ from scipy.stats import t as student_t
 from .basis import SubspaceBasis, evaluation_matrix
 from .errors import WrongRegime
 from .geometry import as_points
-from .interpolate import eta_norm_sq, power_function_sq
 from .sampler import Regime
 
 
@@ -105,14 +104,15 @@ def credible_band(
         med = getattr(posterior, "sigma_y_median", None)
         sigma_y = float(med) if med is not None else 0.0
 
+    geometry = basis.geometry
     a, _ = basis.spline_coefficients(posterior.h_hat)
-    norm_mean = eta_norm_sq(a, basis.G, basis.eta, basis.dim, M=basis.M)
-    norm_mean = max(norm_mean, 0.0)
+    norm_mean = max(geometry.norm_sq(a), 0.0)
 
     E = evaluation_matrix(basis, P)
     mean = E @ posterior.h_hat
     sigma_s = np.sqrt(np.maximum(np.einsum("pi,ij,pj->p", E, posterior.Sigma_hat, E), 0.0))
-    ratio = norm_mean * power_function_sq(basis.X, basis.eta, P)
+    _, B, W = geometry.border(P)
+    ratio = norm_mean * geometry.power_function(B, W)
     scale_t = np.sqrt(ratio / nu)
     sigma_t = np.sqrt(ratio / (nu - 2.0)) if nu > 2 else np.full_like(ratio, np.nan)
     return build_band(P, mean, scale_t, sigma_t, sigma_s, sigma_y, nu, level)

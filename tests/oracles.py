@@ -34,7 +34,7 @@ import numpy as np
 from scipy.linalg import cholesky, null_space, solve_triangular
 
 from sipr.basis import SubspaceBasis
-from sipr._linalg import solve_symmetric
+from sipr._linalg import SymmetricFactor
 from sipr.errors import (
     CoincidesWithDatapoint,
     DimensionMismatch,
@@ -46,6 +46,7 @@ from sipr.errors import (
 )
 from sipr.geometry import (
     DUPLICATE_TOL,
+    _Geometry,
     as_points,
     as_regularity,
     eta_norm_constant,
@@ -177,7 +178,7 @@ def loop_orthonormal_basis(X, eta) -> SubspaceBasis:
         raise SingularSystem("basis Gram matrix lost positive definiteness") from exc
     H = solve_triangular(R.T, H.T, lower=True).T
 
-    return SubspaceBasis(X=X, eta=reg, H=H, G=G, M=M)
+    return SubspaceBasis(geometry=_Geometry(X, reg), H=H)
 
 
 def map_estimate(density, tol: float = 1e-10, max_iter: int = 200) -> np.ndarray:
@@ -201,7 +202,7 @@ def map_estimate(density, tol: float = 1e-10, max_iter: int = 200) -> np.ndarray
         lam = Nh / float(state[:Nh] @ state[:Nh])
         A = Sigma_inv.copy()
         A[np.arange(Nh), np.arange(Nh)] += lam
-        new = solve_symmetric(A, rhs)
+        new = SymmetricFactor(A).solve(rhs)
         if np.linalg.norm(new[:Nh]) < 1e-10 * norm_mu:
             raise PoleCollapse("MAP iteration collapsed onto the nullspace pole")
         rel = float(np.linalg.norm(new - state) / max(np.linalg.norm(new), 1e-300))

@@ -124,7 +124,7 @@ def test_criterion_3_basis_orthonormality(report):
                         continue
                     X = separated_points(rng, n, dim)
                     b = build_orthonormal_basis(X, eta)
-                    gram = eta_norm_constant(dim, eta) * (b.H.T @ b.G @ b.H)
+                    gram = eta_norm_constant(dim, eta) * (b.H.T @ b.geometry.G @ b.H)
                     resid = gram - np.eye(b.n_basis)
                     # induced infinity norm: max absolute row sum
                     assert np.max(np.abs(resid).sum(axis=1)) < 1e-6

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from sipr.basis import build_orthonormal_basis, evaluation_matrix, to_subspace
-from sipr.errors import NotPositiveDefinite, SingularSystem, TooFewPoints
+from sipr.errors import DimensionMismatch, NotPositiveDefinite, SingularSystem, TooFewPoints
 from sipr.geometry import eta_norm_constant
 from sipr.interpolate import solve_interpolation
 from tests.conftest import random_dataset
@@ -20,10 +20,10 @@ def test_orthonormality_and_constraints(n, dim, eta):
     basis = build_orthonormal_basis(X, eta)
     H = basis.H
     C = eta_norm_constant(dim, eta)
-    gram = C * (H.T @ basis.G @ H)
+    gram = C * (H.T @ basis.geometry.G @ H)
     np.testing.assert_allclose(gram, np.eye(basis.n_basis), atol=1e-8)
     # Every column satisfies the growth-rate constraint.
-    assert np.abs(basis.M @ H).max() < 1e-8
+    assert np.abs(basis.geometry.M @ H).max() < 1e-8
 
 
 @pytest.mark.parametrize("n,dim", [(10, 1), (14, 1), (20, 2), (30, 3)])
@@ -99,7 +99,7 @@ def test_spline_coefficients_satisfy_constraint():
     a, c = basis.spline_coefficients(h_mu)
     assert a.shape == (16,)
     assert c.shape == (basis.n_null,)
-    assert np.abs(basis.M @ a).max() < 1e-8
+    assert np.abs(basis.geometry.M @ a).max() < 1e-8
 
 
 def test_scalar_and_matrix_noise_agree():
@@ -121,6 +121,13 @@ def test_non_spd_noise_covariance_rejected():
     bad = -np.eye(8)
     with pytest.raises(NotPositiveDefinite):
         to_subspace(basis, y, bad)
+
+
+def test_wrong_number_of_values_is_a_validation_error():
+    X, y = random_dataset(8, 1, seed=35)
+    basis = build_orthonormal_basis(X, 1.5)
+    with pytest.raises(DimensionMismatch, match="8 points but 7 values"):
+        to_subspace(basis, y[:-1], 0.1)
 
 
 def test_evaluation_matrix_shape_and_polynomial_block():

@@ -10,16 +10,13 @@ import numpy as np
 import pytest
 
 from sipr import __version__
+from sipr.basis import build_orthonormal_basis
 from sipr.cli import main
 from sipr.data import higdon
-
-pytestmark = pytest.mark.usefixtures("clean_env")
-
-
-@pytest.fixture
-def clean_env(monkeypatch):
-    monkeypatch.delenv("SIPR_JOBS", raising=False)
-
+from sipr.errors import DuplicatePoints
+from sipr.interpolate import solve_interpolation
+from sipr.pipeline import fit_regression
+from tests.conftest import write_csv
 
 def write_higdon(path, n=20, sigma=0.05, seed=1):
     ds = higdon(n, sigma, seed=seed)
@@ -222,26 +219,6 @@ class TestCrossval:
         fold_rmses = [float(r[2]) for r in body[:-1]]
         assert min(fold_rmses) <= float(pooled[2]) <= max(fold_rmses)
 
-    def test_env_var_overrides_jobs_flag(self, tmp_path, monkeypatch):
-        data = tmp_path / "d.csv"
-        write_higdon(data, n=10, sigma=0.02)
-        args = ["crossval", "--data", str(data), "--target", "y", "--eta", "1.5",
-                "--noise", "0", "--folds", "5"]
-        out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        assert main(args + ["--jobs", "1", "--out", str(out1)]) == 0
-        monkeypatch.setenv("SIPR_JOBS", "2")
-        assert main(args + ["--jobs", "1", "--out", str(out2)]) == 0
-        assert out1.read_text() == out2.read_text()
-
-    def test_bad_env_var_is_validation_error(self, tmp_path, monkeypatch, capsys):
-        data = tmp_path / "d.csv"
-        write_higdon(data, n=10)
-        monkeypatch.setenv("SIPR_JOBS", "abc")
-        code = main(["crossval", "--data", str(data), "--target", "y", "--eta", "1.5",
-                     "--noise", "0", "--out", str(tmp_path / "o.csv")])
-        assert code == 2
-        assert "SIPR_JOBS" in capsys.readouterr().err
-
 
 class TestExitCodes:
     def test_missing_data_file_is_4(self, tmp_path, capsys):
@@ -294,6 +271,37 @@ class TestExitCodes:
                      "--eta", "1.5", "--grid", "0:1:5", "--out", str(tmp_path / "o.csv")])
         assert code == 3
         assert "numerical failure" in capsys.readouterr().err
+
+    def test_duplicate_points_are_2_at_every_entry_point(self, tmp_path, capsys):
+        # The distinctness check runs once, where a point set's kernel
+        # system is assembled; every way in still reaches it.
+        ds = higdon(12, 0.05, seed=1)
+        X, y = np.vstack([ds.X, ds.X[3]]), np.append(ds.y, ds.y[3])
+        for call in (lambda: solve_interpolation(X, y, 1.5),
+                     lambda: build_orthonormal_basis(X, 1.5),
+                     lambda: fit_regression(X, y, 1.5, noise=0.05)):
+            with pytest.raises(DuplicatePoints):
+                call()
+
+        data, clean = tmp_path / "dup.csv", tmp_path / "d.csv"
+        write_csv(data, X, y, feature_names=["x"])
+        write_higdon(clean, n=12)
+        model = tmp_path / "m.json"
+        common = ["--target", "y", "--eta", "1.5"]
+        assert main(["fit", "--data", str(clean), *common, "--noise", "0.05", "--samples", "200",
+                     "--burn", "100", "--model-out", str(model)]) == 0
+        doc = json.loads(model.read_text())
+        assert doc["regime"] == "normal"
+        doc["X"][5] = doc["X"][2]
+        model.write_text(json.dumps(doc))
+        capsys.readouterr()
+        for args in (["interpolate", "--data", str(data), *common, "--grid", "0:1:5"],
+                     ["fit", "--data", str(data), *common, "--noise", "0.05",
+                      "--model-out", str(tmp_path / "m2.json")],
+                     ["predict", "--model", str(model), "--grid", "0:1:5"]):
+            out = ["--out", str(tmp_path / "o.csv")] if args[0] != "fit" else []
+            assert main(args + out) == 2, args[0]
+            assert "coincide" in capsys.readouterr().err
 
     def test_non_archive_model_file_is_2(self, tmp_path, capsys):
         data = tmp_path / "d.csv"

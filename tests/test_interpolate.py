@@ -17,19 +17,18 @@ from sipr.errors import (
     DuplicatePoints,
 )
 from sipr.geometry import (
-    Regularity,
+    _Geometry,
     eta_norm_constant,
+    eta_norm_sq,
     greens_matrix,
     monomial_matrix,
     nullspace_dim,
+    unit_box_map,
 )
 from sipr.interpolate import (
     POLYNOMIAL_TOL,
-    _saddle,
     draw_sample_path,
-    eta_norm_sq,
     pointwise_posterior,
-    power_function_sq,
     solve_interpolation,
 )
 from tests import oracles
@@ -172,12 +171,14 @@ class TestPowerFunction:
         probes = probes[gap >= 1e-2]
         assume(len(probes) > 0)
         expected = np.array([1.0 / make_test_function(X, p, eta).norm_sq for p in probes])
-        np.testing.assert_allclose(power_function_sq(X, eta, probes), expected, rtol=1e-6)
+        geometry = _Geometry(X, eta)
+        _, B, W = geometry.border(probes)
+        np.testing.assert_allclose(geometry.power_function(B, W), expected, rtol=1e-6)
 
     def test_probe_dimension_checked(self):
         X, _ = random_dataset(6, 2, seed=1)
         with pytest.raises(DimensionMismatch):
-            power_function_sq(X, 1.5, np.zeros((2, 3)))
+            _Geometry(X, 1.5).border(np.zeros((2, 3)))
 
 
 class TestPointwisePosterior:
@@ -323,12 +324,16 @@ class TestSamplePaths:
 
 
 def test_saddle_layout():
-    U = np.random.default_rng(3).uniform(size=(5, 2))
-    S = _saddle(U, Regularity(1.5))
+    # The geometry factors [[G_u, M_u^T], [M_u, 0]] of the unit-box points,
+    # with G_u = G s^(-2 eta) assembled from the caller's units: solving
+    # against that matrix times v gives v back.
+    X = np.random.default_rng(3).uniform(size=(5, 2)) * [40.0, 7.0] - 3.0
+    geometry = _Geometry(X, 1.5)
+    U = unit_box_map(X).forward(X)
     G, M = greens_matrix(U, 1.5), monomial_matrix(U, 1.5)
     N, N0 = G.shape[0], M.shape[0]
-    assert S.shape == (N + N0, N + N0)
-    np.testing.assert_array_equal(S[:N, :N], G)
-    np.testing.assert_array_equal(S[N:, :N], M)
-    np.testing.assert_array_equal(S[:N, N:], M.T)
-    np.testing.assert_array_equal(S[N:, N:], np.zeros((N0, N0)))
+    np.testing.assert_allclose(geometry.G * geometry.box.scale**-3.0, G, rtol=1e-12)
+    np.testing.assert_array_equal(geometry.M_u, M)
+    S = np.block([[G, M.T], [M, np.zeros((N0, N0))]])
+    v = np.random.default_rng(4).normal(size=(N + N0, 3))
+    np.testing.assert_allclose(geometry.saddle.solve(S @ v), v, rtol=0, atol=1e-9)

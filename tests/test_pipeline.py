@@ -213,13 +213,6 @@ class TestCrossval:
         assert all(f.n_test == 1 for f in result.folds)
         assert result.pooled_rmse > 0
 
-    def test_jobs_do_not_change_results(self):
-        ds = higdon(12, 0.05, seed=2)
-        r1 = crossval(ds, 1.5, noise=0.0, k=3, seed=1, jobs=1)
-        r2 = crossval(ds, 1.5, noise=0.0, k=3, seed=1, jobs=2)
-        assert r1.pooled_rmse == r2.pooled_rmse
-        assert [f.rmse for f in r1.folds] == [f.rmse for f in r2.folds]
-
     def test_too_many_folds(self):
         ds = higdon(4, 0.1)
         with pytest.raises(KTooLarge):

@@ -2,14 +2,16 @@
 
 from __future__ import annotations
 
+import json
 import math
+import sys
+from collections import Counter
 
 import numpy as np
 import pytest
 from scipy.stats import t as student_t
 
-import sipr.interpolate
-from sipr._linalg import SymmetricFactor, solve_symmetric
+from sipr._linalg import SymmetricFactor
 from sipr.basis import build_orthonormal_basis
 from sipr.cli import main
 from sipr.errors import WrongRegime
@@ -135,40 +137,47 @@ def test_band_halfwidth_validates_level():
 
 @pytest.mark.parametrize("n_probes", [5, 50])
 def test_one_saddle_solve_per_probe_set(fit, monkeypatch, tmp_path, n_probes):
-    # Every consumer reads all test-function norms off one factorization of
-    # the data saddle, so the number of solves does not grow with the probes.
+    # Each command assembles the kernel system of its point set once: one
+    # Green's matrix, one distinctness check and one saddle factorization,
+    # which serves every probe and path however many there are.
     X, y, eta, basis, posterior = fit
-    exact = fit_regression(X, y, eta, noise=0.0)
+    counts = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for module in [m for n, m in list(sys.modules.items()) if n == "sipr" or n.startswith("sipr.")]:
+        for name in ("greens_matrix", "check_distinct"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    monkeypatch.setattr(SymmetricFactor, "__init__", counted("SymmetricFactor", SymmetricFactor.__init__))
+
     data = write_csv(tmp_path / "d.csv", X, y, feature_names=["x"])
+    model, grid = tmp_path / "m.json", f"0.01:0.99:{n_probes}"
+    commands = {
+        "fit": ["fit", "--data", data, "--target", "y", "--eta", str(eta), "--noise", "0.1",
+                "--samples", "300", "--burn", "150", "--model-out", str(model)],
+        "predict": ["predict", "--model", str(model), "--grid", grid, "--out", str(tmp_path / "b.csv")],
+        "interpolate": ["interpolate", "--data", data, "--target", "y", "--eta", str(eta),
+                        "--grid", grid, "--paths", "3", "--out", str(tmp_path / "i.csv")],
+    }
+    for command, args in commands.items():
+        counts.clear()
+        assert main(args) == 0
+        assert counts == {"greens_matrix": 1, "check_distinct": 1, "SymmetricFactor": 1}, command
+        if command == "fit":
+            assert json.loads(model.read_text())["regime"] == "normal"
+
+    # In one process a fit's bands come from the factor its interpolant used.
     probes = np.linspace(0.01, 0.99, n_probes)[:, None]
-    calls = []
-    factorizations = []
-
-    def counting_solve(A, b):
-        calls.append(np.shape(b))
-        return solve_symmetric(A, b)
-
-    factor = SymmetricFactor.__init__
-
-    def counting_factor(self, A):
-        factorizations.append(np.shape(A))
-        factor(self, A)
-
-    monkeypatch.setattr(sipr.interpolate, "solve_symmetric", counting_solve)
-    monkeypatch.setattr(SymmetricFactor, "__init__", counting_factor)
-    saddle = (len(X) + basis.n_null, len(X) + basis.n_null)
-
-    credible_band(posterior, basis, probes, sigma_y=0.1)
-    assert calls == [(len(X) + basis.n_null, n_probes)]
-
-    calls.clear()
-    factorizations.clear()
-    exact.predict(probes)  # interpolation-pole band, from the fit's own factor
-    assert calls == [] and factorizations == []
-
-    out = tmp_path / "o.csv"
-    args = ["interpolate", "--data", data, "--target", "y", "--eta", str(eta),
-            "--grid", f"0.01:0.99:{n_probes}", "--paths", "3", "--out", str(out)]
-    assert main(args) == 0
-    # one factorization fits the interpolant and serves every probe and path
-    assert calls == [] and factorizations == [saddle]
+    for noise in (0.1, 0.0):
+        counts.clear()
+        config = SamplerConfig(samples_per_chain=300, burn_in=150)
+        fitted = fit_regression(X, y, eta, noise=noise, config=config)
+        assert fitted.regime == (Regime.NORMAL if noise else Regime.INTERPOLATION_POLE)
+        fitted.predict(probes)
+        assert counts == {"greens_matrix": 1, "check_distinct": 1, "SymmetricFactor": 1}, noise
