@@ -95,13 +95,13 @@ def cmd_interpolate(data_path, target, eta, probes_path, grid, paths, seed, out_
         raise ValidationError(f"--paths must be >= 0, got {paths}")
 
     model = solve_interpolation(ds.X, ds.y, reg)
-    mean, scale, sd = model.posterior(probes)
-    path_cols = model.sample_paths(probes, np.random.SeedSequence(seed).spawn(paths)).T
+    # posterior and sample_paths from one border solve
+    mean, scale, sd, path_rows = model._posterior_and_paths(probes, np.random.SeedSequence(seed).spawn(paths))
 
     header = list(ds.feature_names) + ["mean", "scale", "sd"] + [f"path_{i}" for i in range(paths)]
     rows = []
     for i, p in enumerate(probes):
-        rows.append(list(p) + [mean[i], scale[i], sd[i]] + [col[i] for col in path_cols])
+        rows.append(list(p) + [mean[i], scale[i], sd[i]] + list(path_rows[i]))
     _write_csv(out_path, header, rows, seed, reg.value)
     click.echo(f"wrote {len(rows)} probes to {out_path}")
 

@@ -114,18 +114,7 @@ class InterpolationModel:
         dof > 2 (NaN otherwise). Probes on a datapoint and exactly polynomial
         data give point masses: scale 0 and sd 0.
         """
-        P = as_points(probes)
-        mean = self.evaluate(P)
-        ratio = np.zeros_like(mean)
-        if self._spread:
-            _, B, W = self.geometry.border(P)
-            ratio = self._spread * self.geometry.power_function(B, W)
-        scale = np.sqrt(ratio / self.dof)
-        if self.dof > 2:
-            sd = np.sqrt(ratio / (self.dof - 2))
-        else:
-            sd = np.where(ratio == 0.0, 0.0, np.nan)
-        return mean, scale, sd
+        return self._posterior_and_paths(probes, ())[:3]
 
     def sample_paths(self, grid, seeds) -> np.ndarray:
         """Joint posterior sample paths over grid points, one column per seed, shape (G, S).
@@ -138,32 +127,45 @@ class InterpolationModel:
             K_c = (Phi - B^T K^-1 B) scale^(2 eta) / C,   Phi[p, q] = ||q_p - q_q||^(2 eta),
 
         in unit-box coordinates; its diagonal is the power function. R = V
-        sqrt(lam) comes from one eigendecomposition of K_c for every seed,
-        with negative rounding eigenvalues clamped to 0. Grid points on a
-        datapoint (power function 0) and exactly polynomial data reproduce
-        the mean. Deterministic for fixed seeds.
+        sqrt(lam) V^T is the symmetric root from one eigendecomposition of K_c
+        for every seed (negative rounding eigenvalues clamped to 0); it is
+        continuous in K_c, so seeded paths do not jump under rounding. Grid
+        points on a datapoint (power function 0) and exactly polynomial data
+        reproduce the mean. Deterministic for fixed seeds.
         """
-        P = as_points(grid)
+        return self._posterior_and_paths(grid, seeds)[3]
+
+    def _posterior_and_paths(self, probes, seeds):
+        """posterior(probes) and sample_paths(probes, seeds), from one border solve."""
+        P = as_points(probes)
         mean = self.evaluate(P)
         seeds = list(seeds)
         paths = np.repeat(mean[:, None], len(seeds), axis=1)
-        if not (seeds and self._spread):
-            return paths
-        geo = self.geometry
-        Q, B, W = geo.border(P)
-        free = geo.power_function(B, W) > 0.0
-        Q, B, W = Q[free], B[:, free], W[:, free]
-        C = eta_norm_constant(geo.dim, self.eta)
-        K_c = (pairwise_sq_dists(Q, Q) ** self.eta.value - B.T @ W) * (
-            geo.box.scale ** (2.0 * self.eta.value) / C
-        )
-        lam, V = np.linalg.eigh(0.5 * (K_c + K_c.T))
-        R = V * np.sqrt(np.maximum(lam, 0.0))
-        for j, seed in enumerate(seeds):
-            rng = np.random.default_rng(seed)
-            u = rng.chisquare(self.dof)
-            paths[free, j] += math.sqrt(self._spread / u) * (R @ rng.standard_normal(R.shape[1]))
-        return paths
+        ratio = np.zeros_like(mean)
+        if self._spread:
+            geo = self.geometry
+            Q, B, W = geo.border(P)
+            power = geo.power_function(B, W)
+            ratio = self._spread * power
+            if seeds:
+                free = power > 0.0
+                Q, B, W = Q[free], B[:, free], W[:, free]
+                C = eta_norm_constant(geo.dim, self.eta)
+                K_c = (pairwise_sq_dists(Q, Q) ** self.eta.value - B.T @ W) * (
+                    geo.box.scale ** (2.0 * self.eta.value) / C
+                )
+                lam, V = np.linalg.eigh(0.5 * (K_c + K_c.T))
+                R = (V * np.sqrt(np.maximum(lam, 0.0))) @ V.T
+                for j, seed in enumerate(seeds):
+                    rng = np.random.default_rng(seed)
+                    u = rng.chisquare(self.dof)
+                    paths[free, j] += math.sqrt(self._spread / u) * (R @ rng.standard_normal(R.shape[1]))
+        scale = np.sqrt(ratio / self.dof)
+        if self.dof > 2:
+            sd = np.sqrt(ratio / (self.dof - 2))
+        else:
+            sd = np.where(ratio == 0.0, 0.0, np.nan)
+        return mean, scale, sd, paths
 
 
 def solve_interpolation(X, y, eta) -> InterpolationModel:

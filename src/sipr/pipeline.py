@@ -10,11 +10,14 @@ that knows its regime:
                            interpolation posterior
 
 Fits can be serialized to a versioned JSON archive and reloaded for
-prediction; a reloaded model predicts bit-identically to the fresh fit.
+prediction; a reloaded model predicts bit-identically to the fresh fit. Every
+entry is plain JSON except the sampled covariance Sigma_hat, which format 2
+stores as one exact block of float64 bytes (see _block).
 """
 
 from __future__ import annotations
 
+import base64
 import dataclasses
 import json
 import math
@@ -33,7 +36,7 @@ from .posterior import KnownNoise, UnknownNoise, build_density
 from .predict import CredibleBand, build_band, credible_band
 from .sampler import Regime, RegressionPosterior, SamplerConfig, run_mcmc
 
-ARCHIVE_VERSION = 1
+ARCHIVE_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -118,7 +121,7 @@ class RegressionFit:
             dof = float(nu_resid)
         mvecs = monomial_matrix(P, self.eta).T
         mean = mvecs @ self.mean_c
-        sigma_s = np.sqrt(np.maximum(np.einsum("pi,ij,pj->p", mvecs, gram_inv, mvecs) * s2, 0.0))
+        sigma_s = np.sqrt(np.maximum(np.einsum("pi,pi->p", mvecs @ gram_inv, mvecs) * s2, 0.0))
         zero = np.zeros_like(mean)
         return build_band(P, mean, zero, zero, sigma_s, self.sigma_y, dof, level)
 
@@ -133,14 +136,12 @@ class RegressionFit:
         return M.T @ self.mean_c
 
 
-def _polynomial_fit(X, y, eta) -> np.ndarray:
-    M = monomial_matrix(X, eta)
+def _polynomial_fit(M, y) -> np.ndarray:
     c, *_ = np.linalg.lstsq(M.T, y, rcond=None)
     return c
 
 
-def _residual_sigma(X, y, eta, c) -> float:
-    M = monomial_matrix(X, eta)
+def _residual_sigma(M, y, c) -> float:
     resid = y - M.T @ c
     nu = max(y.shape[0] - M.shape[0], 1)
     return float(np.sqrt(resid @ resid / nu))
@@ -172,8 +173,9 @@ def fit_regression(X, y, eta, noise="unknown", config: SamplerConfig | None = No
     common = dict(eta=reg, X=X, y=y, noise_known=known, config=config)
 
     def nullspace_pole(**extra) -> RegressionFit:
-        c = _polynomial_fit(X, y, reg)
-        sigma = sigma_known if known else _residual_sigma(X, y, reg, c)
+        M = model.geometry.M
+        c = _polynomial_fit(M, y)
+        sigma = sigma_known if known else _residual_sigma(M, y, c)
         return RegressionFit(
             regime=Regime.NULLSPACE_POLE, sigma_y=sigma,
             mean_a=np.zeros(X.shape[0]), mean_c=c, **extra, **common,
@@ -248,6 +250,22 @@ def _arr(x) -> list:
     return np.asarray(x, dtype=float).tolist()
 
 
+def _block(x) -> dict:
+    """A float array as its exact little-endian float64 bytes, base64-encoded."""
+    x = np.ascontiguousarray(x, dtype="<f8")
+    return {"shape": list(x.shape), "f8le_base64": base64.b64encode(x.tobytes()).decode("ascii")}
+
+
+def _unblock(doc: dict, shape: tuple[int, ...]) -> np.ndarray:
+    """The array of a _block, which must have the given shape."""
+    if tuple(doc["shape"]) != shape:
+        raise ValueError(f"block has shape {doc['shape']}, expected {list(shape)}")
+    raw = base64.b64decode(doc["f8le_base64"], validate=True)
+    if len(raw) != 8 * math.prod(shape):
+        raise ValueError(f"block holds {len(raw)} bytes, expected {8 * math.prod(shape)}")
+    return np.frombuffer(raw, dtype="<f8").astype(float).reshape(shape)
+
+
 def archive_dict(fit: RegressionFit) -> dict:
     """JSON-ready description of a fit, sufficient to reproduce predictions."""
     post = fit.posterior
@@ -271,7 +289,7 @@ def archive_dict(fit: RegressionFit) -> dict:
         "spline": {"a": _arr(fit.mean_a), "c": _arr(fit.mean_c)},
         "basis_H": None if fit.basis is None or fit.regime != Regime.NORMAL else _arr(fit.basis.H),
         "h_hat": None if fit.regime != Regime.NORMAL else _arr(post.h_hat),
-        "Sigma_hat": None if fit.regime != Regime.NORMAL else _arr(post.Sigma_hat),
+        "Sigma_hat": None if fit.regime != Regime.NORMAL else _block(post.Sigma_hat),
         "sigma_y": sigma_summary,
         "config": {
             "chains": cfg.chains,
@@ -304,7 +322,8 @@ def load_archive(path: str) -> RegressionFit:
     version = doc.get("format_version")
     if version != ARCHIVE_VERSION:
         raise ArchiveVersionError(
-            f"{path} has archive format {version!r}; this build reads {ARCHIVE_VERSION}"
+            f"{path} has archive format {version!r}; this build reads {ARCHIVE_VERSION} "
+            "(refit the model to write a current archive)"
         )
     try:
         return _fit_from_archive(doc)
@@ -340,7 +359,7 @@ def _fit_from_archive(doc: dict) -> RegressionFit:
         basis = SubspaceBasis(geometry=_Geometry(X, reg), H=H)
         posterior = PosteriorSummary(
             h_hat=np.asarray(doc["h_hat"], dtype=float),
-            Sigma_hat=np.asarray(doc["Sigma_hat"], dtype=float),
+            Sigma_hat=_unblock(doc["Sigma_hat"], (X.shape[0], X.shape[0])),
             n_basis=H.shape[1],
             regime=regime,
             sigma_y_median=None if known else float(sigma_info["value"]),

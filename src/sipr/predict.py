@@ -110,7 +110,7 @@ def credible_band(
 
     E = evaluation_matrix(basis, P)
     mean = E @ posterior.h_hat
-    sigma_s = np.sqrt(np.maximum(np.einsum("pi,ij,pj->p", E, posterior.Sigma_hat, E), 0.0))
+    sigma_s = np.sqrt(np.maximum(np.einsum("pi,pi->p", E @ posterior.Sigma_hat, E), 0.0))
     _, B, W = geometry.border(P)
     ratio = norm_mean * geometry.power_function(B, W)
     scale_t = np.sqrt(ratio / nu)

@@ -505,8 +505,7 @@ def _split_rhat(chains: list[np.ndarray]) -> float:
 def _write_trace(path: str, samples: np.ndarray, log_posts: np.ndarray) -> None:
     dim = samples.shape[1]
     lines = [",".join([f"state_{i}" for i in range(dim)] + ["log_posterior"])]
-    for row, lp in zip(samples, log_posts):
-        lines.append(",".join(repr(float(v)) for v in row) + f",{float(lp)!r}")
+    lines += [",".join(map(repr, row)) for row in np.column_stack([samples, log_posts]).tolist()]
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 

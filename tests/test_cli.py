@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import base64
 import json
 import shutil
 import subprocess
@@ -13,9 +14,9 @@ from sipr import __version__
 from sipr.basis import build_orthonormal_basis
 from sipr.cli import main
 from sipr.data import higdon
-from sipr.errors import DuplicatePoints
+from sipr.errors import ArchiveVersionError, DuplicatePoints
 from sipr.interpolate import solve_interpolation
-from sipr.pipeline import fit_regression
+from sipr.pipeline import fit_regression, load_archive
 from tests.conftest import write_csv
 
 def write_higdon(path, n=20, sigma=0.05, seed=1):
@@ -123,7 +124,7 @@ class TestFitAndPredict:
         assert "sigma_y (known): 0.05" in msg
         assert "acceptance:" in msg and "split Rhat:" in msg
         doc = json.loads(model.read_text())
-        assert doc["format_version"] == 1
+        assert doc["format_version"] == 2
 
         # Predictions at the training inputs (original units; the archive
         # stores the scaled copy) reproduce the archived fitted values.
@@ -311,10 +312,55 @@ class TestExitCodes:
         assert code == 2
         assert "not a model archive" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("document", ["[]", '{"format_version": 1}'])
+    @pytest.mark.parametrize("document", ["[]", '{"format_version": 2}'])
     def test_json_that_is_not_an_archive_is_2(self, tmp_path, capsys, document):
         model = tmp_path / "m.json"
         model.write_text(document + "\n")
+        code = main(["predict", "--model", str(model), "--grid", "0:1:5",
+                     "--out", str(tmp_path / "o.csv")])
+        assert code == 2
+        assert "not a model archive" in capsys.readouterr().err
+
+    @pytest.fixture
+    def archive(self, tmp_path):
+        data = tmp_path / "d.csv"
+        write_higdon(data, n=12)
+        model = tmp_path / "m.json"
+        assert main(["fit", "--data", str(data), "--target", "y", "--eta", "1.5", "--noise", "0.05",
+                     "--samples", "200", "--burn", "100", "--model-out", str(model)]) == 0
+        doc = json.loads(model.read_text())
+        assert doc["regime"] == "normal"
+        return model, doc
+
+    def test_version_1_archive_is_2(self, tmp_path, capsys, archive):
+        # Format 1 stored Sigma_hat as decimal numbers; it is not read any more.
+        model, doc = archive
+        block = doc["Sigma_hat"]
+        n = block["shape"][0]
+        raw = base64.b64decode(block["f8le_base64"])
+        doc.update(format_version=1, Sigma_hat=np.frombuffer(raw, "<f8").reshape(n, n).tolist())
+        model.write_text(json.dumps(doc))
+        capsys.readouterr()
+        code = main(["predict", "--model", str(model), "--grid", "0:1:5",
+                     "--out", str(tmp_path / "o.csv")])
+        assert code == 2
+        assert "archive format 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("corruption", ["bad base64", "byte count", "shape"])
+    def test_corrupt_sigma_block_is_2(self, tmp_path, capsys, archive, corruption):
+        model, doc = archive
+        block = doc["Sigma_hat"]
+        n = block["shape"][0]
+        if corruption == "bad base64":
+            block["f8le_base64"] = "*" + block["f8le_base64"][1:]
+        elif corruption == "byte count":
+            block["f8le_base64"] = base64.b64encode(base64.b64decode(block["f8le_base64"])[8:]).decode()
+        else:
+            block["shape"] = [n - 1, n + 1]
+        model.write_text(json.dumps(doc))
+        with pytest.raises(ArchiveVersionError):
+            load_archive(str(model))
+        capsys.readouterr()
         code = main(["predict", "--model", str(model), "--grid", "0:1:5",
                      "--out", str(tmp_path / "o.csv")])
         assert code == 2

@@ -291,6 +291,20 @@ class TestSamplePaths:
         assert model.sample_paths(grid, []).shape == (12, 0)
 
     @pytest.mark.parametrize("eta", [0.5, 1.5, 2.5])
+    def test_paths_are_continuous_in_the_conditional_kernel(self, eta):
+        # Shifting raw-unit data and grid by a constant changes the grid's
+        # conditional kernel only by rounding. The symmetric square root
+        # follows it continuously, so seeded paths agree; a root that rotates
+        # within clusters of near-equal eigenvalues moves them visibly.
+        rng = np.random.default_rng(1)
+        X = np.sort(rng.uniform(3.0, 20.0, 15))[:, None]
+        y = np.sin(X[:, 0] / 2.0) + 0.1 * X[:, 0]
+        grid = np.linspace(0.0, 25.0, 60)[:, None]  # off the datapoints
+        raw = solve_interpolation(X, y, eta).sample_paths(grid, range(3))
+        shifted = solve_interpolation(X + 100.0, y, eta).sample_paths(grid + 100.0, range(3))
+        assert np.abs(shifted - raw).max() <= 1e-6 * np.abs(raw).max()
+
+    @pytest.mark.parametrize("eta", [0.5, 1.5, 2.5])
     def test_same_law_as_sequential_draws(self, eta):
         # The t-process chain rule: drawing the grid jointly and drawing it
         # one point at a time, refitting after each, give the same law. The

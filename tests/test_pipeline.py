@@ -143,10 +143,23 @@ class TestArchives:
         path = tmp_path / "model.json"
         save_archive(normal_fit, str(path))
         doc = json.loads(path.read_text())
-        assert doc["format_version"] == 1
+        assert doc["format_version"] == 2
         assert doc["regime"] == "normal"
         assert doc["eta"] == 1.5
         assert doc["sigma_y"]["mode"] == "known"
+
+    def test_sigma_hat_is_one_exact_block(self, tmp_path, normal_fit):
+        # Sigma_hat is stored as its raw float64 bytes and comes back
+        # bit-identical; the other arrays stay JSON number lists.
+        path = tmp_path / "model.json"
+        save_archive(normal_fit, str(path))
+        doc = json.loads(path.read_text())
+        n = normal_fit.n_points
+        assert doc["Sigma_hat"]["shape"] == [n, n]
+        assert isinstance(doc["Sigma_hat"]["f8le_base64"], str)
+        assert isinstance(doc["X"][0][0], float) and isinstance(doc["basis_H"][0][0], float)
+        loaded = load_archive(str(path))
+        np.testing.assert_array_equal(loaded.posterior.Sigma_hat, normal_fit.posterior.Sigma_hat)
 
     def test_archive_is_compact_and_parses_like_the_indented_form(self, tmp_path, normal_fit):
         path = tmp_path / "model.json"

@@ -12,7 +12,7 @@ import pytest
 from scipy.stats import t as student_t
 
 from sipr._linalg import SymmetricFactor
-from sipr.basis import build_orthonormal_basis
+from sipr.basis import build_orthonormal_basis, evaluation_matrix
 from sipr.cli import main
 from sipr.errors import WrongRegime
 from sipr.pipeline import fit_regression
@@ -68,6 +68,14 @@ def test_levels_are_nested(fit):
     b95 = credible_band(posterior, basis, PROBES, level=0.95, sigma_y=0.1)
     assert np.all(b95.lower < b50.lower)
     assert np.all(b95.upper > b50.upper)
+
+
+def test_sigma_s_matches_the_three_operand_form(fit):
+    X, y, eta, basis, posterior = fit
+    band = credible_band(posterior, basis, PROBES, sigma_y=0.1)
+    E = evaluation_matrix(basis, PROBES)
+    oracle = np.sqrt(np.einsum("pi,ij,pj->p", E, posterior.Sigma_hat, E))
+    np.testing.assert_allclose(band.sigma_s, oracle, rtol=1e-10)
 
 
 def test_probe_at_datapoint_drops_t_component(fit):
@@ -181,3 +189,21 @@ def test_one_saddle_solve_per_probe_set(fit, monkeypatch, tmp_path, n_probes):
         assert fitted.regime == (Regime.NORMAL if noise else Regime.INTERPOLATION_POLE)
         fitted.predict(probes)
         assert counts == {"greens_matrix": 1, "check_distinct": 1, "SymmetricFactor": 1}, noise
+
+
+def test_interpolate_paths_solve_the_probe_border_once(monkeypatch, tmp_path):
+    # The pointwise posteriors and the paths share one multi-RHS solve of
+    # the probes' border; the other solve is the interpolant's.
+    X, y = random_dataset(12, 1, seed=7)
+    shapes = []
+    solve = SymmetricFactor.solve
+
+    def recorded(self, rhs):
+        shapes.append(np.shape(rhs))
+        return solve(self, rhs)
+
+    monkeypatch.setattr(SymmetricFactor, "solve", recorded)
+    data = write_csv(tmp_path / "d.csv", X, y, feature_names=["x"])
+    assert main(["interpolate", "--data", data, "--target", "y", "--eta", "1.5",
+                 "--grid", "0.01:0.99:7", "--paths", "3", "--out", str(tmp_path / "i.csv")]) == 0
+    assert shapes == [(14,), (14, 7)]

@@ -392,3 +392,11 @@ class TestRegressionRuns:
         first = np.array([float(v) for v in lines[1].split(",")])
         np.testing.assert_allclose(first[:-1], post.samples[0], rtol=1e-15)
         np.testing.assert_allclose(first[-1], post.log_posteriors[0], rtol=1e-15)
+
+    def test_trace_file_parses_back_exactly(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        cfg = SamplerConfig(chains=2, samples_per_chain=60, burn_in=20, seed=4, trace_path=str(path))
+        post = run_mcmc(make_density(), cfg)
+        rows = np.array([[float(v) for v in ln.split(",")] for ln in path.read_text().splitlines()[1:]])
+        np.testing.assert_array_equal(rows[:, :-1], post.samples)
+        np.testing.assert_array_equal(rows[:, -1], post.log_posteriors)
