@@ -1,8 +1,8 @@
 """Scale-invariant process regression.
 
 Polyharmonic minimum-norm interpolation with Student-t pointwise posteriors,
-and full regression over the data-spanned subspace via MAP + Hamiltonian
-Monte Carlo, for small noisy datasets with a single regularity knob eta.
+and the exact regression posterior over the data-spanned subspace as a scale
+mixture, for small noisy datasets with a single regularity knob eta.
 """
 
 from .geometry import (
@@ -58,7 +58,6 @@ from .sampler import (
     Regime,
     RegressionPosterior,
     SamplerConfig,
-    detect_poles,
     posterior_moments,
     run_mcmc,
 )
@@ -90,7 +89,6 @@ __all__ = [
     "Diagnostics",
     "run_mcmc",
     "posterior_moments",
-    "detect_poles",
     "CredibleBand",
     "predictive_mean",
     "credible_band",

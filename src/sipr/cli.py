@@ -109,13 +109,16 @@ def cmd_interpolate(data_path, target, eta, probes_path, grid, paths, seed, out_
 def _sampler_options(fn):
     for opt in reversed(
         [
-            click.option("--chains", type=int, default=2, show_default=True),
+            click.option("--chains", type=int, default=2, show_default=True,
+                         help="Draws chains x (samples - burn) for --trace."),
             click.option("--samples", type=int, default=1000, show_default=True,
                          help="Iterations per chain including burn-in."),
             click.option("--burn", "burn_in", type=int, default=500, show_default=True,
                          help="Burn-in iterations discarded per chain."),
-            click.option("--leapfrog", type=int, default=32, show_default=True),
-            click.option("--target-accept", "target_accept", type=float, default=0.8, show_default=True),
+            click.option("--leapfrog", type=int, default=32, show_default=True,
+                         help="Tunes generic HMC only; fit and crossval ignore it."),
+            click.option("--target-accept", "target_accept", type=float, default=0.8, show_default=True,
+                         help="Tunes generic HMC only; fit and crossval ignore it."),
         ]
     ):
         fn = opt(fn)
@@ -142,7 +145,7 @@ def _config(seed, chains, samples, burn_in, leapfrog, target_accept, trace=None)
               help="Known noise sd, or 'unknown' to infer it.")
 @click.option("--seed", type=int, default=0, show_default=True)
 @_sampler_options
-@click.option("--trace", "trace_path", type=click.Path(), help="Dump kept draws to this CSV.")
+@click.option("--trace", "trace_path", type=click.Path(), help="Dump i.i.d. posterior draws to this CSV.")
 @click.option("--model-out", "out_path", required=True, type=click.Path(), help="Model archive (JSON).")
 def cmd_fit(data_path, target, eta, noise, seed, chains, samples, burn_in, leapfrog,
             target_accept, trace_path, out_path):
@@ -162,12 +165,11 @@ def cmd_fit(data_path, target, eta, noise, seed, chains, samples, burn_in, leapf
         click.echo("polynomial coefficients: " + ", ".join(f"{v:.6g}" for v in fit.mean_c))
     if fit.diagnostics_summary:
         d = fit.diagnostics_summary
+        gap_i = d["gap_interpolation_pole"]
         click.echo(
-            "acceptance: "
-            + ", ".join(f"{a:.3f}" for a in d["accept_rates"])
-            + f"; divergent: {max(d['divergence_rates']):.3f}"
-            + f"; split Rhat: {d['rhat_max']:.3f}"
-            + ("" if d["rhat_max"] < 1.1 else " (above 1.1: chains may not have mixed)")
+            f"posterior: {d['nodes']} nodes in {d['scale']}, peak at {d['peak']:.4g}; "
+            f"gap to nullspace plateau {d['gap_nullspace_pole']:.4g} nats"
+            + ("" if gap_i is None else f", to interpolation plateau {gap_i:.4g} nats")
         )
     click.echo(f"wrote model archive to {out_path}")
 

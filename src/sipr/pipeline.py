@@ -1,9 +1,9 @@
-"""End-to-end regression: scale, basis, MAP, sample, classify.
+"""End-to-end regression: scale, basis, exact posterior, regime.
 
 fit_regression runs the full chain on one dataset and returns a RegressionFit
 that knows its regime:
 
-    normal              -- sampled posterior; bands combine t and sampling parts
+    normal              -- exact posterior moments; bands combine t and coefficient parts
     nullspace_pole      -- the data is (or collapses to) a polynomial; the fit
                            is weighted polynomial least squares
     interpolation_pole  -- the noise collapses to zero; the fit is the exact
@@ -11,7 +11,7 @@ that knows its regime:
 
 Fits can be serialized to a versioned JSON archive and reloaded for
 prediction; a reloaded model predicts bit-identically to the fresh fit. Every
-entry is plain JSON except the sampled covariance Sigma_hat, which format 2
+entry is plain JSON except the posterior covariance Sigma_hat, which format 2
 stores as one exact block of float64 bytes (see _block).
 """
 
@@ -29,7 +29,7 @@ from . import __version__ as _pkg_version
 from ._io import atomic_write_text
 from .basis import SubspaceBasis, build_orthonormal_basis
 from .data import Dataset, FeatureScaling, minmax_scale
-from .errors import ArchiveVersionError, IOError_, PoleCollapse, ValidationError
+from .errors import ArchiveVersionError, IOError_, ValidationError
 from .geometry import Regularity, _Geometry, as_points, as_regularity, monomial_matrix
 from .interpolate import POLYNOMIAL_TOL, InterpolationModel, solve_interpolation
 from .posterior import KnownNoise, UnknownNoise, build_density
@@ -201,24 +201,13 @@ def fit_regression(X, y, eta, noise="unknown", config: SamplerConfig | None = No
         noise_model = UnknownNoise(sd / 10.0)
     density = build_density(basis, y, noise_model)
 
-    try:
-        posterior = run_mcmc(density, config)  # starts at the MAP, which may collapse
-    except PoleCollapse:
-        return nullspace_pole(basis=basis)
-    diag = posterior.diagnostics
-    diag_summary = {
-        "accept_rates": [c.accept_rate for c in diag.chains],
-        "divergence_rates": [c.divergence_rate for c in diag.chains],
-        "step_sizes": [c.step_size for c in diag.chains],
-        "rhat_max": diag.rhat_max,
-        "metric": diag.metric,
-        "map_iterations": diag.map_iterations,
-    }
+    posterior = run_mcmc(density, config)  # the exact posterior and its regime
+    diag_summary = posterior.diagnostics.evidence
 
     if posterior.regime == Regime.NULLSPACE_POLE:
         return nullspace_pole(basis=basis, posterior=posterior, diagnostics_summary=diag_summary)
+    sigma = sigma_known if known else posterior.sigma_y_median
     if posterior.regime == Regime.INTERPOLATION_POLE:
-        sigma = sigma_known if known else float(posterior.sigma_y_median)
         return RegressionFit(
             regime=Regime.INTERPOLATION_POLE, sigma_y=sigma,
             mean_a=model.a, mean_c=model.c, interp_model=model, basis=basis,
@@ -226,7 +215,6 @@ def fit_regression(X, y, eta, noise="unknown", config: SamplerConfig | None = No
         )
 
     a, c = basis.spline_coefficients(posterior.h_hat)
-    sigma = sigma_known if known else float(posterior.sigma_y_median)
     return RegressionFit(
         regime=Regime.NORMAL, sigma_y=sigma, mean_a=a, mean_c=c,
         basis=basis, posterior=posterior, diagnostics_summary=diag_summary, **common,
@@ -270,9 +258,8 @@ def archive_dict(fit: RegressionFit) -> dict:
     """JSON-ready description of a fit, sufficient to reproduce predictions."""
     post = fit.posterior
     sigma_summary: dict = {"mode": "known" if fit.noise_known else "unknown", "value": fit.sigma_y}
-    if isinstance(post, RegressionPosterior) and post.sigma_y_samples is not None:
-        qs = np.quantile(post.sigma_y_samples, [0.05, 0.5, 0.95])
-        sigma_summary.update(q05=float(qs[0]), median=float(qs[1]), q95=float(qs[2]))
+    if fit.regime == Regime.NORMAL and isinstance(post, RegressionPosterior) and post.sigma_y_quantiles:
+        sigma_summary.update(zip(("q05", "median", "q95"), post.sigma_y_quantiles))
     cfg = fit.config or SamplerConfig()
     return {
         "format_version": ARCHIVE_VERSION,

@@ -15,9 +15,9 @@ Both quadratic forms of the density, ||h||^2 = h*^T P h* and the misfit with
 precision Sigma0 (Sigma_inv, or E*^T E* when the noise is unknown), are
 diagonal in the coordinates t = T^-1 h* of one generalized eigendecomposition
 of the pencil (P, Sigma0), computed once per density
-(``PosteriorDensity.pencil``). In t the MAP fixed point is an elementwise
-iteration, and the negative Hessian is a diagonal minus one rank-one term;
-the sampler runs its chains there.
+(``PosteriorDensity.pencil``). In t the MAP reduces to one scalar equation
+in ||h||^2, and given the scale of the norm prior the posterior is a diagonal
+Gaussian, so ``sampler.run_mcmc`` computes it as a one-dimensional mixture.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from functools import cached_property
 
 import numpy as np
 from scipy.linalg import solve_triangular
+from scipy.optimize import minimize_scalar
 
 from ._linalg import cholesky
 from .basis import SubspaceBasis, to_subspace
@@ -146,11 +147,6 @@ class PosteriorDensity:
         return float(np.linalg.norm(self.h_mu_star[: self.n_basis]))
 
     @cached_property
-    def y(self) -> np.ndarray:
-        """Observed values implied by the interpolant coordinates."""
-        return self.Estar @ self.h_mu_star
-
-    @cached_property
     def pencil(self) -> _Pencil:
         """The eigendecomposition of (P, Sigma0) with Sigma0 = Sigma_inv, or E*^T E* for unknown noise."""
         return _Pencil(self.Sigma_inv if self.noise.is_known else self.base_quad, self.n_basis, self.h_mu_star)
@@ -198,18 +194,6 @@ class PosteriorDensity:
         return g
 
 
-def _log_sigma_draw(n_points: int, q: float, rng: np.random.Generator) -> float:
-    """log sigma drawn from its conditional given the squared data misfit q.
-
-    u = sigma^-2 is Gamma(N/2, rate q/2); u is clamped to the float range so
-    a perfect fit gives a very small finite sigma rather than zero.
-    """
-    q = max(q, np.finfo(float).tiny)
-    u = float(rng.gamma(0.5 * n_points, 2.0 / q))
-    u = min(max(u, np.finfo(float).tiny), 1e300)
-    return -0.5 * math.log(u)
-
-
 def build_density(basis: SubspaceBasis, y, noise: KnownNoise | UnknownNoise) -> PosteriorDensity:
     """Assemble the posterior density for observations y under a noise model."""
     if noise.is_known:
@@ -230,89 +214,91 @@ def build_density(basis: SubspaceBasis, y, noise: KnownNoise | UnknownNoise) -> 
 def map_estimate(density: PosteriorDensity, tol: float = 1e-10, max_iter: int = 200) -> np.ndarray:
     """Fixed point of (Sigma_inv + (Nh/||h||^2) P) h* = Sigma_inv h*_mu.
 
-    P projects onto the kernel block. Starts at h*_mu; in unknown-noise mode
-    the precision is evaluated at the initial sigma. Returns the MAP h*
-    (length n_points, without the log-sigma entry). Raises PoleCollapse when
-    the iterate's kernel block collapses below 1e-10 of the interpolant's.
+    P projects onto the kernel block; in unknown-noise mode the precision is
+    evaluated at the initial sigma. Of the fixed points, this is the one that
+    iterating from h*_mu converges to: the one with the largest ||h|| below
+    the interpolant's. Returns the MAP h* (length n_points, without the
+    log-sigma entry). Raises PoleCollapse when no fixed point has ||h|| above
+    1e-10 of the interpolant's, and NoConvergence when max_iter bisection
+    steps do not resolve log ||h||^2 to tol.
     """
     t, _ = _map_coordinates(density, tol, max_iter)
     return density.pencil.T @ t
 
 
-def _map_coordinates(density: PosteriorDensity, tol: float = 1e-10, max_iter: int = 200):
-    """The MAP in pencil coordinates and the number of iterations it took.
+# How far below log ||h_mu||^2 the MAP's log ||h||^2 is searched: a fixed
+# point further down has ||h|| < 1e-10 ||h_mu||, which counts as collapse.
+_COLLAPSE_LOG = 2.0 * math.log(1e10)
+_SCAN_STEP = 0.25
 
-    In t the fixed point decouples: t = w s t_mu / (w s + lam rho) with
-    lam = Nh / ||h||^2 and w = sigma^-2 (1 when the noise is known), so each
-    iteration is O(N). The polynomial coordinates (rho = 0) stay at t_mu, and
-    ||h|| = ||t[:Nh]||, so the iteration runs on the kernel coordinates and
-    its relative change is that of h.
+
+def _largest_root(g, top: float, tol: float, max_iter: int):
+    """The largest root below top of g(u) = log S(Nh e^-u) - u, or None if g < 0 down to the collapse.
+
+    g maps an array of log ||h||^2 values to their residuals, and g(top) < 0.
+    Because |g'| < 1, a stretch where g > 0 either holds a point of a scan
+    with _SCAN_STEP spacing, or has its maximum within half a step of a scan
+    point that is a local maximum of the scan above -_SCAN_STEP / 2; a bounded
+    maximisation around such points finds it. The root is then bisected.
+    Returns (root, bisection steps, final bracket width).
+    """
+    u = top - _SCAN_STEP * np.arange(int(_COLLAPSE_LOG / _SCAN_STEP) + 2)
+    v = g(u)
+    lo = None
+    for j in range(1, u.shape[0]):
+        if v[j] >= 0.0:
+            lo = u[j]
+        elif j + 1 < u.shape[0] and v[j] > -0.5 * _SCAN_STEP and v[j] >= max(v[j - 1], v[j + 1]):
+            best = minimize_scalar(lambda x: -g(np.array([x]))[0], bounds=(u[j + 1], u[j - 1]),
+                                   method="bounded", options={"xatol": tol})
+            lo = best.x if -best.fun >= 0.0 else None
+        if lo is not None:
+            hi = u[j - 1]
+            break
+    else:
+        return None
+    steps = 0
+    while hi - lo > tol and steps < max_iter:
+        mid = 0.5 * (lo + hi)
+        if g(np.array([mid]))[0] >= 0.0:
+            lo = mid
+        else:
+            hi = mid
+        steps += 1
+    return 0.5 * (lo + hi), steps, hi - lo
+
+
+def _map_coordinates(density: PosteriorDensity, tol: float = 1e-10, max_iter: int = 200):
+    """The MAP in pencil coordinates and the number of bisection steps it took.
+
+    In t the fixed point decouples: t = w s t_mu / (w s + c) on the kernel
+    coordinates, with c = Nh / ||h||^2 and w = sigma^-2 (1 when the noise is
+    known), and the polynomial coordinates stay at t_mu. So ||h||^2 = r
+    solves the scalar equation r = S(Nh / r), S(c) = sum (w s t_mu / (w s +
+    c))^2. Iterating from r = ||h_mu||^2 decreases r to the largest root
+    below it, which is bracketed and bisected in log r, O(N) per evaluation.
     """
     Nh = density.n_basis
     norm_mu = density.h_mu_norm
     if norm_mu == 0.0:
         raise PoleCollapse("interpolant is exactly polynomial; no kernel component to fit")
     p = density.pencil
-    w = 1.0 if density.noise.is_known else density.noise.sigma_init**-2
-    ws = w * p.s[:Nh]
+    ws = (1.0 if density.noise.is_known else density.noise.sigma_init**-2) * p.s[:Nh]
     rhs = ws * p.t_mu[:Nh]
-    th = p.t_mu[:Nh]
-    rel = math.inf
-    for it in range(1, max_iter + 1):
-        new = rhs / (ws + Nh / float(th @ th))
-        norm = math.sqrt(float(new @ new))
-        if norm < 1e-10 * norm_mu:
-            raise PoleCollapse("MAP iteration collapsed onto the nullspace pole")
-        rel = float(np.linalg.norm(new - th)) / norm
-        th = new
-        if rel < tol:
-            return np.concatenate([th, p.t_mu[Nh:]]), it
-    raise NoConvergence(
-        f"MAP iteration did not reach tol={tol:g} in {max_iter} steps (last change {rel:.3e})",
-        last_iterate=p.T @ np.concatenate([th, p.t_mu[Nh:]]),
-        residual=rel,
-    )
 
+    def residual(u):
+        c = Nh * np.exp(-u)[:, None]
+        return np.log(((rhs / (ws + c)) ** 2).sum(axis=1)) - u
 
-@dataclass(frozen=True)
-class _LaplaceMetric:
-    """The negative Hessian at a state, in pencil coordinates scaled by sqrt(d).
-
-    In t the kernel-block curvature is diag(d) - k (rho t)(rho t)^T with
-    d = c rho + w s, c = Nh/||h||^2 and k = 2c/||h||^2; after scaling by
-    sqrt(d) it is I - k u u^T with u = (rho t)/sqrt(d). Where that is not
-    positive definite (k ||u||^2 >= 1) the radial term is dropped (k = 0),
-    leaving diag(d), which is positive definite by construction. ell is the
-    log-sigma curvature sqrt(2 w q) (the cross terms with the coefficients
-    are dropped), or 1 where that is not positive; None for known noise.
-    """
-
-    sqrt_d: np.ndarray
-    u: np.ndarray
-    k: float
-    ell: float | None
-
-    @property
-    def name(self) -> str:
-        return "laplace" if self.k > 0.0 else "laplace_without_radial_term"
-
-
-def _laplace_metric(density: PosteriorDensity, t: np.ndarray, log_sigma: float | None) -> _LaplaceMetric:
-    """The Laplace metric at pencil coordinates t (and log sigma when unknown)."""
-    p = density.pencil
-    w = 1.0 if log_sigma is None else math.exp(-2.0 * log_sigma)
-    n2 = float(p.rho @ (t * t))
-    if not np.isfinite(n2) or n2 == 0.0:
-        raise DomainError("no Laplace metric at ||h|| = 0 (nullspace pole)")
-    c = density.n_basis / n2
-    k = 2.0 * c / n2
-    sqrt_d = np.sqrt(c * p.rho + w * p.s)
-    u = p.rho * t / sqrt_d
-    if not k * float(u @ u) < 1.0:
-        k = 0.0
-    ell = None
-    if log_sigma is not None:
-        r = t - p.t_mu
-        curv = 2.0 * w * float(p.s @ (r * r))
-        ell = math.sqrt(curv) if math.isfinite(curv) and curv > 0.0 else 1.0
-    return _LaplaceMetric(sqrt_d=sqrt_d, u=u, k=k, ell=ell)
+    found = _largest_root(residual, 2.0 * math.log(norm_mu), tol, max_iter)
+    if found is None:
+        raise PoleCollapse("the MAP collapses onto the nullspace pole: no fixed point above 1e-10 ||h_mu||")
+    u, steps, width = found
+    t = np.concatenate([rhs / (ws + Nh * math.exp(-u)), p.t_mu[Nh:]])
+    if width > tol:
+        raise NoConvergence(
+            f"MAP bisection did not reach tol={tol:g} in {max_iter} steps (bracket {width:.3e})",
+            last_iterate=p.T @ t,
+            residual=width,
+        )
+    return t, steps

@@ -1,19 +1,21 @@
-"""Hamiltonian Monte Carlo over the preconditioned posterior.
+"""The regression posterior, computed exactly, and Hamiltonian Monte Carlo for generic targets.
 
-Plain leapfrog HMC with a fixed number of integrator steps and dual-averaging
-step-size adaptation during burn-in. All chains advance in lockstep in one
-thread as rows of one array; each chain has its own step size and its own
-random stream split from one master seed, so results are bit-reproducible for
-a fixed configuration. The sampler is generic: any target exposing ``dim``,
-``log_density(state)`` and ``grad(state)`` can be sampled, one row at a time,
-with an optional fixed preconditioner. A regression density instead runs in
-the coordinates of its pencil eigendecomposition, where both quadratic forms
-are diagonal, with its Laplace metric at the MAP as the mass matrix: every
-leapfrog step is a few elementwise operations on length-N rows, and the kept
-draws go back to the original coordinates in one matrix product. HMC with a
-given mass matrix is the same chain after any linear change of coordinates,
-so this changes the cost, not the law. Regression runs additionally get MAP
-initialization, noise extraction, and pole classification.
+A regression density is not sampled by a chain. Its norm prior ||h||^-Nh is
+a Gaussian scale mixture, c * int N(h; 0, tau^2 I) dtau / tau, and in the
+coordinates of its pencil eigendecomposition both quadratic forms are
+diagonal, so given tau (or lambda = tau / sigma when the noise is unknown)
+the posterior is a diagonal Gaussian and the whole posterior is a
+one-dimensional mixture over log tau. ``_ScaleMixture`` evaluates its profile
+on nodes, reads the regime off it, and gives the exact moments, the exact
+sigma_y quantiles and i.i.d. draws (a node, then sigma, then the
+coordinates); only the draws depend on the seed.
+
+Generic targets exposing ``dim``, ``log_density(state)`` and ``grad(state)``
+get plain leapfrog HMC with a fixed number of integrator steps and
+dual-averaging step-size adaptation during burn-in, with an optional fixed
+preconditioner. All chains advance in lockstep in one thread as rows of one
+array; each chain has its own step size and its own random stream split from
+one master seed, so results are bit-reproducible for a fixed configuration.
 """
 
 from __future__ import annotations
@@ -24,10 +26,12 @@ from enum import Enum
 
 import numpy as np
 from scipy.linalg import solve_triangular
+from scipy.optimize import brentq
+from scipy.special import gammaincc, gammainccinv
 
 from ._io import atomic_write_text
-from .errors import DivergentChains, DomainError, TooFewSamples, ValidationError
-from .posterior import PosteriorDensity, _laplace_metric, _log_sigma_draw, _map_coordinates
+from .errors import DivergentChains, DomainError, PoleCollapse, TooFewPoints, TooFewSamples, ValidationError
+from .posterior import PosteriorDensity
 
 # A proposal whose energy error exceeds this is counted as divergent.
 ENERGY_ERROR_MAX = 1e3
@@ -35,9 +39,15 @@ ENERGY_ERROR_MAX = 1e3
 _SHORT_PROB = 0.2
 _LOG_SHORT_LO = math.log(0.08)
 _LOG_SHORT_HI = math.log(0.8)
-# Trace-statistic thresholds for pole classification (relative).
+# Pole scales (relative): a pole's plateau of the profile counts ln(1 / TOL)
+# of log-scale width, ||h|| down to TOL ||h_mu|| or sigma down to TOL sd(y).
 NULLSPACE_POLE_TOL = 1e-3
 INTERPOLATION_POLE_TOL = 1e-3
+# The mixture keeps the nodes within this many nats of its peak.
+_NATS = 40.0
+_GRID_STEP = 0.05  # spacing of the profile grid that locates the peak, in log scale
+_NODES = 128  # quadrature nodes of the mixture
+_CHUNK = 2**17  # floats in the largest (nodes x N) temporary: 1 MB
 
 
 class Regime(str, Enum):
@@ -48,10 +58,11 @@ class Regime(str, Enum):
 
 @dataclass(frozen=True)
 class SamplerConfig:
-    """Sampling budget and tuning targets.
+    """Draw counts and the HMC tuning of generic targets.
 
     samples_per_chain counts all iterations including burn-in, so each chain
-    keeps samples_per_chain - burn_in draws.
+    keeps samples_per_chain - burn_in draws. A regression density draws
+    chains * kept_per_chain i.i.d. draws and ignores the HMC tuning.
     """
 
     chains: int = 2
@@ -92,12 +103,7 @@ class ChainStats:
 class Diagnostics:
     chains: tuple[ChainStats, ...]
     rhat_max: float
-    metric: str | None = None  # regression only: "laplace" or "laplace_without_radial_term"
-    map_iterations: int | None = None  # regression runs started at the MAP
-
-    @property
-    def divergence_rate(self) -> float:
-        return float(np.mean([c.divergence_rate for c in self.chains]))
+    evidence: dict | None = None  # regression: the profile record that chose the regime
 
     @property
     def mixed(self) -> bool:
@@ -107,24 +113,23 @@ class Diagnostics:
 
 @dataclass(eq=False)
 class RegressionPosterior:
-    """Pooled MCMC output in original state coordinates."""
+    """Posterior moments and draws in original state coordinates."""
 
-    samples: np.ndarray  # (kept draws, state dim), chain-major
-    log_posteriors: np.ndarray  # (kept draws,)
+    samples: np.ndarray  # (draws, state dim), chain-major
+    log_posteriors: np.ndarray  # (draws,)
     h_hat: np.ndarray  # posterior mean of h*
-    Sigma_hat: np.ndarray  # posterior covariance of h* (1/N normalization)
+    Sigma_hat: np.ndarray  # posterior covariance of h*
     regime: Regime
     diagnostics: Diagnostics
     sigma_y_samples: np.ndarray | None = None  # unknown-noise mode only
     n_basis: int | None = None
     n_null: int | None = None
     config: SamplerConfig | None = field(default=None, repr=False)
+    sigma_y_quantiles: tuple[float, float, float] | None = None  # q05, median, q95 (unknown noise)
 
     @property
     def sigma_y_median(self) -> float | None:
-        if self.sigma_y_samples is None:
-            return None
-        return float(np.median(self.sigma_y_samples))
+        return None if self.sigma_y_quantiles is None else self.sigma_y_quantiles[1]
 
 
 def posterior_moments(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -138,39 +143,6 @@ def posterior_moments(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mean, cov
 
 
-def detect_poles(
-    h_norms,
-    sigma_draws,
-    h_mu_norm: float,
-    y_sd: float | None = None,
-) -> Regime:
-    """Classify the run from trace statistics over each chain's last quarter.
-
-    h_norms / sigma_draws are sequences of per-chain traces (sigma_draws may
-    be None in known-noise mode). Collapse of ||h|| relative to the
-    interpolant's flags the nullspace pole; collapse of sigma_y relative to
-    the data spread flags the interpolation pole. A single collapsed chain is
-    enough: the pole is a property of the posterior, and chains fall into it
-    at different speeds, so pooling medians across chains would let a slow
-    chain mask one that already sits on the pole.
-    """
-
-    def tail_medians(chains_arr) -> list[float]:
-        out = []
-        for t in chains_arr:
-            t = np.asarray(t, dtype=float)
-            k = max(1, t.shape[0] // 4)
-            out.append(float(np.median(t[-k:])))
-        return out
-
-    if h_mu_norm > 0 and any(m < NULLSPACE_POLE_TOL * h_mu_norm for m in tail_medians(h_norms)):
-        return Regime.NULLSPACE_POLE
-    if sigma_draws is not None and y_sd is not None and y_sd > 0:
-        if any(m < INTERPOLATION_POLE_TOL * y_sd for m in tail_medians(sigma_draws)):
-            return Regime.INTERPOLATION_POLE
-    return Regime.NORMAL
-
-
 # --- HMC internals --------------------------------------------------------
 #
 # Every target is batched over chains. States are rows of a (chains, dim)
@@ -181,113 +153,6 @@ def detect_poles(
 # kinetic(V) is (1/2) V^T M V, and velocity(Xi) turns standard normals into
 # velocities. Rows never mix: a chain that leaves the domain turns non-finite
 # and stays so, and the others are untouched.
-
-
-class _Diagonalised:
-    """A regression density in its pencil coordinates, scaled by its Laplace metric.
-
-    z = sqrt(d) * t with t = T^-1 h*, so both quadratic forms of the density
-    are diagonal: ||h||^2 = sum(a z^2) and the misfit q = sum(b (z - z_mu)^2),
-    with a = rho / d and b = s / d.
-    The mass matrix is the metric I - k u u^T, applied through its inverse
-    I + g u u^T and its inverse square root I + beta u u^T, so every leapfrog
-    step is a few elementwise operations per chain and no array here is
-    larger than N. log sigma is carried as ell * log sigma with unit mass.
-    """
-
-    def __init__(self, density: PosteriorDensity, metric):
-        p = density.pencil
-        self.n = density.n_points
-        self.nh = density.n_basis
-        self.draws_noise = not density.noise.is_known
-        self.ell = metric.ell
-        self.sqrt_d = metric.sqrt_d
-        d = metric.sqrt_d**2
-        self.ab = np.concatenate([p.rho / d, p.s / d])  # [a | b]
-        self.z_mu = metric.sqrt_d * p.t_mu
-        self.k = metric.k
-        self.u = metric.u
-        u2 = float(self.u @ self.u)
-        self.gu = self.k / (1.0 - self.k * u2) * self.u
-        # (1 + beta u2)^2 = 1 / (1 - k u2), kept accurate for small k u2
-        self.beta_u = (math.expm1(-0.5 * math.log1p(-self.k * u2)) / u2 if self.k else 0.0) * self.u
-
-    def start(self, t: np.ndarray, log_sigma: float | None) -> np.ndarray:
-        z = self.sqrt_d * t
-        return z if log_sigma is None else np.append(z, self.ell * log_sigma)
-
-    def to_x(self, Z: np.ndarray, T: np.ndarray) -> np.ndarray:
-        """States x = (T t, log sigma) of the rows of Z, given the pencil's T."""
-        X = np.empty(Z.shape)
-        X[..., : self.n] = (Z[..., : self.n] / self.sqrt_d) @ T.T
-        if self.draws_noise:
-            X[..., -1] = Z[..., -1] / self.ell
-        return X
-
-    def evaluate(self, Z: np.ndarray) -> np.ndarray:
-        """[z | z - z_mu | a z | b (z - z_mu)] of every row."""
-        N = self.n
-        Zh = Z[:, :N]
-        P = np.empty((Z.shape[0], 4 * N))
-        P[:, :N] = Zh
-        np.subtract(Zh, self.z_mu, out=P[:, N : 2 * N])
-        np.multiply(self.ab, P[:, : 2 * N], out=P[:, 2 * N :])
-        return P
-
-    def _norm_misfit(self, P):
-        """P as (chains, 4, N) and the (chains, 2) columns ||h||^2 and misfit q."""
-        Q = P.reshape(P.shape[0], 4, self.n)
-        return Q, np.einsum("ikn,ikn->ik", Q[:, :2], Q[:, 2:])
-
-    def drift(self, Z: np.ndarray, P: np.ndarray) -> np.ndarray:
-        """M^-1 grad log p of every row."""
-        N = self.n
-        Q, nq = self._norm_misfit(P)
-        # the gradient's coefficient block is -(Nh/||h||^2) a z - w b (z - z_mu)
-        coef = np.empty((Z.shape[0], 1, 2))
-        coef[:, 0, 0] = -self.nh / nq[:, 0]
-        G = np.empty_like(Z)
-        if self.draws_noise:
-            w = np.exp(-2.0 / self.ell * Z[:, -1])
-            coef[:, 0, 1] = -w
-            G[:, -1] = (w * nq[:, 1] - N) / self.ell
-        else:
-            coef[:, 0, 1] = -1.0
-        Gh = G[:, :N]
-        np.matmul(coef, Q[:, 2:], out=Gh[:, None, :])
-        if self.k:
-            Gh += (Gh @ self.u)[:, None] * self.gu
-        return G
-
-    def kinetic(self, V: np.ndarray) -> np.ndarray:
-        """(1/2) v^T M v of every velocity row."""
-        ke = 0.5 * np.einsum("ij,ij->i", V, V)
-        if self.k:
-            ke -= 0.5 * self.k * (V[:, : self.n] @ self.u) ** 2
-        return ke
-
-    def velocity(self, Xi: np.ndarray) -> np.ndarray:
-        """M^-1/2 xi of every standard normal row, in place."""
-        if self.k:
-            Xi[:, : self.n] += (Xi[:, : self.n] @ self.u)[:, None] * self.beta_u
-        return Xi
-
-    def log_density(self, Z: np.ndarray, P: np.ndarray) -> np.ndarray:
-        _, nq = self._norm_misfit(P)
-        n2, q = nq[:, 0], nq[:, 1]
-        lp = -0.5 * self.nh * np.log(n2)
-        if self.draws_noise:
-            log_sigma = Z[:, -1] / self.ell
-            lp -= self.n * log_sigma + 0.5 * np.exp(-2.0 * log_sigma) * q
-        else:
-            lp -= 0.5 * q
-        return np.where(np.isfinite(lp), lp, -math.inf)  # ||h|| = 0 gives +inf
-
-    def draw_noise(self, Z: np.ndarray, P: np.ndarray, rngs) -> None:
-        """Redraw every chain's log sigma from its exact conditional, in place."""
-        _, nq = self._norm_misfit(P)
-        for c, rng in enumerate(rngs):
-            Z[c, -1] = self.ell * _log_sigma_draw(self.n, nq[c, 1], rng)
 
 
 class _Rows:
@@ -457,8 +322,9 @@ def _run_chains(target, z0: np.ndarray, eps0, rngs, config: SamplerConfig):
         Z, P, lp, accept, divergent, accept_stat = _transition(
             target, Z, P, lp, target.velocity(R), eps_it, config.leapfrog_steps, log_u
         )
-        # Unknown-noise targets get a conjugate update of log sigma between
-        # trajectories; composing the two kernels keeps the joint invariant.
+        # A target that can draw part of its state from its exact conditional
+        # (log sigma of a regression density) does so between trajectories;
+        # composing the two kernels keeps the joint invariant.
         if target.draws_noise:
             target.draw_noise(Z, P, rngs)
             lp = target.log_density(Z, P)
@@ -509,6 +375,8 @@ def _write_trace(path: str, samples: np.ndarray, log_posts: np.ndarray) -> None:
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
+
+
 def run_mcmc(
     density,
     config: SamplerConfig,
@@ -516,92 +384,250 @@ def run_mcmc(
     init: np.ndarray | None = None,
     precond: np.ndarray | None = None,
 ) -> RegressionPosterior:
-    """Sample the density and summarize the draws.
+    """The posterior of a target: exact for a regression density, sampled by HMC otherwise.
 
-    A regression PosteriorDensity runs in its pencil coordinates with the
-    Laplace metric at init, which defaults to the MAP point (plus the initial
-    log sigma in unknown-noise mode); pole regimes are classified from the
-    traces. Generic targets must pass init, may pass a lower-triangular
-    precond L (z = L^T x; identity by default) and are always reported as the
-    normal regime.
+    A regression PosteriorDensity is computed as its scale mixture (see
+    _ScaleMixture): exact moments, regime and sigma_y quantiles, and
+    config.chains * config.kept_per_chain i.i.d. draws from config.seed; it
+    takes no init or precond. Generic targets must pass init, may pass a
+    lower-triangular precond L (z = L^T x; identity by default) and are
+    always reported as the normal regime.
     """
-    is_regression = isinstance(density, PosteriorDensity)
-    if init is None and not is_regression:
+    if isinstance(density, PosteriorDensity):
+        if init is not None or precond is not None:
+            raise ValidationError("the exact regression posterior takes no init state or preconditioner")
+        return _ScaleMixture(density).posterior(config)
+    if init is None:
         raise ValidationError("generic targets require an explicit init state")
-    if precond is not None and is_regression:
-        raise ValidationError("a regression density brings its own metric; precond is for generic targets")
-    if init is not None:
-        init = np.asarray(init, dtype=float).reshape(-1)
-        dim = getattr(density, "dim", init.shape[0])
-        if init.shape[0] != dim:
-            raise ValidationError(f"init has length {init.shape[0]}, target dimension is {dim}")
+    init = np.asarray(init, dtype=float).reshape(-1)
+    dim = getattr(density, "dim", init.shape[0])
+    if init.shape[0] != dim:
+        raise ValidationError(f"init has length {init.shape[0]}, target dimension is {dim}")
     rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(config.seed).spawn(config.chains)]
-
-    map_iterations = None
-    if is_regression:
-        if init is None:
-            t0, map_iterations = _map_coordinates(density)
-            log_sigma0 = None if density.noise.is_known else math.log(density.noise.sigma_init)
-        else:
-            h0, log_sigma0 = density._split(init)
-            t0 = density.pencil.coordinates(h0)
-        metric = _laplace_metric(density, t0, log_sigma0)
-        target = _Diagonalised(density, metric)
-        z0 = target.start(t0, log_sigma0)
-    else:
-        L = np.eye(init.shape[0]) if precond is None else np.asarray(precond, dtype=float)
-        Linv = solve_triangular(L, np.eye(init.shape[0]), lower=True)
-        target = _Rows(density, Linv)
-        z0 = L.T @ init
+    L = np.eye(dim) if precond is None else np.asarray(precond, dtype=float)
+    Linv = solve_triangular(L, np.eye(dim), lower=True)
+    target = _Rows(density, Linv)
+    z0 = L.T @ init
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         eps0 = [_find_initial_step(target, z0, rng) for rng in rngs]
         kept_z, kept_lp, stats = _run_chains(target, z0, eps0, rngs, config)
 
-    draws = target.to_x(kept_z, density.pencil.T) if is_regression else kept_z @ Linv
-    chain_draws = list(draws)
-    samples = draws.reshape(-1, z0.shape[0])
-    log_posts = kept_lp.reshape(-1)
-    diagnostics = Diagnostics(
-        chains=stats,
-        rhat_max=_split_rhat(chain_draws),
-        metric=metric.name if is_regression else None,
-        map_iterations=map_iterations,
-    )
-
-    if is_regression:
-        n_state = density.n_points
-        sigma_samples = None if density.noise.is_known else np.exp(samples[:, -1])
-        h_norm_chains = [np.linalg.norm(c[:, : density.n_basis], axis=1) for c in chain_draws]
-        sigma_chains = None if density.noise.is_known else [np.exp(c[:, -1]) for c in chain_draws]
-        y_sd = float(np.std(density.y))
-        regime = detect_poles(h_norm_chains, sigma_chains, density.h_mu_norm, y_sd)
-    else:
-        n_state = samples.shape[1]
-        sigma_samples = None
-        regime = Regime.NORMAL
-
-    # A pole explains the divergences; only an unexplained majority is an error.
-    if regime == Regime.NORMAL:
-        total_post = sum(c.shape[0] for c in chain_draws)
-        n_div = round(sum(s.divergence_rate * c.shape[0] for s, c in zip(stats, chain_draws)))
-        if total_post > 0 and n_div / total_post > 0.5:
-            raise DivergentChains(
-                f"{n_div}/{total_post} post-burn-in proposals diverged; "
-                "the posterior is badly scaled or sits on a pole"
-            )
-
-    h_hat, Sigma_hat = posterior_moments(samples[:, :n_state])
+    draws = kept_z @ Linv
+    samples = draws.reshape(-1, dim)
+    n_div = round(sum(s.divergence_rate for s in stats) * config.kept_per_chain)
+    if n_div > 0.5 * samples.shape[0]:
+        raise DivergentChains(f"{n_div}/{samples.shape[0]} post-burn-in proposals diverged")
+    h_hat, Sigma_hat = posterior_moments(samples)
     if config.trace_path is not None:
-        _write_trace(config.trace_path, samples, log_posts)
+        _write_trace(config.trace_path, samples, kept_lp.reshape(-1))
     return RegressionPosterior(
         samples=samples,
-        log_posteriors=log_posts,
+        log_posteriors=kept_lp.reshape(-1),
         h_hat=h_hat,
         Sigma_hat=Sigma_hat,
-        regime=regime,
-        diagnostics=diagnostics,
-        sigma_y_samples=sigma_samples,
-        n_basis=density.n_basis if is_regression else None,
-        n_null=density.n_null if is_regression else None,
+        regime=Regime.NORMAL,
+        diagnostics=Diagnostics(chains=stats, rhat_max=_split_rhat(list(draws))),
         config=config,
     )
+
+
+# --- the exact regression posterior ------------------------------------------
+
+
+class _ScaleMixture:
+    """A regression density as a mixture over one scale x, Gaussian given x.
+
+    In pencil coordinates t the kernel coordinates have misfit weights s_i
+    and means mu_i, and the polynomial ones are N(mu_c, 1), or N(mu_c,
+    sigma^2) when the noise is unknown. With x = log tau (known noise) or
+    x = log lambda, lambda = tau / sigma (unknown noise), and a_i = e^2x s_i,
+    each kernel coordinate given x is Gaussian with mean a_i mu_i / (1 + a_i)
+    and variance e^2x / (1 + a_i), times sigma^2 when unknown; 1 / sigma^2
+    given x is Gamma(Nh/2, rate Q/2) with Q = sum mu_i^2 s_i / (1 + a_i); and
+    the profile of x, with uniform measure in x, is
+
+        known:   f(x) = -1/2 sum log(1 + a_i) - Q / 2
+        unknown: f(x) = -1/2 sum log(1 + a_i) - (Nh/2) log Q
+
+    Each evaluation is O(Nh). f is flat at both ends: x -> -inf is the
+    nullspace pole and, for unknown noise, x -> +inf the interpolation pole,
+    so the exact posterior is improper at both. The regime is whichever
+    holds the most mass: the basin of the profile's peak, counted above the
+    plateau of its side, or a plateau over ln(1/TOL) of log-scale width.
+    Without an interior maximum the basin is empty, so the plateau of the
+    rising side wins. The normal posterior is the mixture restricted to the
+    basin; a pole's, which only the draws use, is the mixture cut where the
+    profile's range ends.
+    """
+
+    def __init__(self, density: PosteriorDensity):
+        if density.h_mu_norm == 0.0:
+            raise PoleCollapse("interpolant is exactly polynomial; no kernel component to fit")
+        p = density.pencil
+        self.known = density.noise.is_known
+        self.n, self.nh = density.n_points, density.n_basis
+        if not self.known and self.nh < 3:  # E[sigma^2] = Q / (Nh - 2)
+            raise TooFewPoints(f"with unknown noise the posterior variance needs N - N0 >= 3, got {self.nh}")
+        self.T, self.t_mu, self.s_all = p.T, p.t_mu, p.s
+        self.s = np.maximum(p.s[: self.nh], np.finfo(float).tiny)
+        self.mu = p.t_mu[: self.nh]
+        self.ms = self.mu**2 * self.s
+        if self.known:  # f at x -> -inf and x -> +inf
+            self.plateaus = (-0.5 * self.ms.sum(), -math.inf)
+        else:
+            self.plateaus = (-0.5 * self.nh * math.log(self.ms.sum()),
+                             -0.5 * np.log(self.s).sum() - 0.5 * self.nh * math.log(self.mu @ self.mu))
+
+    def _rows(self, x: np.ndarray):
+        """Chunks of x as (rows, a) with a = e^2x s, no chunk above _CHUNK floats."""
+        step = max(1, _CHUNK // self.nh)
+        for i in range(0, x.shape[0], step):
+            yield slice(i, i + step), np.exp(2.0 * x[i : i + step, None]) * self.s
+
+    def profile(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """f and Q at every x."""
+        f, Q = np.empty(x.shape), np.empty(x.shape)
+        for rows, a in self._rows(x):
+            Q[rows] = (self.ms / (1.0 + a)).sum(axis=1)
+            f[rows] = -0.5 * np.log1p(a).sum(axis=1)
+        return f - (0.5 * Q if self.known else 0.5 * self.nh * np.log(Q)), Q
+
+    def grid(self) -> np.ndarray:
+        """A _GRID_STEP grid over every x where f can turn, plus ln(1/TOL) at each end.
+
+        Beyond the scales -1/2 log s_i (and log(||mu|| / sqrt(Nh)) for known
+        noise) every a_i is far from 1 on the same side, and f is monotone.
+        """
+        turns = -0.5 * np.log(self.s)
+        margin = math.log(1.0 / min(NULLSPACE_POLE_TOL, INTERPOLATION_POLE_TOL))
+        lo = turns.min() - margin
+        hi = max(turns.max(), math.log(np.linalg.norm(self.mu) / math.sqrt(self.nh))) + margin
+        return np.linspace(lo, hi, math.ceil((hi - lo) / _GRID_STEP) + 1)
+
+    def nodes(self, x: np.ndarray, f: np.ndarray, k: int, floors: tuple[float, float]):
+        """_NODES midpoint nodes over the descent from the grid's peak x[k].
+
+        The descent stops at a dip, where f meets the floor of its side
+        (floors[0] left of the peak, floors[1] right of it), or _NATS below
+        the peak. Each node weighs e^f - e^floor. Returns the nodes, f and Q
+        there, the normalised weights and the log of the weighed mass.
+        """
+        floor = np.where(np.arange(x.shape[0]) < k, *floors)
+        with np.errstate(divide="ignore"):
+            excess = f + np.log(np.maximum(-np.expm1(floor - f), 0.0))
+        cut = excess[k] - _NATS
+        lo = hi = k
+        while lo > 0 and f[lo - 1] <= f[lo] and excess[lo - 1] > cut:
+            lo -= 1
+        while hi < x.shape[0] - 1 and f[hi + 1] <= f[hi] and excess[hi + 1] > cut:
+            hi += 1
+        a, b = x[max(lo - 1, 0)], x[min(hi + 1, x.shape[0] - 1)]
+        xs = a + (b - a) * (np.arange(_NODES) + 0.5) / _NODES
+        fs, Q = self.profile(xs)
+        top = fs.max()
+        w = np.maximum(np.exp(fs - top) - np.exp(np.where(xs < x[k], *floors) - top), 0.0)
+        total = w.sum()
+        log_mass = top + math.log(total * (b - a) / _NODES) if total > 0.0 else -math.inf
+        return xs, fs, Q, w / total if total > 0.0 else w, log_mass
+
+    def solve(self):
+        """The regime and the nodes of its posterior (see nodes)."""
+        x = self.grid()
+        f, _ = self.profile(x)
+        k = int(np.argmax(f))
+        basin = self.nodes(x, f, k, self.plateaus)
+        masses = {
+            Regime.NORMAL: basin[-1] if 0 < k < x.shape[0] - 1 else -math.inf,
+            Regime.NULLSPACE_POLE: self.plateaus[0] + math.log(math.log(1.0 / NULLSPACE_POLE_TOL)),
+            Regime.INTERPOLATION_POLE: self.plateaus[1] + math.log(math.log(1.0 / INTERPOLATION_POLE_TOL)),
+        }
+        regime = max(masses, key=masses.get)
+        return regime, basin if regime is Regime.NORMAL else self.nodes(x, f, k, (-math.inf, -math.inf))
+
+    def moments(self, xs, Q, w) -> tuple[np.ndarray, np.ndarray]:
+        """Mean and covariance of h*: T (diag E[var] + Cov of the node means) T^T."""
+        e2x = np.exp(2.0 * xs)
+        s2 = np.ones_like(xs) if self.known else Q / (self.nh - 2)  # E[sigma^2] at each node
+        a = e2x[:, None] * self.s
+        m = self.mu * a / (1.0 + a)
+        m_bar = w @ m
+        ev = np.concatenate([w @ ((e2x * s2)[:, None] / (1.0 + a)), np.full(self.n - self.nh, w @ s2)])
+        L = self.T * np.sqrt(ev)
+        B = self.T[:, : self.nh] @ ((m - m_bar) * np.sqrt(w)[:, None]).T
+        return self.T @ np.concatenate([m_bar, self.t_mu[self.nh :]]), L @ L.T + B @ B.T
+
+    def sigma_quantiles(self, Q, w) -> tuple[float, float, float]:
+        """q05, median and q95 of sigma, by root-finding on the mixture's CDF in log sigma."""
+        shape = 0.5 * self.nh
+
+        def excess_cdf(log_sigma, q):
+            return float(w @ gammaincc(shape, 0.5 * Q * math.exp(-2.0 * log_sigma))) - q
+
+        out = []
+        for q in (0.05, 0.5, 0.95):
+            # the mixture's quantile lies between its nodes' quantiles
+            per_node = 0.5 * np.log(0.5 * Q / gammainccinv(shape, q))
+            lo, hi = per_node.min(), per_node.max()
+            out.append(math.exp(lo if hi - lo < 1e-12 else brentq(excess_cdf, lo, hi, args=(q,), xtol=1e-14)))
+        return tuple(out)
+
+    def draws(self, xs, Q, w, n: int, rng: np.random.Generator):
+        """n i.i.d. states (h*, then log sigma when unknown), their log densities and sigmas.
+
+        Each draw takes a node, then sigma given the node, then t given both.
+        """
+        k = rng.choice(xs.shape[0], size=n, p=w)
+        scale = np.exp(xs[k])
+        if self.known:
+            sigma = np.ones(n)
+        else:
+            u = rng.gamma(0.5 * self.nh, 2.0 / Q[k])
+            sigma = 1.0 / np.sqrt(np.clip(u, np.finfo(float).tiny, 1e300))
+        a = (scale**2)[:, None] * self.s
+        t = rng.standard_normal((n, self.n)) * sigma[:, None]
+        t[:, : self.nh] *= scale[:, None] / np.sqrt(1.0 + a)
+        t[:, : self.nh] += self.mu * a / (1.0 + a)
+        t[:, self.nh :] += self.t_mu[self.nh :]
+        lp = -0.5 * self.nh * np.log((t[:, : self.nh] ** 2).sum(axis=1))
+        q = ((t - self.t_mu) ** 2) @ self.s_all
+        h = t @ self.T.T
+        if self.known:
+            return h, lp - 0.5 * q, None
+        log_sigma = np.log(sigma)
+        return np.column_stack([h, log_sigma]), lp - self.n * log_sigma - 0.5 * q / sigma**2, sigma
+
+    def posterior(self, config: SamplerConfig) -> RegressionPosterior:
+        regime, (xs, fs, Q, w, _) = self.solve()
+        h_hat, Sigma_hat = self.moments(xs, Q, w)
+        rng = np.random.default_rng(config.seed)
+        samples, log_posts, sigma = self.draws(xs, Q, w, config.chains * config.kept_per_chain, rng)
+        top = fs.max()
+        evidence = {
+            "nodes": int(np.count_nonzero(w)),
+            "scale": "log_tau" if self.known else "log_lambda",
+            "peak": float(xs[np.argmax(fs)]),
+            "gap_nullspace_pole": float(top - self.plateaus[0]),
+            "gap_interpolation_pole": None if self.known else float(top - self.plateaus[1]),
+        }
+        quantiles = None if self.known else self.sigma_quantiles(Q, w)
+        if quantiles is not None and regime is Regime.INTERPOLATION_POLE:
+            quantiles = (0.0, 0.0, 0.0)  # the exact posterior of sigma there is a point mass at 0
+        if config.trace_path is not None:
+            _write_trace(config.trace_path, samples, log_posts)
+        return RegressionPosterior(
+            samples=samples,
+            log_posteriors=log_posts,
+            h_hat=h_hat,
+            Sigma_hat=Sigma_hat,
+            regime=regime,
+            diagnostics=Diagnostics(
+                chains=(ChainStats(accept_rate=1.0, divergence_rate=0.0, step_size=0.0),) * config.chains,
+                rhat_max=_split_rhat(list(samples.reshape(config.chains, config.kept_per_chain, -1))),
+                evidence=evidence,
+            ),
+            sigma_y_samples=sigma,
+            n_basis=self.nh,
+            n_null=self.n - self.nh,
+            config=config,
+            sigma_y_quantiles=quantiles,
+        )

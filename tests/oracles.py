@@ -10,15 +10,22 @@ definitions, one dense solve per probe, per basis column or per iteration:
   is the test function of point N0 + j against all earlier points, scaled to
   unit norm and sign-fixed, then re-orthonormalized once. The library builds
   the same basis from one Cholesky factor.
-* ``map_estimate`` -- the MAP fixed point with one dense solve of
-  Sigma_inv + lam P per iteration. The library iterates elementwise in the
-  coordinates that diagonalise both quadratic forms.
+* ``map_estimate`` -- the MAP fixed point, bracketed on its norm equation
+  with one dense solve of Sigma_inv + lam P per trial norm. The library
+  evaluates the same equation elementwise in the coordinates that
+  diagonalise both quadratic forms.
 * ``laplace_precondition`` -- the Cholesky factor of the dense negative
-  Hessian at a state, with a diagonal fallback. The library applies the same
-  metric as a diagonal and one rank-one term in those coordinates.
+  Hessian at a state, with a diagonal fallback. ``_laplace_metric`` below
+  applies the same metric as a diagonal and one rank-one term in those
+  coordinates.
 * ``sigma_inv_at``, ``hessian``, ``initial_state`` and ``draw_log_sigma`` --
   the dense precision, the analytic Hessian, the state layout and the exact
   log-sigma draw of a ``PosteriorDensity`` in its original coordinates.
+* ``hmc_posterior`` -- the regression posterior sampled by HMC in those
+  coordinates, with the Laplace metric at the MAP (``_laplace_metric``,
+  ``_Diagonalised``), an exact log-sigma draw between trajectories and the
+  regime read off the traces (``detect_poles``). The library computes the
+  same posterior exactly as a one-dimensional scale mixture.
 * ``sequential_sample_path`` -- a sample path drawn one grid point at a time,
   each value from its pointwise t posterior and then added to the data by a
   refit. The library draws the whole grid jointly from one factored saddle.
@@ -56,7 +63,19 @@ from sipr.geometry import (
     unit_box_map,
 )
 from sipr.interpolate import InterpolationModel, pointwise_posterior, solve_interpolation
-from sipr.posterior import _log_sigma_draw
+from sipr import sampler
+from sipr.posterior import PosteriorDensity, _largest_root, _map_coordinates
+from sipr.sampler import (
+    INTERPOLATION_POLE_TOL,
+    NULLSPACE_POLE_TOL,
+    Diagnostics,
+    Regime,
+    RegressionPosterior,
+    SamplerConfig,
+    _find_initial_step,
+    _split_rhat,
+    posterior_moments,
+)
 
 
 @dataclass(eq=False)
@@ -182,38 +201,42 @@ def loop_orthonormal_basis(X, eta) -> SubspaceBasis:
 
 
 def map_estimate(density, tol: float = 1e-10, max_iter: int = 200) -> np.ndarray:
-    """Fixed point of (Sigma_inv + (Nh/||h||^2) P) h* = Sigma_inv h*_mu.
+    """Fixed point of (Sigma_inv + (Nh/||h||^2) P) h* = Sigma_inv h*_mu, with dense solves.
 
-    P projects onto the kernel block. Starts at h*_mu; in unknown-noise mode
-    the precision is evaluated at the initial sigma. Returns the MAP h*
-    (length n_points, without the log-sigma entry). Raises PoleCollapse when
-    the iterate's kernel block collapses below 1e-10 of the interpolant's.
+    P projects onto the kernel block; in unknown-noise mode the precision is
+    evaluated at the initial sigma. For each trial r = ||h||^2 one dense
+    solve gives h(Nh/r), and the fixed point is the largest root below
+    ||h_mu||^2 of log ||h(Nh/r)||^2 - log r, bracketed and bisected as the
+    library does. Raises PoleCollapse when there is no root above 1e-10 of
+    the interpolant's norm.
     """
     Nh = density.n_basis
-    h_mu = density.h_mu_star
     norm_mu = density.h_mu_norm
     if norm_mu == 0.0:
         raise PoleCollapse("interpolant is exactly polynomial; no kernel component to fit")
     Sigma_inv = sigma_inv_at(density, 0.0 if density.noise.is_known else math.log(density.noise.sigma_init))
-    rhs = Sigma_inv @ h_mu
-    state = h_mu.copy()
-    rel = math.inf
-    for _ in range(max_iter):
-        lam = Nh / float(state[:Nh] @ state[:Nh])
+    rhs = Sigma_inv @ density.h_mu_star
+
+    def solve(log_r: float, gated: bool = True) -> np.ndarray:
         A = Sigma_inv.copy()
-        A[np.arange(Nh), np.arange(Nh)] += lam
-        new = SymmetricFactor(A).solve(rhs)
-        if np.linalg.norm(new[:Nh]) < 1e-10 * norm_mu:
-            raise PoleCollapse("MAP iteration collapsed onto the nullspace pole")
-        rel = float(np.linalg.norm(new - state) / max(np.linalg.norm(new), 1e-300))
-        state = new
-        if rel < tol:
-            return state
-    raise NoConvergence(
-        f"MAP iteration did not reach tol={tol:g} in {max_iter} steps (last change {rel:.3e})",
-        last_iterate=state,
-        residual=rel,
-    )
+        A[np.arange(Nh), np.arange(Nh)] += Nh * math.exp(-log_r)
+        # the scan's trial norms reach far past the rcond gate; only the answer is gated
+        return SymmetricFactor(A).solve(rhs) if gated else np.linalg.solve(A, rhs)
+
+    def residual(u):
+        out = []
+        for v in u:
+            h = solve(v, gated=False)
+            out.append(math.log(float(h[:Nh] @ h[:Nh])) - v)
+        return np.array(out)
+
+    found = _largest_root(residual, 2.0 * math.log(norm_mu), tol, max_iter)
+    if found is None:
+        raise PoleCollapse("MAP collapses onto the nullspace pole")
+    u, _, width = found
+    if width > tol:
+        raise NoConvergence(f"MAP bisection did not reach tol={tol:g}", last_iterate=solve(u), residual=width)
+    return solve(u)
 
 
 def laplace_precondition(h_map, density) -> np.ndarray:
@@ -330,3 +353,257 @@ def sequential_sample_path(X, y, eta, grid, seed) -> tuple[np.ndarray, int]:
             continue
         out[i] = value
     return out, kept_mean
+
+
+# --- the regression sampler: HMC in pencil coordinates --------------------
+
+
+def _log_sigma_draw(n_points: int, q: float, rng: np.random.Generator) -> float:
+    """log sigma drawn from its conditional given the squared data misfit q.
+
+    u = sigma^-2 is Gamma(N/2, rate q/2); u is clamped to the float range so
+    a perfect fit gives a very small finite sigma rather than zero.
+    """
+    q = max(q, np.finfo(float).tiny)
+    u = float(rng.gamma(0.5 * n_points, 2.0 / q))
+    u = min(max(u, np.finfo(float).tiny), 1e300)
+    return -0.5 * math.log(u)
+
+
+@dataclass(frozen=True)
+class _LaplaceMetric:
+    """The negative Hessian at a state, in pencil coordinates scaled by sqrt(d).
+
+    In t the kernel-block curvature is diag(d) - k (rho t)(rho t)^T with
+    d = c rho + w s, c = Nh/||h||^2 and k = 2c/||h||^2; after scaling by
+    sqrt(d) it is I - k u u^T with u = (rho t)/sqrt(d). Where that is not
+    positive definite (k ||u||^2 >= 1) the radial term is dropped (k = 0),
+    leaving diag(d), which is positive definite by construction. ell is the
+    log-sigma curvature sqrt(2 w q) (the cross terms with the coefficients
+    are dropped), or 1 where that is not positive; None for known noise.
+    """
+
+    sqrt_d: np.ndarray
+    u: np.ndarray
+    k: float
+    ell: float | None
+
+    @property
+    def name(self) -> str:
+        return "laplace" if self.k > 0.0 else "laplace_without_radial_term"
+
+
+def _laplace_metric(density: PosteriorDensity, t: np.ndarray, log_sigma: float | None) -> _LaplaceMetric:
+    """The Laplace metric at pencil coordinates t (and log sigma when unknown)."""
+    p = density.pencil
+    w = 1.0 if log_sigma is None else math.exp(-2.0 * log_sigma)
+    n2 = float(p.rho @ (t * t))
+    if not np.isfinite(n2) or n2 == 0.0:
+        raise DomainError("no Laplace metric at ||h|| = 0 (nullspace pole)")
+    c = density.n_basis / n2
+    k = 2.0 * c / n2
+    sqrt_d = np.sqrt(c * p.rho + w * p.s)
+    u = p.rho * t / sqrt_d
+    if not k * float(u @ u) < 1.0:
+        k = 0.0
+    ell = None
+    if log_sigma is not None:
+        r = t - p.t_mu
+        curv = 2.0 * w * float(p.s @ (r * r))
+        ell = math.sqrt(curv) if math.isfinite(curv) and curv > 0.0 else 1.0
+    return _LaplaceMetric(sqrt_d=sqrt_d, u=u, k=k, ell=ell)
+
+
+class _Diagonalised:
+    """A regression density in its pencil coordinates, scaled by its Laplace metric.
+
+    z = sqrt(d) * t with t = T^-1 h*, so both quadratic forms of the density
+    are diagonal: ||h||^2 = sum(a z^2) and the misfit q = sum(b (z - z_mu)^2),
+    with a = rho / d and b = s / d.
+    The mass matrix is the metric I - k u u^T, applied through its inverse
+    I + g u u^T and its inverse square root I + beta u u^T, so every leapfrog
+    step is a few elementwise operations per chain and no array here is
+    larger than N. log sigma is carried as ell * log sigma with unit mass.
+    """
+
+    def __init__(self, density: PosteriorDensity, metric):
+        p = density.pencil
+        self.n = density.n_points
+        self.nh = density.n_basis
+        self.draws_noise = not density.noise.is_known
+        self.ell = metric.ell
+        self.sqrt_d = metric.sqrt_d
+        d = metric.sqrt_d**2
+        self.ab = np.concatenate([p.rho / d, p.s / d])  # [a | b]
+        self.z_mu = metric.sqrt_d * p.t_mu
+        self.k = metric.k
+        self.u = metric.u
+        u2 = float(self.u @ self.u)
+        self.gu = self.k / (1.0 - self.k * u2) * self.u
+        # (1 + beta u2)^2 = 1 / (1 - k u2), kept accurate for small k u2
+        self.beta_u = (math.expm1(-0.5 * math.log1p(-self.k * u2)) / u2 if self.k else 0.0) * self.u
+
+    def start(self, t: np.ndarray, log_sigma: float | None) -> np.ndarray:
+        z = self.sqrt_d * t
+        return z if log_sigma is None else np.append(z, self.ell * log_sigma)
+
+    def to_x(self, Z: np.ndarray, T: np.ndarray) -> np.ndarray:
+        """States x = (T t, log sigma) of the rows of Z, given the pencil's T."""
+        X = np.empty(Z.shape)
+        X[..., : self.n] = (Z[..., : self.n] / self.sqrt_d) @ T.T
+        if self.draws_noise:
+            X[..., -1] = Z[..., -1] / self.ell
+        return X
+
+    def evaluate(self, Z: np.ndarray) -> np.ndarray:
+        """[z | z - z_mu | a z | b (z - z_mu)] of every row."""
+        N = self.n
+        Zh = Z[:, :N]
+        P = np.empty((Z.shape[0], 4 * N))
+        P[:, :N] = Zh
+        np.subtract(Zh, self.z_mu, out=P[:, N : 2 * N])
+        np.multiply(self.ab, P[:, : 2 * N], out=P[:, 2 * N :])
+        return P
+
+    def _norm_misfit(self, P):
+        """P as (chains, 4, N) and the (chains, 2) columns ||h||^2 and misfit q."""
+        Q = P.reshape(P.shape[0], 4, self.n)
+        return Q, np.einsum("ikn,ikn->ik", Q[:, :2], Q[:, 2:])
+
+    def drift(self, Z: np.ndarray, P: np.ndarray) -> np.ndarray:
+        """M^-1 grad log p of every row."""
+        N = self.n
+        Q, nq = self._norm_misfit(P)
+        # the gradient's coefficient block is -(Nh/||h||^2) a z - w b (z - z_mu)
+        coef = np.empty((Z.shape[0], 1, 2))
+        coef[:, 0, 0] = -self.nh / nq[:, 0]
+        G = np.empty_like(Z)
+        if self.draws_noise:
+            w = np.exp(-2.0 / self.ell * Z[:, -1])
+            coef[:, 0, 1] = -w
+            G[:, -1] = (w * nq[:, 1] - N) / self.ell
+        else:
+            coef[:, 0, 1] = -1.0
+        Gh = G[:, :N]
+        np.matmul(coef, Q[:, 2:], out=Gh[:, None, :])
+        if self.k:
+            Gh += (Gh @ self.u)[:, None] * self.gu
+        return G
+
+    def kinetic(self, V: np.ndarray) -> np.ndarray:
+        """(1/2) v^T M v of every velocity row."""
+        ke = 0.5 * np.einsum("ij,ij->i", V, V)
+        if self.k:
+            ke -= 0.5 * self.k * (V[:, : self.n] @ self.u) ** 2
+        return ke
+
+    def velocity(self, Xi: np.ndarray) -> np.ndarray:
+        """M^-1/2 xi of every standard normal row, in place."""
+        if self.k:
+            Xi[:, : self.n] += (Xi[:, : self.n] @ self.u)[:, None] * self.beta_u
+        return Xi
+
+    def log_density(self, Z: np.ndarray, P: np.ndarray) -> np.ndarray:
+        _, nq = self._norm_misfit(P)
+        n2, q = nq[:, 0], nq[:, 1]
+        lp = -0.5 * self.nh * np.log(n2)
+        if self.draws_noise:
+            log_sigma = Z[:, -1] / self.ell
+            lp -= self.n * log_sigma + 0.5 * np.exp(-2.0 * log_sigma) * q
+        else:
+            lp -= 0.5 * q
+        return np.where(np.isfinite(lp), lp, -math.inf)  # ||h|| = 0 gives +inf
+
+    def draw_noise(self, Z: np.ndarray, P: np.ndarray, rngs) -> None:
+        """Redraw every chain's log sigma from its exact conditional, in place."""
+        _, nq = self._norm_misfit(P)
+        for c, rng in enumerate(rngs):
+            Z[c, -1] = self.ell * _log_sigma_draw(self.n, nq[c, 1], rng)
+
+
+
+def detect_poles(
+    h_norms,
+    sigma_draws,
+    h_mu_norm: float,
+    y_sd: float | None = None,
+) -> Regime:
+    """Classify the run from trace statistics over each chain's last quarter.
+
+    h_norms / sigma_draws are sequences of per-chain traces (sigma_draws may
+    be None in known-noise mode). Collapse of ||h|| relative to the
+    interpolant's flags the nullspace pole; collapse of sigma_y relative to
+    the data spread flags the interpolation pole. A single collapsed chain is
+    enough: the pole is a property of the posterior, and chains fall into it
+    at different speeds, so pooling medians across chains would let a slow
+    chain mask one that already sits on the pole.
+    """
+
+    def tail_medians(chains_arr) -> list[float]:
+        out = []
+        for t in chains_arr:
+            t = np.asarray(t, dtype=float)
+            k = max(1, t.shape[0] // 4)
+            out.append(float(np.median(t[-k:])))
+        return out
+
+    if h_mu_norm > 0 and any(m < NULLSPACE_POLE_TOL * h_mu_norm for m in tail_medians(h_norms)):
+        return Regime.NULLSPACE_POLE
+    if sigma_draws is not None and y_sd is not None and y_sd > 0:
+        if any(m < INTERPOLATION_POLE_TOL * y_sd for m in tail_medians(sigma_draws)):
+            return Regime.INTERPOLATION_POLE
+    return Regime.NORMAL
+
+
+
+def hmc_posterior(density: PosteriorDensity, config: SamplerConfig, init=None) -> RegressionPosterior:
+    """Sample a regression density by HMC: the same law as the library's exact mixture.
+
+    The chains run in the density's pencil coordinates with the Laplace
+    metric at init, which defaults to the MAP point (plus the initial log
+    sigma in unknown-noise mode); log sigma gets an exact conditional draw
+    between trajectories. The regime comes from the traces (detect_poles).
+    The diagnostics' evidence records the metric and the MAP's bisection steps.
+    """
+    rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(config.seed).spawn(config.chains)]
+    map_iterations = None
+    if init is None:
+        t0, map_iterations = _map_coordinates(density)
+        log_sigma0 = None if density.noise.is_known else math.log(density.noise.sigma_init)
+    else:
+        h0, log_sigma0 = density._split(init)
+        t0 = density.pencil.coordinates(h0)
+    metric = _laplace_metric(density, t0, log_sigma0)
+    target = _Diagonalised(density, metric)
+    z0 = target.start(t0, log_sigma0)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        eps0 = [_find_initial_step(target, z0, rng) for rng in rngs]
+        kept_z, kept_lp, stats = sampler._run_chains(target, z0, eps0, rngs, config)
+
+    draws = target.to_x(kept_z, density.pencil.T)
+    samples = draws.reshape(-1, z0.shape[0])
+    known = density.noise.is_known
+    regime = detect_poles(
+        [np.linalg.norm(c[:, : density.n_basis], axis=1) for c in draws],
+        None if known else [np.exp(c[:, -1]) for c in draws],
+        density.h_mu_norm,
+        float(np.std(density.Estar @ density.h_mu_star)),  # sd of the data
+    )
+    h_hat, Sigma_hat = posterior_moments(samples[:, : density.n_points])
+    return RegressionPosterior(
+        samples=samples,
+        log_posteriors=kept_lp.reshape(-1),
+        h_hat=h_hat,
+        Sigma_hat=Sigma_hat,
+        regime=regime,
+        diagnostics=Diagnostics(
+            chains=stats,
+            rhat_max=_split_rhat(list(draws)),
+            evidence={"metric": metric.name, "map_iterations": map_iterations},
+        ),
+        sigma_y_samples=None if known else np.exp(samples[:, -1]),
+        sigma_y_quantiles=None if known else tuple(np.quantile(np.exp(samples[:, -1]), [0.05, 0.5, 0.95])),
+        n_basis=density.n_basis,
+        n_null=density.n_null,
+        config=config,
+    )

@@ -302,13 +302,13 @@ def test_criterion_9_pole_regimes(report):
         assert fit_lin.regime is Regime.NULLSPACE_POLE
         np.testing.assert_allclose(fit_lin.mean_c, [2.0, 3.0], atol=1e-8)
 
+        # the regime is read off the exact posterior, so no sampler seed can move it
         Xs = np.linspace(0.0, 1.0, 20)[:, None]
         ys = np.sin(2 * np.pi * Xs[:, 0])
-        cfg = SamplerConfig(seed=0)
-        fit_sin = fit_regression(Xs, ys, 1.5, noise="unknown", config=cfg)
-        assert fit_sin.regime is Regime.INTERPOLATION_POLE
-        rerun = fit_regression(Xs, ys, 1.5, noise="unknown", config=cfg)
-        assert rerun.regime is fit_sin.regime
+        for seed in range(5):
+            fit_sin = fit_regression(Xs, ys, 1.5, noise="unknown", config=SamplerConfig(seed=seed))
+            assert fit_sin.regime is Regime.INTERPOLATION_POLE
+            assert fit_sin.sigma_y == 0.0
 
 
 def _marathon_path() -> Path | None:

@@ -122,7 +122,7 @@ class TestFitAndPredict:
         msg = capsys.readouterr().out
         assert "regime: normal" in msg
         assert "sigma_y (known): 0.05" in msg
-        assert "acceptance:" in msg and "split Rhat:" in msg
+        assert "posterior: 128 nodes in log_tau, peak at " in msg and "gap to nullspace plateau " in msg
         doc = json.loads(model.read_text())
         assert doc["format_version"] == 2
 
@@ -150,6 +150,26 @@ class TestFitAndPredict:
         assert main(args + ["--model-out", str(m1)]) == 0
         assert main(args + ["--model-out", str(m2)]) == 0
         assert m1.read_text() == m2.read_text()
+
+    def test_seed_moves_only_the_trace(self, tmp_path):
+        # The posterior is exact: the seed only chooses the --trace draws.
+        data = tmp_path / "d.csv"
+        write_higdon(data, n=30, sigma=0.2, seed=4)
+        docs, bands, traces = [], [], []
+        for seed in (0, 1):
+            model, band, trace = (tmp_path / f"{name}{seed}" for name in ("m.json", "b.csv", "t.csv"))
+            assert main(["fit", "--data", str(data), "--target", "y", "--eta", "1.5", "--noise", "unknown",
+                         "--seed", str(seed), "--samples", "150", "--burn", "50", "--trace", str(trace),
+                         "--model-out", str(model)]) == 0
+            assert main(["predict", "--model", str(model), "--grid", "-1:11:25", "--out", str(band)]) == 0
+            docs.append(json.loads(model.read_text()))
+            bands.append(read_output(band)[2])
+            traces.append(trace.read_text())
+        assert docs[0]["regime"] == "normal"
+        for key in ("h_hat", "Sigma_hat", "sigma_y", "diagnostics"):
+            assert docs[0][key] == docs[1][key], key
+        np.testing.assert_array_equal(bands[0], bands[1])
+        assert traces[0] != traces[1]
 
     def test_fit_reports_polynomial_coefficients_on_nullspace_pole(self, tmp_path, capsys):
         data = tmp_path / "d.csv"

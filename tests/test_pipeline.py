@@ -40,9 +40,9 @@ class TestRegimes:
         assert fit.noise_known and fit.sigma_y == 0.08
         err = rmse(fit.predict_mean(higdon_ds.X), higdon_truth(higdon_ds.X[:, 0]))
         assert err < 0.1
-        assert fit.diagnostics_summary["rhat_max"] < 1.2
-        assert fit.diagnostics_summary["metric"] in ("laplace", "laplace_without_radial_term")
-        assert fit.diagnostics_summary["map_iterations"] > 0
+        evidence = fit.diagnostics_summary  # the profile that chose the regime
+        assert evidence["scale"] == "log_tau" and evidence["nodes"] > 0
+        assert evidence["gap_nullspace_pole"] > 40.0 and evidence["gap_interpolation_pole"] is None
 
     def test_unknown_noise_estimates_sigma(self, higdon_ds):
         fit = fit_dataset(higdon_ds, 1.5, noise="unknown", config=QUICK)

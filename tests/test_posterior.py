@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from sipr.basis import build_orthonormal_basis
@@ -15,7 +15,6 @@ from sipr.posterior import (
     KnownNoise,
     PosteriorDensity,
     UnknownNoise,
-    _laplace_metric,
     build_density,
     map_estimate,
 )
@@ -213,6 +212,12 @@ class TestMapMatchesDenseOracle:
         kind=st.sampled_from(["scalar", "covariance", "unknown"]),
         sd=st.sampled_from([0.1, 0.01, 0.001]),
     )
+    # near the bifurcation where the MAP's fixed point disappears: iterating
+    # crawled there, and 1678 has none (its residual peaks at -1e-4)
+    @example(seed=1678, eta=1.5, kind="scalar", sd=0.1)
+    @example(seed=15247, eta=2.5, kind="scalar", sd=0.01)
+    @example(seed=1895, eta=0.5, kind="scalar", sd=0.1)
+    @example(seed=5100, eta=2.5, kind="scalar", sd=0.001)
     @settings(max_examples=80, deadline=None)
     def test_matches_or_collapses_with_the_oracle(self, seed, eta, kind, sd):
         X, y = random_dataset(10, 1, seed=seed)
@@ -250,7 +255,7 @@ def whitening(d, state):
     for log sigma). Returns J and the metric.
     """
     h_star, log_sigma = d._split(state)
-    m = _laplace_metric(d, d.pencil.coordinates(h_star), log_sigma)
+    m = oracles._laplace_metric(d, d.pencil.coordinates(h_star), log_sigma)
     N = d.n_points
     L_M = np.linalg.cholesky(np.eye(N) - m.k * np.outer(m.u, m.u))
     J = np.zeros((d.dim, d.dim))

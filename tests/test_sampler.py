@@ -1,4 +1,4 @@
-"""HMC sampler: reproducibility, calibration oracles, pole classification."""
+"""The exact regression posterior against its HMC oracle, and generic HMC: calibration, reproducibility."""
 
 from __future__ import annotations
 
@@ -12,19 +12,19 @@ from scipy import stats
 
 from sipr import sampler
 from sipr.basis import build_orthonormal_basis
+from sipr.data import higdon, minmax_scale
 from sipr.errors import DivergentChains, TooFewSamples, ValidationError
-from sipr.posterior import KnownNoise, UnknownNoise, _laplace_metric, _map_coordinates, build_density
+from sipr.posterior import KnownNoise, UnknownNoise, _map_coordinates, build_density
 from sipr.sampler import (
     Regime,
     SamplerConfig,
-    _Diagonalised,
     _Rows,
     _transition,
-    detect_poles,
     posterior_moments,
     run_mcmc,
 )
 from tests.conftest import random_dataset
+from tests.oracles import _Diagonalised, _laplace_metric, detect_poles, hmc_posterior
 
 
 def make_density(n=10, eta=1.5, noise=None, seed=7):
@@ -221,7 +221,7 @@ class TestWhitenedDensity:
             return run_chains(target, *args)
 
         monkeypatch.setattr(sampler, "_run_chains", spy)
-        run_mcmc(make_density(noise=noise), SamplerConfig(chains=2, samples_per_chain=30, burn_in=10))
+        hmc_posterior(make_density(noise=noise), SamplerConfig(chains=2, samples_per_chain=30, burn_in=10))
         [target] = seen
         arrays = [v for v in vars(target).values() if isinstance(v, np.ndarray)]
         assert arrays and all(v.ndim <= 1 for v in arrays)
@@ -337,31 +337,35 @@ class TestRegressionRuns:
         assert post.samples.shape[1] == d.n_points + 1
         assert post.sigma_y_samples.shape == (post.samples.shape[0],)
         assert np.all(post.sigma_y_samples > 0)
-        assert post.sigma_y_median > 0
+        # noise-free data sit on the interpolation pole, where sigma's exact posterior is a point mass at 0
+        assert post.regime is Regime.INTERPOLATION_POLE and post.sigma_y_median == 0.0
+        assert run_mcmc(noisy_unknown_density(), SamplerConfig(**SMALL)).sigma_y_median > 0
         # Moments cover the h* block only, not log sigma.
         assert post.h_hat.shape == (d.n_points,)
 
     def test_records_the_metric_and_map_iterations(self):
         d = make_density()
-        diag = run_mcmc(d, SamplerConfig(**SMALL)).diagnostics
-        assert diag.metric == "laplace" and diag.map_iterations > 0
+        evidence = hmc_posterior(d, SamplerConfig(**SMALL)).diagnostics.evidence
+        assert evidence["metric"] == "laplace" and evidence["map_iterations"] > 0
         # a given init skips the MAP
-        diag = run_mcmc(d, SamplerConfig(**SMALL), init=d.h_mu_star).diagnostics
-        assert diag.metric in ("laplace", "laplace_without_radial_term") and diag.map_iterations is None
+        evidence = hmc_posterior(d, SamplerConfig(**SMALL), init=d.h_mu_star).diagnostics.evidence
+        assert evidence["metric"] in ("laplace", "laplace_without_radial_term")
+        assert evidence["map_iterations"] is None
 
     def test_regression_density_rejects_a_preconditioner(self):
         d = make_density()
         with pytest.raises(ValidationError):
             run_mcmc(d, SamplerConfig(**SMALL), precond=np.eye(d.dim))
+        with pytest.raises(ValidationError):
+            run_mcmc(d, SamplerConfig(**SMALL), init=d.h_mu_star)
 
     def test_generic_target_requires_init(self):
         with pytest.raises(ValidationError):
             run_mcmc(GaussianTarget([0.0], [[1.0]]), SamplerConfig(**SMALL))
 
     def test_init_length_checked(self):
-        d = make_density()
         with pytest.raises(ValidationError):
-            run_mcmc(d, SamplerConfig(**SMALL), init=np.zeros(d.n_points + 3))
+            run_mcmc(GaussianTarget([0.0, 1.0], np.eye(2)), SamplerConfig(**SMALL), init=np.zeros(5))
 
     def test_divergent_chains_raised_for_explosive_target(self):
         # log p grows without bound, so leapfrog trajectories blow up. With
@@ -400,3 +404,104 @@ class TestRegressionRuns:
         rows = np.array([[float(v) for v in ln.split(",")] for ln in path.read_text().splitlines()[1:]])
         np.testing.assert_array_equal(rows[:, :-1], post.samples)
         np.testing.assert_array_equal(rows[:, -1], post.log_posteriors)
+
+
+def noisy_unknown_density():
+    """Higdon data with unknown noise, well inside the normal regime (20 nats from either plateau)."""
+    ds = minmax_scale(higdon(30, 0.2, seed=4))
+    return build_density(build_orthonormal_basis(ds.X, 1.5), ds.y, UnknownNoise(float(np.std(ds.y)) / 10.0))
+
+
+EXACT = [make_density, noisy_unknown_density]
+
+
+class TestExactMixture:
+    """The mixture's draws, moments and quantiles against HMC on the same density and its own draws."""
+
+    @pytest.mark.parametrize("make", EXACT, ids=["known", "unknown"])
+    def test_same_law_as_hmc(self, make):
+        # 200 HMC chains started in the bulk give one draw each after 200
+        # iterations: independent draws, so a two-sample KS test applies to
+        # ||h||, three fixed projections of h* and log sigma, at a
+        # Bonferroni-corrected 1% level.
+        d = make()
+        exact = run_mcmc(d, SamplerConfig(chains=1, samples_per_chain=4001, burn_in=1, seed=0))
+        assert exact.regime is Regime.NORMAL
+        init = exact.h_hat if d.noise.is_known else np.append(exact.h_hat, math.log(exact.sigma_y_median))
+        cfg = SamplerConfig(chains=200, samples_per_chain=201, burn_in=200, seed=0)
+        hmc = hmc_posterior(d, cfg, init=init)
+        P = np.random.default_rng(0).standard_normal((d.n_points, 3))
+
+        def statistics(S):
+            cols = [np.linalg.norm(S[:, : d.n_basis], axis=1), *(S[:, : d.n_points] @ P).T]
+            return cols if d.noise.is_known else cols + [S[:, -1]]
+
+        pairs = zip(statistics(exact.samples), statistics(hmc.samples))
+        pvalues = [stats.ks_2samp(a, b).pvalue for a, b in pairs]
+        assert min(pvalues) > 0.01 / len(pvalues), pvalues
+
+    @pytest.mark.parametrize("make", EXACT, ids=["known", "unknown"])
+    def test_moments_and_quantiles_match_exact_draws(self, make):
+        d = make()
+        post = run_mcmc(d, SamplerConfig(chains=4, samples_per_chain=25_001, burn_in=1, seed=1))
+        H = post.samples[:, : d.n_points]
+        n = H.shape[0]
+        assert n == 100_000
+        se = np.sqrt(np.diag(post.Sigma_hat) / n)
+        assert np.all(np.abs(H.mean(axis=0) - post.h_hat) < 5.0 * se)
+        # every covariance entry within 5 Monte Carlo standard errors, from
+        # the variance of the centred products d_i d_j: E[d_i^2 d_j^2] - C_ij^2
+        D = H - post.h_hat
+        C = D.T @ D / n
+        cov_se = np.sqrt(np.maximum((D**2).T @ D**2 / n - C**2, 0.0) / n)
+        slack = 1e-12 * np.abs(post.Sigma_hat).max()
+        assert np.all(np.abs(C - post.Sigma_hat) < 5.0 * cov_se + slack)
+        if not d.noise.is_known:
+            for q, value in zip((0.05, 0.5, 0.95), post.sigma_y_quantiles):
+                # the fraction of draws below the exact quantile is binomial
+                frac = np.mean(post.sigma_y_samples <= value)
+                assert abs(frac - q) < 5.0 * math.sqrt(q * (1.0 - q) / n)
+
+    def test_seed_moves_only_the_draws(self):
+        d = noisy_unknown_density()
+        a = run_mcmc(d, SamplerConfig(**SMALL))
+        b = run_mcmc(d, SamplerConfig(**{**SMALL, "seed": 1}))
+        np.testing.assert_array_equal(a.h_hat, b.h_hat)
+        np.testing.assert_array_equal(a.Sigma_hat, b.Sigma_hat)
+        assert a.sigma_y_quantiles == b.sigma_y_quantiles
+        assert a.diagnostics.evidence == b.diagnostics.evidence
+        assert not np.array_equal(a.samples, b.samples)
+
+    def test_log_posteriors_are_the_density(self):
+        for d in (make_density(), noisy_unknown_density()):
+            post = run_mcmc(d, SamplerConfig(chains=1, samples_per_chain=6, burn_in=1))
+            expected = [d.log_density(x) for x in post.samples]
+            np.testing.assert_allclose(post.log_posteriors, expected, rtol=1e-10)
+            assert post.diagnostics.chains[0].accept_rate == 1.0
+            assert post.diagnostics.chains[0].divergence_rate == 0.0
+
+    @pytest.mark.parametrize(
+        "noise, regime",
+        [(KnownNoise(1e3), Regime.NULLSPACE_POLE), (UnknownNoise(0.1), Regime.INTERPOLATION_POLE)],
+        ids=["known-huge-noise", "unknown-noise-free"],
+    )
+    def test_a_profile_without_interior_maximum_sits_on_its_rising_pole(self, noise, regime):
+        # noise-free smooth data: the lambda-profile rises to the interpolation
+        # plateau; overwhelming known noise: the tau-profile falls from the
+        # nullspace plateau
+        d = make_density(noise=noise)
+        post = run_mcmc(d, SamplerConfig(**SMALL))
+        assert post.regime is regime
+        evidence = post.diagnostics.evidence
+        gap = evidence["gap_nullspace_pole" if regime is Regime.NULLSPACE_POLE else "gap_interpolation_pole"]
+        assert abs(gap) < 1e-3
+
+    def test_profile_is_evaluated_in_chunks(self, monkeypatch):
+        # no (nodes x N) temporary of the profile exceeds _CHUNK floats (1 MB)
+        m = sampler._ScaleMixture(make_density())
+        x = m.grid()
+        whole = m.profile(x)[0]
+        monkeypatch.setattr(sampler, "_CHUNK", 64)
+        sizes = [a.size for _, a in m._rows(x)]
+        assert max(sizes) <= 64 and len(sizes) > 1
+        np.testing.assert_array_equal(m.profile(x)[0], whole)
