@@ -5,15 +5,7 @@ and the exact regression posterior over the data-spanned subspace as a scale
 mixture, for small noisy datasets with a single regularity knob eta.
 """
 
-from .geometry import (
-    Regularity,
-    eta_norm_constant,
-    eta_norm_sq,
-    greens_matrix,
-    monomial_matrix,
-    multi_indices,
-    nullspace_dim,
-)
+from .geometry import Regularity
 from .interpolate import (
     InterpolationModel,
     PointwisePosterior,
@@ -25,13 +17,11 @@ from .interpolate import (
 __version__ = "0.1.0"
 
 # these import `__version__` back from the package, so they come after it
-from .basis import SubspaceBasis, build_orthonormal_basis, to_subspace
+from .basis import SubspaceBasis, build_orthonormal_basis
 from .data import (
     Dataset,
-    add_jitter,
     higdon,
     higdon_truth,
-    kfold,
     load_csv,
     load_probe_csv,
     minmax_scale,
@@ -45,61 +35,32 @@ from .pipeline import (
     load_archive,
     save_archive,
 )
-from .posterior import (
-    KnownNoise,
-    PosteriorDensity,
-    UnknownNoise,
-    build_density,
-    map_estimate,
-)
-from .predict import CredibleBand, credible_band, predictive_mean
-from .sampler import (
-    Diagnostics,
-    Regime,
-    RegressionPosterior,
-    SamplerConfig,
-    posterior_moments,
-    run_mcmc,
-)
+from .posterior import KnownNoise, UnknownNoise
+from .predict import CredibleBand, credible_band
+from .sampler import Regime, SamplerConfig, run_mcmc
 
 __all__ = [
     "Regularity",
-    "multi_indices",
-    "nullspace_dim",
-    "eta_norm_constant",
-    "greens_matrix",
-    "monomial_matrix",
     "InterpolationModel",
     "solve_interpolation",
-    "eta_norm_sq",
     "PointwisePosterior",
     "pointwise_posterior",
     "draw_sample_path",
     "SubspaceBasis",
     "build_orthonormal_basis",
-    "to_subspace",
     "KnownNoise",
     "UnknownNoise",
-    "PosteriorDensity",
-    "build_density",
-    "map_estimate",
     "SamplerConfig",
     "Regime",
-    "RegressionPosterior",
-    "Diagnostics",
     "run_mcmc",
-    "posterior_moments",
     "CredibleBand",
-    "predictive_mean",
     "credible_band",
     "Dataset",
     "load_csv",
     "load_probe_csv",
     "minmax_scale",
-    "add_jitter",
     "higdon",
     "higdon_truth",
-    "kfold",
     "rmse",
     "RegressionFit",
     "fit_regression",

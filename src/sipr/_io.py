@@ -5,6 +5,8 @@ from __future__ import annotations
 import os
 import tempfile
 
+import numpy as np
+
 from .errors import IOError_
 
 
@@ -23,3 +25,10 @@ def atomic_write_text(path: str, content: str) -> None:
             raise
     except OSError as exc:
         raise IOError_(f"cannot write {path}: {exc}") from exc
+
+
+def _write_csv(path: str, header: list[str], table, comment: str | None = None) -> None:
+    """Write a 2-D float table as CSV: an optional comment line, the header, then repr rows."""
+    lines = ([] if comment is None else [comment]) + [",".join(header)]
+    lines += [",".join(map(repr, row)) for row in np.asarray(table, dtype=float).tolist()]
+    atomic_write_text(path, "\n".join(lines) + "\n")

@@ -29,10 +29,15 @@ from .geometry import Regularity, _Geometry, eta_norm_constant
 
 @dataclass(eq=False)
 class SubspaceBasis:
-    """Norm-orthonormal basis of the data-spanned subspace for one point set."""
+    """Kernel columns H on one point set: coordinates h* = (h, c) give the function H h, c.
+
+    build_orthonormal_basis gives the norm-orthonormal basis of the
+    data-spanned subspace (C H^T G H = I, Nh = N - N0 columns); a pole fit's
+    map has one column (the interpolant) or none (see RegressionFit).
+    """
 
     geometry: _Geometry = field(repr=False)  # the points, eta, G and M
-    H: np.ndarray  # (N, Nh) coefficient columns, M H = 0, C H^T G H = I
+    H: np.ndarray  # (N, k) coefficient columns, M H = 0
 
     @property
     def X(self) -> np.ndarray:
@@ -161,7 +166,7 @@ def to_subspace(basis: SubspaceBasis, y, sigma_y) -> tuple[np.ndarray, np.ndarra
 def evaluation_matrix(basis: SubspaceBasis, probes) -> np.ndarray:
     """Rows e(x) with e(x) . h* = value at probe x of the function with coordinates h*.
 
-    Shape (P, N): the kernel block g(x)^T H, then the probe's monomials.
+    Shape (P, k + N0): the kernel block g(x)^T H, then the probe's monomials.
     """
     g, m = basis.geometry.probe_rows(probes)
     return np.hstack([g @ basis.H, m.T])

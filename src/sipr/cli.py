@@ -15,25 +15,18 @@ import click
 import numpy as np
 
 from . import __version__
-from ._io import atomic_write_text
+from ._io import _write_csv, atomic_write_text
 from .data import load_csv, load_probe_csv
 from .errors import IOError_, NumericalError, ValidationError
 from .geometry import as_regularity
 from .interpolate import solve_interpolation
 from .pipeline import crossval as run_crossval
 from .pipeline import fit_dataset, load_archive, save_archive
-from .sampler import SamplerConfig
+from .sampler import Regime, SamplerConfig
 
 
 def _comment_header(seed, eta) -> str:
     return f"# sipr {__version__} seed={seed} eta={eta:g}"
-
-
-def _write_csv(path: str, header_cols: list[str], rows: list[list], seed, eta) -> None:
-    lines = [_comment_header(seed, eta), ",".join(header_cols)]
-    for row in rows:
-        lines.append(",".join(repr(float(v)) for v in row))
-    atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 def _parse_grid(spec: str) -> np.ndarray:
@@ -99,11 +92,9 @@ def cmd_interpolate(data_path, target, eta, probes_path, grid, paths, seed, out_
     mean, scale, sd, path_rows = model._posterior_and_paths(probes, np.random.SeedSequence(seed).spawn(paths))
 
     header = list(ds.feature_names) + ["mean", "scale", "sd"] + [f"path_{i}" for i in range(paths)]
-    rows = []
-    for i, p in enumerate(probes):
-        rows.append(list(p) + [mean[i], scale[i], sd[i]] + list(path_rows[i]))
-    _write_csv(out_path, header, rows, seed, reg.value)
-    click.echo(f"wrote {len(rows)} probes to {out_path}")
+    table = np.column_stack([probes, mean, scale, sd, path_rows])
+    _write_csv(out_path, header, table, _comment_header(seed, reg.value))
+    click.echo(f"wrote {len(table)} probes to {out_path}")
 
 
 def _sampler_options(fn):
@@ -156,13 +147,21 @@ def cmd_fit(data_path, target, eta, noise, seed, chains, samples, burn_in, leapf
     fit = fit_dataset(ds, reg, noise=_noise_value(noise), config=cfg)
     save_archive(fit, out_path)
 
+    pole = fit.regime == Regime.NULLSPACE_POLE
     click.echo(f"regime: {fit.regime.value}")
     if fit.noise_known:
         click.echo(f"sigma_y (known): {fit.sigma_y:g}")
+    elif pole:
+        click.echo(f"sigma_y (residual estimate): {fit.sigma_y:.6g}")
     else:
         click.echo(f"sigma_y (posterior median): {fit.sigma_y:.6g}")
-    if fit.regime.value == "nullspace_pole":
-        click.echo("polynomial coefficients: " + ", ".join(f"{v:.6g}" for v in fit.mean_c))
+    if pole:
+        click.echo(
+            "polynomial coefficients: " + ", ".join(f"{v:.6g}" for v in fit.mean_c)
+            + " (in the features min-max scaled to [0, 1])"
+        )
+    if trace_path is not None and fit.posterior is None:
+        click.echo(f"{fit.regime.value}: no posterior draws to trace; {trace_path} was not written", err=True)
     if fit.diagnostics_summary:
         d = fit.diagnostics_summary
         gap_i = d["gap_interpolation_pole"]
@@ -188,16 +187,11 @@ def cmd_predict(model_path, probes_path, grid, level, out_path):
     header = list(fit.feature_names) + [
         "mean", "sigma_s", "sigma_t", "sigma_f", "sigma_d", "lower", "upper",
     ]
-    rows = []
-    for i in range(probes.shape[0]):
-        rows.append(
-            list(probes[i])
-            + [band.mean[i], band.sigma_s[i], band.sigma_t[i], band.sigma_f[i],
-               band.sigma_d[i], band.lower[i], band.upper[i]]
-        )
+    table = np.column_stack([probes, band.mean, band.sigma_s, band.sigma_t, band.sigma_f,
+                             band.sigma_d, band.lower, band.upper])
     seed = fit.config.seed if fit.config else 0
-    _write_csv(out_path, header, rows, seed, fit.eta.value)
-    click.echo(f"wrote {len(rows)} probes to {out_path}")
+    _write_csv(out_path, header, table, _comment_header(seed, fit.eta.value))
+    click.echo(f"wrote {len(table)} probes to {out_path}")
 
 
 @cli.command("crossval")

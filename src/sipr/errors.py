@@ -53,7 +53,7 @@ class ConstraintViolated(ValidationError):
 
 
 class WrongRegime(ValidationError):
-    """A prediction routine for the normal regime was called on a pole-regime fit."""
+    """A credible band was asked for at a level outside (0, 1)."""
 
 
 class ConstantFeature(ValidationError):

@@ -67,6 +67,18 @@ def _rebase_polynomial(
     return out
 
 
+def t_scale_and_sd(ratio: np.ndarray, dof: float) -> tuple[np.ndarray, np.ndarray]:
+    """Scale and sd of t posteriors with dof degrees of freedom and ratios ||f||^2 / ||t_x||^2.
+
+    The sd exists only for dof > 2; below that it is NaN, except at point
+    masses (ratio 0), where it is 0.
+    """
+    scale = np.sqrt(ratio / dof)
+    if dof > 2:
+        return scale, np.sqrt(ratio / (dof - 2))
+    return scale, np.where(ratio == 0.0, 0.0, np.nan)
+
+
 @dataclass(eq=False)
 class InterpolationModel:
     """Fitted interpolant in original coordinates, on the kernel geometry of its points."""
@@ -160,12 +172,7 @@ class InterpolationModel:
                     rng = np.random.default_rng(seed)
                     u = rng.chisquare(self.dof)
                     paths[free, j] += math.sqrt(self._spread / u) * (R @ rng.standard_normal(R.shape[1]))
-        scale = np.sqrt(ratio / self.dof)
-        if self.dof > 2:
-            sd = np.sqrt(ratio / (self.dof - 2))
-        else:
-            sd = np.where(ratio == 0.0, 0.0, np.nan)
-        return mean, scale, sd, paths
+        return (mean, *t_scale_and_sd(ratio, self.dof), paths)
 
 
 def solve_interpolation(X, y, eta) -> InterpolationModel:

@@ -9,6 +9,8 @@ that knows its regime:
     interpolation_pole  -- the noise collapses to zero; the fit is the exact
                            interpolation posterior
 
+In every regime the fit is one linear map and a Gaussian over its
+coordinates, and predict.credible_band gives its bands (see RegressionFit).
 Fits can be serialized to a versioned JSON archive and reloaded for
 prediction; a reloaded model predicts bit-identically to the fresh fit. Every
 entry is plain JSON except the posterior covariance Sigma_hat, which format 2
@@ -27,49 +29,67 @@ import numpy as np
 
 from . import __version__ as _pkg_version
 from ._io import atomic_write_text
-from .basis import SubspaceBasis, build_orthonormal_basis
+from .basis import SubspaceBasis, build_orthonormal_basis, evaluation_matrix
 from .data import Dataset, FeatureScaling, minmax_scale
 from .errors import ArchiveVersionError, IOError_, ValidationError
-from .geometry import Regularity, _Geometry, as_points, as_regularity, monomial_matrix
-from .interpolate import POLYNOMIAL_TOL, InterpolationModel, solve_interpolation
+from .geometry import Regularity, _Geometry, as_points, as_regularity
+from .interpolate import POLYNOMIAL_TOL, solve_interpolation
 from .posterior import KnownNoise, UnknownNoise, build_density
-from .predict import CredibleBand, build_band, credible_band
+from .predict import CredibleBand, credible_band
 from .sampler import Regime, RegressionPosterior, SamplerConfig, run_mcmc
 
 ARCHIVE_VERSION = 2
 
 
-@dataclass(frozen=True)
-class PosteriorSummary:
-    """The slice of a sampled posterior that prediction needs (archives store this)."""
-
-    h_hat: np.ndarray
-    Sigma_hat: np.ndarray
-    n_basis: int
-    regime: Regime
-    sigma_y_median: float | None = None
-
-
 @dataclass(eq=False)
 class RegressionFit:
-    """A fitted model in model coordinates, plus the transform back to user units."""
+    """A fitted model in model coordinates, plus the transform back to user units.
 
-    eta: Regularity
+    Every regime is one linear map and a Gaussian over its coordinates: the
+    basis holds the points' geometry and kernel columns H (N x k), h the
+    coordinates (kernel part, then polynomial part), Sigma their covariance
+    and dof the band's degrees of freedom. The function with coordinates h
+    is read at probes P by E(P) = [g(P) H, m(P)^T] (predict.credible_band):
+
+        regime              H                     h        Sigma                 dof
+        normal              the basis (N x Nh)    h_hat    Sigma_hat             N - N0
+        interpolation_pole  the interpolant's a   (1, c)   0                     N - N0
+        nullspace_pole      no columns (N x 0)    c        sigma_y^2 (M M^T)^+   inf if noise known, else N - N0
+    """
+
     regime: Regime
-    X: np.ndarray  # (N, D) model-space inputs (scaled if scaling is set)
+    basis: SubspaceBasis
+    h: np.ndarray
+    Sigma: np.ndarray
+    dof: float
     y: np.ndarray
     noise_known: bool
     sigma_y: float  # known value, posterior median, or residual estimate
-    mean_a: np.ndarray  # kernel coefficients of the predictive mean
-    mean_c: np.ndarray  # polynomial coefficients of the predictive mean
     scaling: FeatureScaling | None = None
     feature_names: tuple[str, ...] | None = None
     target_name: str = "y"
-    basis: SubspaceBasis | None = None
-    posterior: RegressionPosterior | PosteriorSummary | None = None
-    interp_model: InterpolationModel | None = None
+    posterior: RegressionPosterior | None = None  # the exact posterior, if this fit computed one
     config: SamplerConfig | None = field(default=None, repr=False)
     diagnostics_summary: dict | None = None
+
+    @property
+    def X(self) -> np.ndarray:
+        """(N, D) model-space inputs (scaled if scaling is set)."""
+        return self.basis.X
+
+    @property
+    def eta(self) -> Regularity:
+        return self.basis.eta
+
+    @property
+    def mean_a(self) -> np.ndarray:
+        """Kernel coefficients of the predictive mean."""
+        return self.basis.spline_coefficients(self.h)[0]
+
+    @property
+    def mean_c(self) -> np.ndarray:
+        """Polynomial coefficients of the predictive mean."""
+        return self.basis.spline_coefficients(self.h)[1]
 
     @property
     def n_points(self) -> int:
@@ -86,54 +106,37 @@ class RegressionFit:
         return self.scaling.apply(P) if self.scaling is not None else P
 
     def predict_mean(self, probes) -> np.ndarray:
-        """Predictive mean at probes given in original units."""
-        return self.predict(probes).mean
+        """Predictive mean E h at probes given in original units."""
+        return evaluation_matrix(self.basis, self.to_model_space(probes)) @ self.h
 
     def predict(self, probes, level: float = 0.95) -> CredibleBand:
         """Credible band at probes given in original units."""
-        P = self.to_model_space(probes)
-        if self.regime == Regime.NORMAL:
-            return credible_band(self.posterior, self.basis, P, level=level, sigma_y=self.sigma_y)
-        if self.regime == Regime.INTERPOLATION_POLE:
-            return self._interpolation_band(P, level)
-        return self._polynomial_band(P, level)
-
-    def _interpolation_band(self, P: np.ndarray, level: float) -> CredibleBand:
-        model = self.interp_model
-        mean, scale_t, sigma_t = model.posterior(P)
-        return build_band(
-            P, mean, scale_t, sigma_t, np.zeros_like(mean), self.sigma_y, float(model.dof), level
-        )
-
-    def _polynomial_band(self, P: np.ndarray, level: float) -> CredibleBand:
-        # classical least-squares posterior restricted to the polynomial space
-        M = monomial_matrix(self.X, self.eta)
-        N0, N = M.shape
-        gram_inv = np.linalg.pinv(M @ M.T)
-        resid = self.y - M.T @ self.mean_c
-        rss = float(resid @ resid)
-        nu_resid = max(N - N0, 1)
-        if self.noise_known:
-            s2 = self.sigma_y**2
-            dof = float("inf")
-        else:
-            s2 = rss / nu_resid
-            dof = float(nu_resid)
-        mvecs = monomial_matrix(P, self.eta).T
-        mean = mvecs @ self.mean_c
-        sigma_s = np.sqrt(np.maximum(np.einsum("pi,pi->p", mvecs @ gram_inv, mvecs) * s2, 0.0))
-        zero = np.zeros_like(mean)
-        return build_band(P, mean, zero, zero, sigma_s, self.sigma_y, dof, level)
+        return credible_band(self, self.to_model_space(probes), level=level)
 
     @property
     def fitted(self) -> np.ndarray:
         """Predictive mean at the training inputs (model space)."""
-        if self.regime == Regime.NORMAL:
-            return self.basis.Estar @ np.asarray(self.posterior.h_hat)
-        if self.regime == Regime.INTERPOLATION_POLE:
-            return self.interp_model.evaluate(self.X)
-        M = monomial_matrix(self.X, self.eta)
-        return M.T @ self.mean_c
+        return self.basis.Estar @ self.h
+
+
+def _regime_fit(regime, geometry, *, sigma_y, noise_known, a=None, c=None, basis=None, h_hat=None,
+                Sigma_hat=None, **fields) -> RegressionFit:
+    """The fit of a regime from its arrays: the normal regime's basis, h_hat and
+    Sigma_hat, or a pole's spline coefficients (a, c); see RegressionFit."""
+    N, N0 = geometry.n_points, geometry.n_null
+    dof = float(N - N0)
+    if regime == Regime.NORMAL:
+        h, Sigma = h_hat, Sigma_hat
+    elif regime == Regime.INTERPOLATION_POLE:
+        basis = SubspaceBasis(geometry=geometry, H=a[:, None])
+        h, Sigma = np.concatenate([[1.0], c]), np.zeros((N0 + 1, N0 + 1))
+    else:
+        basis = SubspaceBasis(geometry=geometry, H=np.zeros((N, 0)))
+        h, Sigma = c, sigma_y**2 * np.linalg.pinv(geometry.M @ geometry.M.T)
+        if noise_known:
+            dof = math.inf
+    return RegressionFit(regime=regime, basis=basis, h=h, Sigma=Sigma, dof=dof, sigma_y=sigma_y,
+                         noise_known=noise_known, **fields)
 
 
 def _polynomial_fit(M, y) -> np.ndarray:
@@ -170,26 +173,20 @@ def fit_regression(X, y, eta, noise="unknown", config: SamplerConfig | None = No
             raise ValidationError(f"known noise sd must be >= 0, got {noise!r}")
 
     model = solve_interpolation(X, y, reg)
-    common = dict(eta=reg, X=X, y=y, noise_known=known, config=config)
+    common = dict(geometry=model.geometry, y=y, noise_known=known, config=config)
 
     def nullspace_pole(**extra) -> RegressionFit:
         M = model.geometry.M
         c = _polynomial_fit(M, y)
         sigma = sigma_known if known else _residual_sigma(M, y, c)
-        return RegressionFit(
-            regime=Regime.NULLSPACE_POLE, sigma_y=sigma,
-            mean_a=np.zeros(X.shape[0]), mean_c=c, **extra, **common,
-        )
+        return _regime_fit(Regime.NULLSPACE_POLE, c=c, sigma_y=sigma, **extra, **common)
 
     if model.norm_sq <= POLYNOMIAL_TOL * float(y @ y):
         # exactly polynomial data: nothing for the kernel part to do
         return nullspace_pole()
 
     if known and sigma_known == 0.0:
-        return RegressionFit(
-            regime=Regime.INTERPOLATION_POLE, sigma_y=0.0,
-            mean_a=model.a, mean_c=model.c, interp_model=model, **common,
-        )
+        return _regime_fit(Regime.INTERPOLATION_POLE, a=model.a, c=model.c, sigma_y=0.0, **common)
 
     basis = build_orthonormal_basis(model.geometry, reg)
     if known:
@@ -202,22 +199,14 @@ def fit_regression(X, y, eta, noise="unknown", config: SamplerConfig | None = No
     density = build_density(basis, y, noise_model)
 
     posterior = run_mcmc(density, config)  # the exact posterior and its regime
-    diag_summary = posterior.diagnostics.evidence
+    extra = dict(posterior=posterior, diagnostics_summary=posterior.diagnostics.evidence)
 
     if posterior.regime == Regime.NULLSPACE_POLE:
-        return nullspace_pole(basis=basis, posterior=posterior, diagnostics_summary=diag_summary)
+        return nullspace_pole(**extra)
     sigma = sigma_known if known else posterior.sigma_y_median
-    if posterior.regime == Regime.INTERPOLATION_POLE:
-        return RegressionFit(
-            regime=Regime.INTERPOLATION_POLE, sigma_y=sigma,
-            mean_a=model.a, mean_c=model.c, interp_model=model, basis=basis,
-            posterior=posterior, diagnostics_summary=diag_summary, **common,
-        )
-
-    a, c = basis.spline_coefficients(posterior.h_hat)
-    return RegressionFit(
-        regime=Regime.NORMAL, sigma_y=sigma, mean_a=a, mean_c=c,
-        basis=basis, posterior=posterior, diagnostics_summary=diag_summary, **common,
+    return _regime_fit(
+        posterior.regime, a=model.a, c=model.c, basis=basis, h_hat=posterior.h_hat,
+        Sigma_hat=posterior.Sigma_hat, sigma_y=sigma, **extra, **common,
     )
 
 
@@ -257,8 +246,9 @@ def _unblock(doc: dict, shape: tuple[int, ...]) -> np.ndarray:
 def archive_dict(fit: RegressionFit) -> dict:
     """JSON-ready description of a fit, sufficient to reproduce predictions."""
     post = fit.posterior
+    normal = fit.regime == Regime.NORMAL
     sigma_summary: dict = {"mode": "known" if fit.noise_known else "unknown", "value": fit.sigma_y}
-    if fit.regime == Regime.NORMAL and isinstance(post, RegressionPosterior) and post.sigma_y_quantiles:
+    if normal and post is not None and post.sigma_y_quantiles:
         sigma_summary.update(zip(("q05", "median", "q95"), post.sigma_y_quantiles))
     cfg = fit.config or SamplerConfig()
     return {
@@ -274,9 +264,9 @@ def archive_dict(fit: RegressionFit) -> dict:
         "X": _arr(fit.X),
         "y": _arr(fit.y),
         "spline": {"a": _arr(fit.mean_a), "c": _arr(fit.mean_c)},
-        "basis_H": None if fit.basis is None or fit.regime != Regime.NORMAL else _arr(fit.basis.H),
-        "h_hat": None if fit.regime != Regime.NORMAL else _arr(post.h_hat),
-        "Sigma_hat": None if fit.regime != Regime.NORMAL else _block(post.Sigma_hat),
+        "basis_H": _arr(fit.basis.H) if normal else None,
+        "h_hat": _arr(fit.h) if normal else None,
+        "Sigma_hat": _block(fit.Sigma) if normal else None,
         "sigma_y": sigma_summary,
         "config": {
             "chains": cfg.chains,
@@ -321,55 +311,40 @@ def load_archive(path: str) -> RegressionFit:
 
 
 def _fit_from_archive(doc: dict) -> RegressionFit:
-    reg = Regularity(float(doc["eta"]))
     regime = Regime(doc["regime"])
-    X = np.asarray(doc["X"], dtype=float)
-    y = np.asarray(doc["y"], dtype=float)
+    geometry = _Geometry(np.asarray(doc["X"], dtype=float), Regularity(float(doc["eta"])))
+    N = geometry.n_points
     scaling = None
     if doc.get("scaling") is not None:
         scaling = FeatureScaling(
             mins=np.asarray(doc["scaling"]["mins"], dtype=float),
             ranges=np.asarray(doc["scaling"]["ranges"], dtype=float),
         )
-    mean_a = np.asarray(doc["spline"]["a"], dtype=float)
-    mean_c = np.asarray(doc["spline"]["c"], dtype=float)
     sigma_info = doc["sigma_y"]
-    known = sigma_info["mode"] == "known"
     cfg_doc = doc.get("config") or {}
-    config = SamplerConfig(**cfg_doc) if cfg_doc else None
-
-    basis = None
-    posterior = None
-    interp_model = None
+    arrays = {}
     if regime == Regime.NORMAL:
-        H = np.asarray(doc["basis_H"], dtype=float)
-        basis = SubspaceBasis(geometry=_Geometry(X, reg), H=H)
-        posterior = PosteriorSummary(
+        arrays.update(
+            basis=SubspaceBasis(geometry=geometry, H=np.asarray(doc["basis_H"], dtype=float)),
             h_hat=np.asarray(doc["h_hat"], dtype=float),
-            Sigma_hat=_unblock(doc["Sigma_hat"], (X.shape[0], X.shape[0])),
-            n_basis=H.shape[1],
-            regime=regime,
-            sigma_y_median=None if known else float(sigma_info["value"]),
+            Sigma_hat=_unblock(doc["Sigma_hat"], (N, N)),
         )
-    elif regime == Regime.INTERPOLATION_POLE:
-        interp_model = solve_interpolation(X, y, reg)
-
-    return RegressionFit(
-        eta=reg,
-        regime=regime,
-        X=X,
-        y=y,
-        noise_known=known,
+    else:
+        a, c = (np.asarray(doc["spline"][k], dtype=float) for k in ("a", "c"))
+        if a.shape != (N,) or c.shape != (geometry.n_null,):
+            raise ValueError(f"spline has shapes {a.shape} and {c.shape} for {N} points")
+        arrays.update(a=a, c=c)
+    return _regime_fit(
+        regime,
+        geometry,
+        **arrays,
+        y=np.asarray(doc["y"], dtype=float),
+        noise_known=sigma_info["mode"] == "known",
         sigma_y=float(sigma_info["value"]),
-        mean_a=mean_a,
-        mean_c=mean_c,
         scaling=scaling,
         feature_names=tuple(doc["feature_names"]),
         target_name=doc["target_name"],
-        basis=basis,
-        posterior=posterior,
-        interp_model=interp_model,
-        config=config,
+        config=SamplerConfig(**cfg_doc) if cfg_doc else None,
         diagnostics_summary=doc.get("diagnostics"),
     )
 

@@ -29,7 +29,7 @@ from scipy.linalg import solve_triangular
 from scipy.optimize import brentq
 from scipy.special import gammaincc, gammainccinv
 
-from ._io import atomic_write_text
+from ._io import _write_csv
 from .errors import DivergentChains, DomainError, PoleCollapse, TooFewPoints, TooFewSamples, ValidationError
 from .posterior import PosteriorDensity
 
@@ -369,10 +369,8 @@ def _split_rhat(chains: list[np.ndarray]) -> float:
 
 
 def _write_trace(path: str, samples: np.ndarray, log_posts: np.ndarray) -> None:
-    dim = samples.shape[1]
-    lines = [",".join([f"state_{i}" for i in range(dim)] + ["log_posterior"])]
-    lines += [",".join(map(repr, row)) for row in np.column_stack([samples, log_posts]).tolist()]
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    header = [f"state_{i}" for i in range(samples.shape[1])] + ["log_posterior"]
+    _write_csv(path, header, np.column_stack([samples, log_posts]))
 
 
 

@@ -26,6 +26,11 @@ def write_higdon(path, n=20, sigma=0.05, seed=1):
     return str(path)
 
 
+def write_line(path, x):
+    """Exactly linear data y = 1 + 2x."""
+    path.write_text("x,y\n" + "\n".join(f"{v!r},{1 + 2 * v!r}" for v in map(float, x)) + "\n")
+
+
 def read_output(path):
     lines = path.read_text().strip().split("\n")
     assert lines[0].startswith("# sipr ")
@@ -190,6 +195,38 @@ class TestFitAndPredict:
         assert main(["predict", "--model", str(model), "--grid", "0:1:2", "--out", str(out)]) == 0
         _, _, rows = read_output(out)
         np.testing.assert_allclose(rows[:, 1], [1.0, 3.0], atol=1e-8)
+
+    def test_nullspace_pole_labels_its_estimates(self, tmp_path, capsys):
+        # y = 1 + 2x on [0, 4] is 1 + 8u in the scaled feature u = x / 4, and
+        # with unknown noise sigma_y is the least-squares residual estimate.
+        data = tmp_path / "d.csv"
+        write_line(data, np.linspace(0.0, 4.0, 9))
+        code = main(["fit", "--data", str(data), "--target", "y", "--eta", "1.5",
+                     "--model-out", str(tmp_path / "m.json")])
+        assert code == 0
+        msg = capsys.readouterr().out
+        assert "regime: nullspace_pole" in msg
+        assert "sigma_y (residual estimate): " in msg and "posterior median" not in msg
+        assert "polynomial coefficients: 1, 8 (in the features min-max scaled to [0, 1])" in msg
+
+    @pytest.mark.parametrize("case", ["exact", "polynomial"])
+    def test_trace_on_a_pole_fit_says_no_draws_were_written(self, tmp_path, capsys, case):
+        # Exact data and exactly polynomial data skip the posterior, so
+        # there are no draws: stderr says so and no trace file appears.
+        data = tmp_path / "d.csv"
+        if case == "exact":
+            write_higdon(data, n=12)
+            noise, regime = "0", "interpolation_pole"
+        else:
+            write_line(data, np.linspace(0.0, 1.0, 8))
+            noise, regime = "unknown", "nullspace_pole"
+        trace = tmp_path / "t.csv"
+        code = main(["fit", "--data", str(data), "--target", "y", "--eta", "1.5", "--noise", noise,
+                     "--trace", str(trace), "--model-out", str(tmp_path / "m.json")])
+        assert code == 0
+        err = capsys.readouterr().err
+        assert err == f"{regime}: no posterior draws to trace; {trace} was not written\n"
+        assert not trace.exists()
 
     def test_fit_writes_trace(self, tmp_path):
         data = tmp_path / "d.csv"

@@ -1,0 +1,74 @@
+"""The paper's invariances of the regression posterior, exact now that it has no Monte Carlo noise.
+
+Under y -> gamma y + delta (with a known noise sd scaled by |gamma|) the
+regime is unchanged, the predictive mean maps to gamma mean + delta and every
+band width scales by |gamma|. Permuting the data points changes the basis H
+but not the posterior, so the bands stay put. Each regime is checked at
+eta = 0.5 and 1.5 on N = 24 points; at eta = 2.5 conditioning alone moves the
+bands by about 2e-6, so it is left out.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from sipr.data import higdon_truth
+from sipr.pipeline import fit_regression
+from sipr.sampler import Regime
+
+N = 24
+TOL = 1e-8  # of each column's largest magnitude
+PROBES = np.linspace(-0.1, 1.1, 31)[:, None]
+WIDTHS = ("sigma_s", "sigma_t", "sigma_f", "sigma_d")
+
+
+def _data(regime: Regime, eta: float):
+    rng = np.random.default_rng(5)
+    X = np.sort(rng.uniform(0.0, 1.0, N))[:, None]
+    truth = higdon_truth(10.0 * X[:, 0])
+    if regime == Regime.NORMAL:
+        return X, truth + 0.1 * rng.standard_normal(N), 0.1
+    if regime == Regime.INTERPOLATION_POLE:
+        return X, truth, 0.0
+    # exactly a polynomial of the nullspace: a constant at eta = 0.5, a line at 1.5
+    return X, 1.0 + (2.0 if eta > 1.0 else 0.0) * X[:, 0], "unknown"
+
+
+def _gap(a, b) -> float:
+    return float(np.abs(a - b).max() / max(np.abs(b).max(), 1e-300))
+
+
+CASES = [(regime, eta) for regime in Regime for eta in (0.5, 1.5)]
+
+
+@pytest.mark.parametrize("regime, eta", CASES, ids=[f"{r.value}-{e}" for r, e in CASES])
+@pytest.mark.parametrize("gamma, delta", [(-2.5, 3.0), (0.01, -7.0), (40.0, 0.5)])
+def test_affine_map_of_the_targets(regime, eta, gamma, delta):
+    X, y, noise = _data(regime, eta)
+    fit = fit_regression(X, y, eta, noise=noise)
+    assert fit.regime == regime
+    mapped = fit_regression(X, gamma * y + delta, eta,
+                            noise=noise if noise == "unknown" else abs(gamma) * noise)
+    assert mapped.regime == regime
+    band, moved = fit.predict(PROBES), mapped.predict(PROBES)
+    assert _gap(moved.mean, gamma * band.mean + delta) < TOL
+    if regime == Regime.NULLSPACE_POLE:
+        return  # exactly polynomial data: the widths are rounding noise
+    for name in WIDTHS:
+        assert _gap(getattr(moved, name), abs(gamma) * getattr(band, name)) < TOL, name
+    assert _gap(moved.upper - moved.mean, abs(gamma) * (band.upper - band.mean)) < TOL
+
+
+@pytest.mark.parametrize("regime, eta", CASES, ids=[f"{r.value}-{e}" for r, e in CASES])
+def test_permuting_the_points(regime, eta):
+    X, y, noise = _data(regime, eta)
+    perm = np.random.default_rng(11).permutation(N)
+    fit, shuffled = fit_regression(X, y, eta, noise=noise), fit_regression(X[perm], y[perm], eta, noise=noise)
+    assert fit.regime == shuffled.regime == regime
+    band, moved = fit.predict(PROBES), shuffled.predict(PROBES)
+    names = ("mean",) if regime == Regime.NULLSPACE_POLE else ("mean", "lower", "upper")
+    for name in names:
+        assert _gap(getattr(moved, name), getattr(band, name)) < TOL, name
+    if regime == Regime.NORMAL:
+        assert not np.allclose(shuffled.basis.H[np.argsort(perm)], fit.basis.H)  # the basis moved

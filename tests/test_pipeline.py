@@ -159,7 +159,7 @@ class TestArchives:
         assert isinstance(doc["Sigma_hat"]["f8le_base64"], str)
         assert isinstance(doc["X"][0][0], float) and isinstance(doc["basis_H"][0][0], float)
         loaded = load_archive(str(path))
-        np.testing.assert_array_equal(loaded.posterior.Sigma_hat, normal_fit.posterior.Sigma_hat)
+        np.testing.assert_array_equal(loaded.Sigma, normal_fit.posterior.Sigma_hat)
 
     def test_archive_is_compact_and_parses_like_the_indented_form(self, tmp_path, normal_fit):
         path = tmp_path / "model.json"
@@ -183,6 +183,19 @@ class TestArchives:
         doc["format_version"] = 999
         path.write_text(json.dumps(doc))
         with pytest.raises(ArchiveVersionError, match="999"):
+            load_archive(str(path))
+
+    @pytest.mark.parametrize("key", ["a", "c"])
+    def test_pole_archive_with_a_wrong_spline_shape_is_rejected(self, tmp_path, key):
+        # A pole fit's linear map is read from its spline coefficients, so
+        # their shapes are checked against the archived points.
+        X = np.linspace(0.0, 1.0, 8)[:, None]
+        fit = fit_regression(X, np.sin(3.0 * X[:, 0]), 1.5, noise=0.0)
+        doc = archive_dict(fit)
+        doc["spline"][key] = doc["spline"][key][:-1]
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ArchiveVersionError, match="spline has shapes"):
             load_archive(str(path))
 
     def test_non_archive_file_rejected(self, tmp_path):

@@ -12,50 +12,48 @@ import pytest
 from scipy.stats import t as student_t
 
 from sipr._linalg import SymmetricFactor
-from sipr.basis import build_orthonormal_basis, evaluation_matrix
+from sipr.basis import evaluation_matrix
 from sipr.cli import main
+from sipr.data import higdon
 from sipr.errors import WrongRegime
-from sipr.pipeline import fit_regression
-from sipr.posterior import KnownNoise, build_density
-from sipr.predict import band_halfwidth, credible_band, predictive_mean
-from sipr.sampler import Regime, SamplerConfig, run_mcmc
+from sipr.geometry import _Geometry, monomial_matrix
+from sipr.interpolate import solve_interpolation
+from sipr.pipeline import crossval, fit_dataset, fit_regression, load_archive, save_archive
+from sipr.predict import band_halfwidth, credible_band
+from sipr.sampler import Regime, SamplerConfig
 from tests.conftest import random_dataset, write_csv
+
+QUICK = SamplerConfig(chains=2, samples_per_chain=400, burn_in=150, seed=3)
 
 
 @pytest.fixture(scope="module")
 def fit():
     X, y = random_dataset(12, 1, seed=7)
-    eta = 1.5
-    basis = build_orthonormal_basis(X, eta)
-    density = build_density(basis, y, KnownNoise(0.1))
-    posterior = run_mcmc(density, SamplerConfig(chains=2, samples_per_chain=400, burn_in=150, seed=3))
-    return X, y, eta, basis, posterior
+    fitted = fit_regression(X, y, 1.5, noise=0.1, config=QUICK)
+    assert fitted.regime == Regime.NORMAL
+    return fitted
 
 
 PROBES = np.linspace(0.05, 0.95, 9)[:, None]
 
 
 def test_mean_matches_predictive_mean(fit):
-    X, y, eta, basis, posterior = fit
-    band = credible_band(posterior, basis, PROBES, sigma_y=0.1)
-    np.testing.assert_array_equal(band.mean, predictive_mean(posterior, basis, PROBES))
+    band = credible_band(fit, PROBES)
+    np.testing.assert_array_equal(band.mean, fit.predict_mean(PROBES))
 
 
 def test_variance_decomposition(fit):
-    X, y, eta, basis, posterior = fit
-    sigma_y = 0.1
-    band = credible_band(posterior, basis, PROBES, sigma_y=sigma_y)
+    band = credible_band(fit, PROBES)
     np.testing.assert_allclose(band.sigma_f**2, band.sigma_t**2 + band.sigma_s**2, rtol=1e-12)
-    np.testing.assert_allclose(band.sigma_d**2, band.sigma_f**2 + sigma_y**2, rtol=1e-12)
+    np.testing.assert_allclose(band.sigma_d**2, band.sigma_f**2 + 0.1**2, rtol=1e-12)
     assert np.all(band.sigma_s > 0)
     assert np.all(band.scale_t > 0)
 
 
 def test_interval_from_t_quantile(fit):
-    X, y, eta, basis, posterior = fit
     level = 0.9
-    band = credible_band(posterior, basis, PROBES, level=level, sigma_y=0.1)
-    assert band.dof == float(posterior.n_basis)
+    band = credible_band(fit, PROBES, level=level)
+    assert band.dof == float(fit.posterior.n_basis)
     q = student_t.ppf(0.95, band.dof)
     half = q * np.sqrt(band.scale_t**2 + band.sigma_s**2)
     np.testing.assert_allclose(band.upper - band.mean, half, rtol=1e-12)
@@ -63,74 +61,95 @@ def test_interval_from_t_quantile(fit):
 
 
 def test_levels_are_nested(fit):
-    X, y, eta, basis, posterior = fit
-    b50 = credible_band(posterior, basis, PROBES, level=0.5, sigma_y=0.1)
-    b95 = credible_band(posterior, basis, PROBES, level=0.95, sigma_y=0.1)
+    b50 = credible_band(fit, PROBES, level=0.5)
+    b95 = credible_band(fit, PROBES, level=0.95)
     assert np.all(b95.lower < b50.lower)
     assert np.all(b95.upper > b50.upper)
 
 
 def test_sigma_s_matches_the_three_operand_form(fit):
-    X, y, eta, basis, posterior = fit
-    band = credible_band(posterior, basis, PROBES, sigma_y=0.1)
-    E = evaluation_matrix(basis, PROBES)
-    oracle = np.sqrt(np.einsum("pi,ij,pj->p", E, posterior.Sigma_hat, E))
+    band = credible_band(fit, PROBES)
+    E = evaluation_matrix(fit.basis, PROBES)
+    oracle = np.sqrt(np.einsum("pi,ij,pj->p", E, fit.posterior.Sigma_hat, E))
     np.testing.assert_allclose(band.sigma_s, oracle, rtol=1e-10)
 
 
 def test_probe_at_datapoint_drops_t_component(fit):
-    X, y, eta, basis, posterior = fit
-    band = credible_band(posterior, basis, X[4:5], sigma_y=0.1)
+    band = credible_band(fit, fit.X[4:5])
     assert band.scale_t[0] == 0.0
-    # sigma_s persists: the sampled coordinates still disagree at the point.
+    # sigma_s persists: the coordinates' spread still moves the value at the point.
     assert band.sigma_f[0] == pytest.approx(band.sigma_s[0])
 
 
 def test_probe_numerically_at_datapoint_snaps_to_limit(fit):
     # Close enough to a datapoint that the power function sits at its
     # rounding floor: the t component takes its coincident limit, exactly 0.
-    X, y, eta, basis, posterior = fit
-    probe = X[4:5] + 1e-9
-    band = credible_band(posterior, basis, probe, sigma_y=0.1)
+    probe = fit.X[4:5] + 1e-9
+    band = credible_band(fit, probe)
     assert band.scale_t[0] == 0.0
     assert np.isfinite(band.mean[0])
 
 
 def test_low_dof_has_scale_but_no_sd():
     # N = 4, eta = 1.5 in 1-D gives Nh = 2 basis directions: the t component
-    # has dof 2, so its sd is NaN while the interval is still finite.
+    # has dof 2, so its sd is NaN while the interval is still finite. At a
+    # datapoint the t part is a point mass, whose sd is 0.
     X = np.array([[0.0], [0.3], [0.7], [1.0]])
     y = np.array([0.1, 0.8, -0.4, 0.5])
-    basis = build_orthonormal_basis(X, 1.5)
-    density = build_density(basis, y, KnownNoise(0.1))
-    posterior = run_mcmc(density, SamplerConfig(chains=2, samples_per_chain=300, burn_in=100, seed=1))
-    band = credible_band(posterior, basis, np.array([[0.5]]), sigma_y=0.1)
+    fit = fit_regression(X, y, 1.5, noise=0.1, config=QUICK)
+    assert fit.regime == Regime.NORMAL
+    band = credible_band(fit, np.array([[0.5], [0.3]]))
     assert band.dof == 2.0
     assert math.isnan(band.sigma_t[0])
     assert math.isnan(band.sigma_f[0])
     assert band.scale_t[0] > 0
     assert math.isfinite(band.lower[0]) and math.isfinite(band.upper[0])
     assert band.lower[0] < band.mean[0] < band.upper[0]
+    assert band.sigma_t[1] == 0.0 and band.sigma_f[1] == band.sigma_s[1]
 
 
-def test_sigma_y_defaults_to_posterior_noise(fit):
-    X, y, eta, basis, posterior = fit
-    # Known-noise posterior carries no sigma draws, so the default is 0 and
-    # the observation band collapses onto the function band.
-    band = credible_band(posterior, basis, PROBES)
-    np.testing.assert_allclose(band.sigma_d, band.sigma_f, rtol=1e-12)
+def test_sigma_y_defaults_to_posterior_noise():
+    # An unknown-noise fit's observation band adds its posterior median of sigma_y.
+    fit = fit_dataset(higdon(25, 0.08, seed=3), 1.5, noise="unknown", config=QUICK)
+    assert fit.regime == Regime.NORMAL
+    assert fit.sigma_y == fit.posterior.sigma_y_median > 0.0
+    band = credible_band(fit, PROBES)
+    np.testing.assert_allclose(band.sigma_d**2, band.sigma_f**2 + fit.sigma_y**2, rtol=1e-12)
 
 
-def test_wrong_regime_rejected(fit):
-    X, y, eta, basis, posterior = fit
+def _column_gap(a, b) -> float:
+    """Largest difference relative to the column's largest magnitude."""
+    return float(np.abs(a - b).max() / max(np.abs(b).max(), 1e-300))
 
-    class PolePosterior:
-        regime = Regime.NULLSPACE_POLE
 
-    with pytest.raises(WrongRegime, match="nullspace"):
-        predictive_mean(PolePosterior(), basis, PROBES)
-    with pytest.raises(WrongRegime):
-        credible_band(PolePosterior(), basis, PROBES)
+def test_every_regime_bands_through_credible_band(fit):
+    # Pole fits take the same path as normal ones; their bands equal the
+    # closed forms: the interpolation posterior, and the least-squares
+    # posterior of the polynomial coefficients.
+    X, y = fit.X, fit.y
+    probes = np.vstack([PROBES, X[4:5]])
+    np.testing.assert_array_equal(fit.predict(probes).upper, credible_band(fit, probes).upper)
+
+    exact = fit_regression(X, y, 1.5, noise=0.0)
+    assert exact.regime == Regime.INTERPOLATION_POLE
+    band = credible_band(exact, probes)
+    mean, scale, sd = solve_interpolation(X, y, 1.5).posterior(probes)
+    for got, want in [(band.mean, mean), (band.scale_t, scale), (band.sigma_t, sd)]:
+        assert _column_gap(got, want) < 1e-10
+    assert np.all(band.sigma_s == 0.0) and band.scale_t[-1] == 0.0
+
+    for noise in (0.1, "unknown"):
+        line = 1.0 + 2.0 * X[:, 0]
+        poly = fit_regression(X, line, 1.5, noise=noise)
+        assert poly.regime == Regime.NULLSPACE_POLE
+        band = credible_band(poly, probes)
+        M, m = monomial_matrix(X, 1.5), monomial_matrix(probes, 1.5)
+        s2 = 0.1**2 if noise == 0.1 else float(np.sum((line - M.T @ poly.mean_c) ** 2)) / (12 - 2)
+        var = np.einsum("vp,vw,wp->p", m, np.linalg.inv(M @ M.T), m) * s2
+        assert _column_gap(band.mean, 1.0 + 2.0 * probes[:, 0]) < 1e-12
+        assert _column_gap(band.sigma_s, np.sqrt(var)) < 1e-10
+        assert np.all(band.scale_t == 0.0) and np.all(band.sigma_t == 0.0)
+        assert band.dof == (math.inf if noise == 0.1 else 10.0)
 
 
 def test_band_halfwidth_validates_level():
@@ -143,12 +162,8 @@ def test_band_halfwidth_validates_level():
     )
 
 
-@pytest.mark.parametrize("n_probes", [5, 50])
-def test_one_saddle_solve_per_probe_set(fit, monkeypatch, tmp_path, n_probes):
-    # Each command assembles the kernel system of its point set once: one
-    # Green's matrix, one distinctness check and one saddle factorization,
-    # which serves every probe and path however many there are.
-    X, y, eta, basis, posterior = fit
+def count_kernel_work(monkeypatch, border: bool = False) -> Counter:
+    """Count Green's matrices, distinctness checks, saddle factorizations and, optionally, borders."""
     counts = Counter()
 
     def counted(name, fn):
@@ -163,7 +178,18 @@ def test_one_saddle_solve_per_probe_set(fit, monkeypatch, tmp_path, n_probes):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
     monkeypatch.setattr(SymmetricFactor, "__init__", counted("SymmetricFactor", SymmetricFactor.__init__))
+    if border:
+        monkeypatch.setattr(_Geometry, "border", counted("border", _Geometry.border))
+    return counts
 
+
+@pytest.mark.parametrize("n_probes", [5, 50])
+def test_one_saddle_solve_per_probe_set(fit, monkeypatch, tmp_path, n_probes):
+    # Each command assembles the kernel system of its point set once: one
+    # Green's matrix, one distinctness check and one saddle factorization,
+    # which serves every probe and path however many there are.
+    X, y, eta = fit.X, fit.y, 1.5
+    counts = count_kernel_work(monkeypatch)
     data = write_csv(tmp_path / "d.csv", X, y, feature_names=["x"])
     model, grid = tmp_path / "m.json", f"0.01:0.99:{n_probes}"
     commands = {
@@ -207,3 +233,44 @@ def test_interpolate_paths_solve_the_probe_border_once(monkeypatch, tmp_path):
     assert main(["interpolate", "--data", data, "--target", "y", "--eta", "1.5",
                  "--grid", "0.01:0.99:7", "--paths", "3", "--out", str(tmp_path / "i.csv")]) == 0
     assert shapes == [(14,), (14, 7)]
+
+
+@pytest.mark.parametrize(
+    "noise, polynomial, regime",
+    [
+        (0.1, False, Regime.NORMAL),
+        (0.0, False, Regime.INTERPOLATION_POLE),
+        ("unknown", False, Regime.INTERPOLATION_POLE),  # chosen by the profile
+        (0.1, True, Regime.NULLSPACE_POLE),
+        ("unknown", True, Regime.NULLSPACE_POLE),
+    ],
+)
+def test_every_regime_assembles_its_geometry_once(monkeypatch, tmp_path, noise, polynomial, regime):
+    # Fresh or loaded, in every regime, a fit and its band assemble one Green's
+    # matrix, check distinctness once and factor the saddle at most once; a
+    # nullspace-pole band has no t part, so it solves no border.
+    X, y = random_dataset(12, 1, seed=7)
+    if polynomial:
+        y = 1.0 + 2.0 * X[:, 0]
+    counts = count_kernel_work(monkeypatch, border=True)
+    fitted = fit_regression(X, y, 1.5, noise=noise, config=QUICK)
+    assert fitted.regime == regime
+    save_archive(fitted, str(tmp_path / "m.json"))
+    for stage in ("fresh", "loaded"):
+        if stage == "loaded":
+            counts.clear()
+            fitted = load_archive(str(tmp_path / "m.json"))
+        fitted.predict(PROBES)
+        fitted.predict_mean(PROBES)
+        assert counts["greens_matrix"] == 1 and counts["check_distinct"] == 1, stage
+        assert counts["SymmetricFactor"] <= 1, stage
+        assert counts["border"] == (0 if regime == Regime.NULLSPACE_POLE else 1), stage
+
+
+def test_crossval_folds_solve_no_border(monkeypatch):
+    # Held-out predictions are the mean E h alone: no band, no border solve.
+    counts = count_kernel_work(monkeypatch, border=True)
+    for noise in (0.08, 0.0):
+        crossval(higdon(15, 0.08, seed=1), 1.5, noise=noise, k=3, config=QUICK)
+    assert counts["border"] == 0
+    assert counts["greens_matrix"] == counts["check_distinct"] == 6
