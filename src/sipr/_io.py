@@ -1,4 +1,7 @@
-"""Atomic file writes: everything lands via rename so readers never see partial output."""
+"""Atomic file writes, and the exact text of float tables.
+
+Everything lands via rename so readers never see partial output.
+"""
 
 from __future__ import annotations
 
@@ -27,8 +30,21 @@ def atomic_write_text(path: str, content: str) -> None:
         raise IOError_(f"cannot write {path}: {exc}") from exc
 
 
+def _float_rows(table) -> list[str]:
+    """The rows of a 2-D float table as comma-separated text, exact to the bit.
+
+    Every value is written with 17 significant digits ("%.17g"), which
+    round-trip every binary64 value through float(), so the text parses back
+    to the same bits; -0.0, nan and +-inf print as -0, nan and +-inf. Each
+    row is one C-level % format instead of one repr per value, and only one
+    row at a time is held as Python floats.
+    """
+    table = np.asarray(table, dtype=float)
+    row = ",".join(["%.17g"] * table.shape[1])
+    return [row % tuple(values.tolist()) for values in table]
+
+
 def _write_csv(path: str, header: list[str], table, comment: str | None = None) -> None:
-    """Write a 2-D float table as CSV: an optional comment line, the header, then repr rows."""
-    lines = ([] if comment is None else [comment]) + [",".join(header)]
-    lines += [",".join(map(repr, row)) for row in np.asarray(table, dtype=float).tolist()]
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    """Write a 2-D float table as CSV: an optional comment line, the header, then exact rows."""
+    lines = ([] if comment is None else [comment]) + [",".join(header)] + _float_rows(table)
+    atomic_write_text(path, "\n".join([*lines, ""]))

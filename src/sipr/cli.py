@@ -103,9 +103,9 @@ def _sampler_options(fn):
             click.option("--chains", type=int, default=2, show_default=True,
                          help="Draws chains x (samples - burn) for --trace."),
             click.option("--samples", type=int, default=1000, show_default=True,
-                         help="Iterations per chain including burn-in."),
+                         help="Sizes the --trace draws, chains x (samples - burn)."),
             click.option("--burn", "burn_in", type=int, default=500, show_default=True,
-                         help="Burn-in iterations discarded per chain."),
+                         help="Sizes the --trace draws, chains x (samples - burn)."),
             click.option("--leapfrog", type=int, default=32, show_default=True,
                          help="Tunes generic HMC only; fit and crossval ignore it."),
             click.option("--target-accept", "target_accept", type=float, default=0.8, show_default=True,

@@ -14,7 +14,8 @@ coordinates, and predict.credible_band gives its bands (see RegressionFit).
 Fits can be serialized to a versioned JSON archive and reloaded for
 prediction; a reloaded model predicts bit-identically to the fresh fit. Every
 entry is plain JSON except the posterior covariance Sigma_hat, which format 2
-stores as one exact block of float64 bytes (see _block).
+stores as one exact block of float64 bytes (see _block); the basis columns
+basis_H are JSON numbers with 17 significant digits (see _json_matrix).
 """
 
 from __future__ import annotations
@@ -28,10 +29,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__ as _pkg_version
-from ._io import atomic_write_text
+from ._io import _float_rows, atomic_write_text
 from .basis import SubspaceBasis, build_orthonormal_basis, evaluation_matrix
 from .data import Dataset, FeatureScaling, minmax_scale
-from .errors import ArchiveVersionError, IOError_, ValidationError
+from .errors import ArchiveVersionError, IOError_, NumericalError, ValidationError
 from .geometry import Regularity, _Geometry, as_points, as_regularity
 from .interpolate import POLYNOMIAL_TOL, solve_interpolation
 from .posterior import KnownNoise, UnknownNoise, build_density
@@ -243,8 +244,33 @@ def _unblock(doc: dict, shape: tuple[int, ...]) -> np.ndarray:
     return np.frombuffer(raw, dtype="<f8").astype(float).reshape(shape)
 
 
+def _json_matrix(x) -> list[str]:
+    """The pieces of a JSON array of arrays of numbers holding a finite float matrix with at
+    least one row, exact to the bit (see _float_rows).
+
+    %.17g writes nan and inf, which are not JSON, so a non-finite entry is
+    refused here rather than written into an archive that cannot be read.
+    """
+    x = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(x)):
+        raise NumericalError(f"cannot archive a {x.shape[0]}x{x.shape[1]} matrix with non-finite entries")
+    pieces = ["[["]
+    for row in _float_rows(x):
+        pieces += [row, "], ["]
+    pieces[-1] = "]]"
+    return pieces
+
+
 def archive_dict(fit: RegressionFit) -> dict:
     """JSON-ready description of a fit, sufficient to reproduce predictions."""
+    doc = _archive_entries(fit)
+    if doc["basis_H"] is not None:
+        doc["basis_H"] = _arr(doc["basis_H"])
+    return doc
+
+
+def _archive_entries(fit: RegressionFit) -> dict:
+    """archive_dict with basis_H left as an array, for save_archive to format."""
     post = fit.posterior
     normal = fit.regime == Regime.NORMAL
     sigma_summary: dict = {"mode": "known" if fit.noise_known else "unknown", "value": fit.sigma_y}
@@ -264,7 +290,7 @@ def archive_dict(fit: RegressionFit) -> dict:
         "X": _arr(fit.X),
         "y": _arr(fit.y),
         "spline": {"a": _arr(fit.mean_a), "c": _arr(fit.mean_c)},
-        "basis_H": _arr(fit.basis.H) if normal else None,
+        "basis_H": fit.basis.H if normal else None,
         "h_hat": _arr(fit.h) if normal else None,
         "Sigma_hat": _block(fit.Sigma) if normal else None,
         "sigma_y": sigma_summary,
@@ -282,7 +308,16 @@ def archive_dict(fit: RegressionFit) -> dict:
 
 
 def save_archive(fit: RegressionFit, path: str) -> None:
-    atomic_write_text(path, json.dumps(archive_dict(fit)) + "\n")
+    """Write archive_dict(fit) as one line of JSON, with basis_H in its exact text (_json_matrix).
+
+    The pieces are joined once, so the megabytes of basis text are not copied
+    again on their way into the file.
+    """
+    pieces = []
+    for key, value in _archive_entries(fit).items():
+        pieces += [", " if pieces else "{", json.dumps(key), ": "]
+        pieces += _json_matrix(value) if isinstance(value, np.ndarray) else [json.dumps(value)]
+    atomic_write_text(path, "".join([*pieces, "}\n"]))
 
 
 def load_archive(path: str) -> RegressionFit:

@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import t as student_t
+from scipy.special import stdtrit
 
 from .basis import evaluation_matrix
 from .errors import WrongRegime
@@ -61,7 +61,7 @@ def band_halfwidth(level: float, dof: float, scale: np.ndarray) -> np.ndarray:
     """Half-width of the central interval: t quantile at dof times the scale."""
     if not 0.0 < level < 1.0:
         raise WrongRegime(f"level must be in (0, 1), got {level}")
-    q = float(student_t.ppf(0.5 + level / 2.0, dof))
+    q = float(stdtrit(dof, 0.5 + level / 2.0))
     return q * np.asarray(scale, dtype=float)
 
 

@@ -373,8 +373,6 @@ def _write_trace(path: str, samples: np.ndarray, log_posts: np.ndarray) -> None:
     _write_csv(path, header, np.column_stack([samples, log_posts]))
 
 
-
-
 def run_mcmc(
     density,
     config: SamplerConfig,

@@ -1,4 +1,5 @@
-"""Every name a sipr module imports is used there, and every name it exports is bound there.
+"""Every name a sipr module imports is used there, and every name it exports is bound there;
+importing the CLI leaves scipy.stats unloaded.
 
 No linter is a test dependency; these scans use the standard library's ast.
 """
@@ -6,6 +7,9 @@ No linter is a test dependency; these scans use the standard library's ast.
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -95,3 +99,11 @@ def test_scan_flags_a_dangling_export():
         "__all__ = ['load_csv', 'np', 'X', 'Y', 'f', 'C', 'gone']\n"
     )
     assert dangling_exports(source) == ["gone"]
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    # Every CLI process pays for what sipr.cli imports; scipy.stats alone
+    # costs about half a second and sipr needs none of it.
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC.parent), os.environ.get("PYTHONPATH", "")])}
+    code = "import sipr.cli, sys; assert 'scipy.stats' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)

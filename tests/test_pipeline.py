@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from sipr.data import Dataset, higdon, higdon_truth, kfold, load_csv, rmse
-from sipr.errors import ArchiveVersionError, IOError_, KTooLarge, ValidationError
+from sipr.errors import ArchiveVersionError, IOError_, KTooLarge, NumericalError, ValidationError
 from sipr.interpolate import solve_interpolation
 from sipr.pipeline import (
     archive_dict,
@@ -21,6 +26,16 @@ from sipr.pipeline import (
 from sipr.sampler import Regime, SamplerConfig
 
 QUICK = SamplerConfig(chains=2, samples_per_chain=400, burn_in=150, seed=2)
+
+# Finite values at the edges of binary64 and of the 17-digit text; about half
+# of a real basis_H is exact zeros.
+EDGES = [0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308, 2.0**53 + 2, 0.1]
+
+
+def save_with_basis(fit, H, path) -> None:
+    """Archive fit with its basis columns replaced by H (its fitted values, read through H, may overflow)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        save_archive(dataclasses.replace(fit, basis=dataclasses.replace(fit.basis, H=H)), str(path))
 
 
 @pytest.fixture(scope="module")
@@ -167,6 +182,34 @@ class TestArchives:
         text = path.read_text()
         assert "\n" not in text.rstrip("\n")
         assert json.loads(text) == json.loads(json.dumps(archive_dict(normal_fit), indent=1))
+
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_basis_h_comes_back_exactly(self, tmp_path_factory, normal_fit, data):
+        H = data.draw(arrays(np.float64, normal_fit.basis.H.shape,
+                             elements=st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(EDGES)))
+        path = tmp_path_factory.mktemp("archive") / "model.json"
+        save_with_basis(normal_fit, H, path)
+        assert np.array_equal(load_archive(str(path)).basis.H, H)
+
+    def test_exact_zeros_in_basis_h_are_json_integers(self, tmp_path, normal_fit):
+        H = normal_fit.basis.H.copy()
+        H[0, :2] = [0.0, -0.0]
+        path = tmp_path / "model.json"
+        save_with_basis(normal_fit, H, path)
+        row = json.loads(path.read_text())["basis_H"][0]
+        assert row[:2] == [0, 0] and all(isinstance(v, int) for v in row[:2])
+        assert isinstance(row[2], float)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_basis_h_is_refused_before_writing(self, tmp_path, normal_fit, bad):
+        # %.17g would write nan or inf, which json.load cannot read back.
+        H = normal_fit.basis.H.copy()
+        H[1, 2] = bad
+        path = tmp_path / "model.json"
+        with pytest.raises(NumericalError, match="non-finite"):
+            save_with_basis(normal_fit, H, path)
+        assert not path.exists()
 
     def test_indented_archive_still_loads(self, tmp_path, normal_fit):
         path = tmp_path / "model.json"

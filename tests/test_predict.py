@@ -162,6 +162,16 @@ def test_band_halfwidth_validates_level():
     )
 
 
+@pytest.mark.parametrize("dof", [1.0, 2.0, 3.0, 98.0, 398.0, math.inf])
+def test_t_quantile_is_scipy_stats_bit_for_bit(dof):
+    # band_halfwidth reads the quantile from scipy.special.stdtrit, which
+    # scipy.stats.t.ppf wraps, to keep scipy.stats off the CLI's import path.
+    for level in (0.5, 0.9, 0.95, 0.99):
+        got = band_halfwidth(level, dof, np.array([1.0]))
+        want = np.array([student_t.ppf(0.5 + level / 2.0, dof)])
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
 def count_kernel_work(monkeypatch, border: bool = False) -> Counter:
     """Count Green's matrices, distinctness checks, saddle factorizations and, optionally, borders."""
     counts = Counter()
