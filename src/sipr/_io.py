@@ -37,11 +37,20 @@ def _float_rows(table) -> list[str]:
     round-trip every binary64 value through float(), so the text parses back
     to the same bits; -0.0, nan and +-inf print as -0, nan and +-inf. Each
     row is one C-level % format instead of one repr per value, and only one
-    row at a time is held as Python floats.
+    row at a time is held as Python floats. A row's leading run of +0.0 (a
+    staircase basis is about half such zeros) is written as the text 0 without
+    formatting.
     """
     table = np.asarray(table, dtype=float)
-    row = ",".join(["%.17g"] * table.shape[1])
-    return [row % tuple(values.tolist()) for values in table]
+    n = table.shape[1]
+    zeros = np.logical_and.accumulate((table == 0.0) & ~np.signbit(table), axis=1).sum(axis=1)
+    formats: dict[int, str] = {}
+    rows = []
+    for values, k in zip(table, zeros.tolist()):
+        if k not in formats:
+            formats[k] = ",".join(["0"] * k + ["%.17g"] * (n - k))
+        rows.append(formats[k] % tuple(values[k:].tolist()))
+    return rows
 
 
 def _write_csv(path: str, header: list[str], table, comment: str | None = None) -> None:

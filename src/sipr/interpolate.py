@@ -175,8 +175,12 @@ class InterpolationModel:
         return (mean, *t_scale_and_sd(ratio, self.dof), paths)
 
 
-def solve_interpolation(X, y, eta) -> InterpolationModel:
-    """Fit the minimum-norm interpolant through (X, y)."""
+def _checked_geometry(X, y, eta) -> tuple[_Geometry, np.ndarray]:
+    """The geometry of the points X at eta and the values y, checked for a fit.
+
+    Raises DimensionMismatch for a value count other than the point count or
+    a non-finite value, and TooFewPoints below N0 + 1 points.
+    """
     reg = as_regularity(eta)
     X = as_points(X)
     y = np.asarray(y, dtype=float).reshape(-1)
@@ -190,12 +194,16 @@ def solve_interpolation(X, y, eta) -> InterpolationModel:
         raise TooFewPoints(
             f"need at least {N0 + 1} points for eta={reg.value:g} in {D} dimension(s), got {N}"
         )
+    return _Geometry(X, reg), y
 
-    geometry = _Geometry(X, reg)
-    box = geometry.box
-    sol = geometry.saddle.solve(np.concatenate([y, np.zeros(N0)]))
+
+def solve_interpolation(X, y, eta) -> InterpolationModel:
+    """Fit the minimum-norm interpolant through (X, y)."""
+    geometry, y = _checked_geometry(X, y, eta)
+    N, box, reg = geometry.n_points, geometry.box, geometry.eta
+    sol = geometry.saddle.solve(np.concatenate([y, np.zeros(geometry.n_null)]))
     a = sol[:N] * box.scale ** (-2.0 * reg.value)
-    c = _rebase_polynomial(sol[N:], multi_indices(D, reg), box.shift, box.scale)
+    c = _rebase_polynomial(sol[N:], multi_indices(geometry.dim, reg), box.shift, box.scale)
     return InterpolationModel(geometry=geometry, y=y, a=a, c=c)
 
 

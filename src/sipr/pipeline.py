@@ -30,12 +30,12 @@ import numpy as np
 
 from . import __version__ as _pkg_version
 from ._io import _float_rows, atomic_write_text
-from .basis import SubspaceBasis, build_orthonormal_basis, evaluation_matrix
+from .basis import SubspaceBasis, build_orthonormal_basis, evaluation_matrix, to_subspace
 from .data import Dataset, FeatureScaling, minmax_scale
 from .errors import ArchiveVersionError, IOError_, NumericalError, ValidationError
 from .geometry import Regularity, _Geometry, as_points, as_regularity
-from .interpolate import POLYNOMIAL_TOL, solve_interpolation
-from .posterior import KnownNoise, UnknownNoise, build_density
+from .interpolate import POLYNOMIAL_TOL, _checked_geometry, solve_interpolation
+from .posterior import KnownNoise, UnknownNoise, _density
 from .predict import CredibleBand, credible_band
 from .sampler import Regime, RegressionPosterior, SamplerConfig, run_mcmc
 
@@ -173,23 +173,29 @@ def fit_regression(X, y, eta, noise="unknown", config: SamplerConfig | None = No
         if not (math.isfinite(sigma_known) and sigma_known >= 0.0):
             raise ValidationError(f"known noise sd must be >= 0, got {noise!r}")
 
-    model = solve_interpolation(X, y, reg)
-    common = dict(geometry=model.geometry, y=y, noise_known=known, config=config)
+    common = dict(y=y, noise_known=known, config=config)
 
-    def nullspace_pole(**extra) -> RegressionFit:
-        M = model.geometry.M
-        c = _polynomial_fit(M, y)
-        sigma = sigma_known if known else _residual_sigma(M, y, c)
-        return _regime_fit(Regime.NULLSPACE_POLE, c=c, sigma_y=sigma, **extra, **common)
-
-    if model.norm_sq <= POLYNOMIAL_TOL * float(y @ y):
-        # exactly polynomial data: nothing for the kernel part to do
-        return nullspace_pole()
+    def nullspace_pole(geometry, **extra) -> RegressionFit:
+        c = _polynomial_fit(geometry.M, y)
+        sigma = sigma_known if known else _residual_sigma(geometry.M, y, c)
+        return _regime_fit(Regime.NULLSPACE_POLE, geometry, c=c, sigma_y=sigma, **extra, **common)
 
     if known and sigma_known == 0.0:
-        return _regime_fit(Regime.INTERPOLATION_POLE, a=model.a, c=model.c, sigma_y=0.0, **common)
+        model = solve_interpolation(X, y, reg)
+        if model.norm_sq <= POLYNOMIAL_TOL * float(y @ y):
+            return nullspace_pole(model.geometry)  # exactly polynomial data
+        return _regime_fit(Regime.INTERPOLATION_POLE, model.geometry, a=model.a, c=model.c, sigma_y=0.0,
+                           **common)
 
-    basis = build_orthonormal_basis(model.geometry, reg)
+    # One factorization serves the interpolant and the posterior: the LU of E*
+    # that pulls y into the basis gives the interpolant's coordinates h_mu.
+    geometry, y = _checked_geometry(X, y, reg)
+    basis = build_orthonormal_basis(geometry, reg)
+    h_mu, Sigma0 = to_subspace(basis, y, sigma_known if known else 1.0)
+    h_mu_k = h_mu[: basis.n_basis]  # ||f||^2 = ||h_mu_k||^2: H is orthonormal
+    if float(h_mu_k @ h_mu_k) <= POLYNOMIAL_TOL * float(y @ y):
+        return nullspace_pole(geometry)  # exactly polynomial data
+
     if known:
         noise_model = KnownNoise(sigma_known)
     else:
@@ -197,16 +203,16 @@ def fit_regression(X, y, eta, noise="unknown", config: SamplerConfig | None = No
         if sd <= 0.0:
             raise ValidationError("target is constant; cannot initialize the noise scale")
         noise_model = UnknownNoise(sd / 10.0)
-    density = build_density(basis, y, noise_model)
-
-    posterior = run_mcmc(density, config)  # the exact posterior and its regime
+    # the exact posterior and its regime
+    posterior = run_mcmc(_density(basis, h_mu, Sigma0, noise_model), config)
     extra = dict(posterior=posterior, diagnostics_summary=posterior.diagnostics.evidence)
 
     if posterior.regime == Regime.NULLSPACE_POLE:
-        return nullspace_pole(**extra)
+        return nullspace_pole(geometry, **extra)
     sigma = sigma_known if known else posterior.sigma_y_median
+    a, c = basis.spline_coefficients(h_mu)
     return _regime_fit(
-        posterior.regime, a=model.a, c=model.c, basis=basis, h_hat=posterior.h_hat,
+        posterior.regime, geometry, a=a, c=c, basis=basis, h_hat=posterior.h_hat,
         Sigma_hat=posterior.Sigma_hat, sigma_y=sigma, **extra, **common,
     )
 
@@ -310,13 +316,20 @@ def _archive_entries(fit: RegressionFit) -> dict:
 def save_archive(fit: RegressionFit, path: str) -> None:
     """Write archive_dict(fit) as one line of JSON, with basis_H in its exact text (_json_matrix).
 
-    The pieces are joined once, so the megabytes of basis text are not copied
-    again on their way into the file.
+    The pieces are joined once, so the megabytes of basis and Sigma_hat text
+    are not copied again on their way into the file.
     """
     pieces = []
     for key, value in _archive_entries(fit).items():
         pieces += [", " if pieces else "{", json.dumps(key), ": "]
-        pieces += _json_matrix(value) if isinstance(value, np.ndarray) else [json.dumps(value)]
+        if isinstance(value, np.ndarray):
+            pieces += _json_matrix(value)
+        elif key == "Sigma_hat" and value is not None:
+            # base64 needs no JSON escaping: the same text as json.dumps, without its scan
+            pieces += ['{"shape": ', json.dumps(value["shape"]), ', "f8le_base64": "',
+                       value["f8le_base64"], '"}']
+        else:
+            pieces.append(json.dumps(value))
     atomic_write_text(path, "".join([*pieces, "}\n"]))
 
 

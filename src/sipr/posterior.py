@@ -123,10 +123,14 @@ class PosteriorDensity:
     n_null: int  # N0
     noise: KnownNoise | UnknownNoise
     Sigma_inv: np.ndarray | None = None  # known mode: E*^T Sigma_y^-1 E*
+    base_quad: np.ndarray | None = None  # unknown mode: E*^T E*, the sigma-free part of the precision
 
     def __post_init__(self):
-        if self.Sigma_inv is None and self.noise.is_known:
-            raise DomainError("known-noise density requires a precomputed precision")
+        if self.noise.is_known:
+            if self.Sigma_inv is None:
+                raise DomainError("known-noise density requires a precomputed precision")
+        elif self.base_quad is None:
+            self.base_quad = self.Estar.T @ self.Estar
 
     @property
     def n_points(self) -> int:
@@ -135,11 +139,6 @@ class PosteriorDensity:
     @property
     def dim(self) -> int:
         return self.n_points + (0 if self.noise.is_known else 1)
-
-    @cached_property
-    def base_quad(self) -> np.ndarray:
-        """E*^T E*, the sigma-free part of the precision in unknown mode."""
-        return self.Estar.T @ self.Estar
 
     @cached_property
     def h_mu_norm(self) -> float:
@@ -196,19 +195,15 @@ class PosteriorDensity:
 
 def build_density(basis: SubspaceBasis, y, noise: KnownNoise | UnknownNoise) -> PosteriorDensity:
     """Assemble the posterior density for observations y under a noise model."""
-    if noise.is_known:
-        h_mu, Sigma_inv = to_subspace(basis, y, noise.sigma)
-    else:
-        h_mu, _ = to_subspace(basis, y, noise.sigma_init)
-        Sigma_inv = None
-    return PosteriorDensity(
-        h_mu_star=h_mu,
-        Estar=basis.Estar,
-        n_basis=basis.n_basis,
-        n_null=basis.n_null,
-        noise=noise,
-        Sigma_inv=Sigma_inv,
-    )
+    return _density(basis, *to_subspace(basis, y, noise.sigma if noise.is_known else 1.0), noise)
+
+
+def _density(basis: SubspaceBasis, h_mu_star: np.ndarray, Sigma0: np.ndarray,
+             noise: KnownNoise | UnknownNoise) -> PosteriorDensity:
+    """The density from to_subspace's coordinates and precision (at unit noise sd, E*^T E*)."""
+    quad = {"Sigma_inv": Sigma0} if noise.is_known else {"base_quad": Sigma0}
+    return PosteriorDensity(h_mu_star=h_mu_star, Estar=basis.Estar, n_basis=basis.n_basis,
+                            n_null=basis.n_null, noise=noise, **quad)
 
 
 def map_estimate(density: PosteriorDensity, tol: float = 1e-10, max_iter: int = 200) -> np.ndarray:

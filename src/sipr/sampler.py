@@ -21,8 +21,10 @@ one master seed, so results are bit-reproducible for a fixed configuration.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -102,7 +104,7 @@ class ChainStats:
 @dataclass(frozen=True)
 class Diagnostics:
     chains: tuple[ChainStats, ...]
-    rhat_max: float
+    rhat_max: float  # split-chain R-hat of HMC chains; 1 for the exact posterior's i.i.d. draws
     evidence: dict | None = None  # regression: the profile record that chose the regime
 
     @property
@@ -113,19 +115,39 @@ class Diagnostics:
 
 @dataclass(eq=False)
 class RegressionPosterior:
-    """Posterior moments and draws in original state coordinates."""
+    """Posterior moments and draws in original state coordinates.
 
-    samples: np.ndarray  # (draws, state dim), chain-major
-    log_posteriors: np.ndarray  # (draws,)
+    draw() returns the draws: the states (draws, state dim), chain-major,
+    their log posteriors, and sigma_y per draw (unknown-noise mode only, else
+    None). It runs once, when samples, log_posteriors or sigma_y_samples is
+    first read, so a posterior whose draws are never read never makes them.
+    """
+
+    draw: Callable[[], tuple[np.ndarray, np.ndarray, np.ndarray | None]] = field(repr=False)
     h_hat: np.ndarray  # posterior mean of h*
     Sigma_hat: np.ndarray  # posterior covariance of h*
     regime: Regime
     diagnostics: Diagnostics
-    sigma_y_samples: np.ndarray | None = None  # unknown-noise mode only
     n_basis: int | None = None
     n_null: int | None = None
     config: SamplerConfig | None = field(default=None, repr=False)
     sigma_y_quantiles: tuple[float, float, float] | None = None  # q05, median, q95 (unknown noise)
+
+    @cached_property
+    def _draws(self) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+        return self.draw()
+
+    @property
+    def samples(self) -> np.ndarray:
+        return self._draws[0]
+
+    @property
+    def log_posteriors(self) -> np.ndarray:
+        return self._draws[1]
+
+    @property
+    def sigma_y_samples(self) -> np.ndarray | None:
+        return self._draws[2]
 
     @property
     def sigma_y_median(self) -> float | None:
@@ -417,8 +439,7 @@ def run_mcmc(
     if config.trace_path is not None:
         _write_trace(config.trace_path, samples, kept_lp.reshape(-1))
     return RegressionPosterior(
-        samples=samples,
-        log_posteriors=kept_lp.reshape(-1),
+        draw=lambda: (samples, kept_lp.reshape(-1), None),
         h_hat=h_hat,
         Sigma_hat=Sigma_hat,
         regime=Regime.NORMAL,
@@ -593,10 +614,10 @@ class _ScaleMixture:
         return np.column_stack([h, log_sigma]), lp - self.n * log_sigma - 0.5 * q / sigma**2, sigma
 
     def posterior(self, config: SamplerConfig) -> RegressionPosterior:
+        """The exact posterior; its draws are made from config.seed when first read (or traced)."""
         regime, (xs, fs, Q, w, _) = self.solve()
         h_hat, Sigma_hat = self.moments(xs, Q, w)
-        rng = np.random.default_rng(config.seed)
-        samples, log_posts, sigma = self.draws(xs, Q, w, config.chains * config.kept_per_chain, rng)
+        n_draws = config.chains * config.kept_per_chain
         top = fs.max()
         evidence = {
             "nodes": int(np.count_nonzero(w)),
@@ -608,22 +629,21 @@ class _ScaleMixture:
         quantiles = None if self.known else self.sigma_quantiles(Q, w)
         if quantiles is not None and regime is Regime.INTERPOLATION_POLE:
             quantiles = (0.0, 0.0, 0.0)  # the exact posterior of sigma there is a point mass at 0
-        if config.trace_path is not None:
-            _write_trace(config.trace_path, samples, log_posts)
-        return RegressionPosterior(
-            samples=samples,
-            log_posteriors=log_posts,
+        posterior = RegressionPosterior(
+            draw=lambda: self.draws(xs, Q, w, n_draws, np.random.default_rng(config.seed)),
             h_hat=h_hat,
             Sigma_hat=Sigma_hat,
             regime=regime,
             diagnostics=Diagnostics(
                 chains=(ChainStats(accept_rate=1.0, divergence_rate=0.0, step_size=0.0),) * config.chains,
-                rhat_max=_split_rhat(list(samples.reshape(config.chains, config.kept_per_chain, -1))),
+                rhat_max=1.0,  # the draws are i.i.d.
                 evidence=evidence,
             ),
-            sigma_y_samples=sigma,
             n_basis=self.nh,
             n_null=self.n - self.nh,
             config=config,
             sigma_y_quantiles=quantiles,
         )
+        if config.trace_path is not None:
+            _write_trace(config.trace_path, posterior.samples, posterior.log_posteriors)
+        return posterior

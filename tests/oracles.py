@@ -591,8 +591,7 @@ def hmc_posterior(density: PosteriorDensity, config: SamplerConfig, init=None) -
     )
     h_hat, Sigma_hat = posterior_moments(samples[:, : density.n_points])
     return RegressionPosterior(
-        samples=samples,
-        log_posteriors=kept_lp.reshape(-1),
+        draw=lambda: (samples, kept_lp.reshape(-1), None if known else np.exp(samples[:, -1])),
         h_hat=h_hat,
         Sigma_hat=Sigma_hat,
         regime=regime,
@@ -601,7 +600,6 @@ def hmc_posterior(density: PosteriorDensity, config: SamplerConfig, init=None) -
             rhat_max=_split_rhat(list(draws)),
             evidence={"metric": metric.name, "map_iterations": map_iterations},
         ),
-        sigma_y_samples=None if known else np.exp(samples[:, -1]),
         sigma_y_quantiles=None if known else tuple(np.quantile(np.exp(samples[:, -1]), [0.05, 0.5, 0.95])),
         n_basis=density.n_basis,
         n_null=density.n_null,

@@ -5,9 +5,16 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from sipr.basis import build_orthonormal_basis, evaluation_matrix, to_subspace
+from sipr.basis import (
+    _orthonormalize,
+    _orthonormalize_staircase,
+    _staircase_top,
+    build_orthonormal_basis,
+    evaluation_matrix,
+    to_subspace,
+)
 from sipr.errors import DimensionMismatch, NotPositiveDefinite, SingularSystem, TooFewPoints
-from sipr.geometry import eta_norm_constant
+from sipr.geometry import _Geometry, eta_norm_constant
 from sipr.interpolate import solve_interpolation
 from tests.conftest import random_dataset
 from tests.oracles import loop_orthonormal_basis
@@ -35,6 +42,43 @@ def test_matches_column_loop_oracle(n, dim, eta):
     H = build_orthonormal_basis(X, eta).H
     H_ref = loop_orthonormal_basis(X, eta).H
     assert np.abs(H - H_ref).max() <= 1e-6 * np.abs(H_ref).max()
+
+
+@pytest.mark.parametrize("n,dim", [(10, 1), (40, 1), (20, 2), (30, 3)])
+@pytest.mark.parametrize("eta", [0.5, 1.5])
+def test_first_pass_reads_the_staircase(n, dim, eta):
+    # The first CholeskyQR pass, from Z's structure, is the dense pass on
+    # the full Z = [[Z_top], [0 | I]] up to rounding, and exactly 0 below
+    # the staircase. (At eta = 2.5 a first pass is only as good as the Gram
+    # matrix's conditioning; the second pass is there for that.)
+    X, _ = random_dataset(n, dim, seed=n + dim)
+    geometry = _Geometry(X, eta)
+    Z_top = _staircase_top(geometry.M_u)
+    Z = np.zeros((n, n - geometry.n_null))
+    Z[: Z_top.shape[0]] = Z_top
+    Z[Z_top.shape[0] :, 1:] = np.eye(Z.shape[1] - 1)
+    C = eta_norm_constant(dim, eta)
+    fast, dense = _orthonormalize_staircase(Z_top, geometry.G, C), _orthonormalize(Z, geometry.G, C)
+    below = np.tril(np.ones(Z.shape, dtype=bool), -Z_top.shape[0])
+    assert np.all(fast[below] == 0.0)
+    assert np.abs(fast - dense).max() <= 1e-8 * np.abs(dense).max()
+
+
+def test_estar_kernel_block_is_g_h():
+    # The orthonormality check's H^T G, transposed, is kept as E*'s kernel block.
+    X, _ = random_dataset(20, 2, seed=4)
+    basis = build_orthonormal_basis(X, 1.5)
+    GH = basis.geometry.G @ basis.H
+    assert np.abs(basis.Estar[:, : basis.n_basis] - GH).max() <= 1e-13 * np.abs(GH).max()
+    np.testing.assert_array_equal(basis.Estar[:, basis.n_basis :], basis.geometry.M.T)
+
+
+def test_1600_equispaced_points_pass_the_gate():
+    # With one BLAS thread the residual at N = 1600 reads about 6e-7 as
+    # (H^T G) H, the order the check uses, and about 1e-6, on the gate, as
+    # H^T (G H).
+    X = np.linspace(0.0, 1.0, 1600)[:, None]
+    assert build_orthonormal_basis(X, 1.5).n_basis == 1598
 
 
 def test_nearly_coincident_points_raise():

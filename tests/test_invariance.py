@@ -3,9 +3,10 @@
 Under y -> gamma y + delta (with a known noise sd scaled by |gamma|) the
 regime is unchanged, the predictive mean maps to gamma mean + delta and every
 band width scales by |gamma|. Permuting the data points changes the basis H
-but not the posterior, so the bands stay put. Each regime is checked at
-eta = 0.5 and 1.5 on N = 24 points; at eta = 2.5 conditioning alone moves the
-bands by about 2e-6, so it is left out.
+but not the posterior, so the bands stay put; so do they under an isotropic
+affine map x -> alpha x + b of the inputs and the probes. Each regime is
+checked at eta = 0.5 and 1.5 on N = 24 points; at eta = 2.5 conditioning
+alone moves the bands by about 2e-6, so it is left out.
 """
 
 from __future__ import annotations
@@ -72,3 +73,31 @@ def test_permuting_the_points(regime, eta):
         assert _gap(getattr(moved, name), getattr(band, name)) < TOL, name
     if regime == Regime.NORMAL:
         assert not np.allclose(shuffled.basis.H[np.argsort(perm)], fit.basis.H)  # the basis moved
+
+
+
+# (alpha, b) of x -> alpha x + b; the last shrinks the unit interval to [5, 5.02].
+MAPS = [(3.0, -1.0), (-1.5, 0.25), (0.02, 5.0)]
+# The regression fit reads the polynomial block in the caller's units: far from
+# the origin relative to its spread, 1 and x are nearly collinear, and the
+# normal regime's mean at eta = 1.5 moves by about 1e-6.
+NARROW_AND_FAR = pytest.mark.xfail(strict=True, reason="polynomial block conditioned in the caller's units")
+INPUT_CASES = [
+    pytest.param(regime, eta, alpha, shift, id=f"{regime.value}-{eta}-{alpha}-{shift}",
+                 marks=NARROW_AND_FAR if (regime, eta, alpha) == (Regime.NORMAL, 1.5, 0.02) else ())
+    for regime, eta in CASES for alpha, shift in MAPS
+]
+
+
+@pytest.mark.parametrize("regime, eta, alpha, shift", INPUT_CASES)
+def test_affine_map_of_the_inputs(regime, eta, alpha, shift):
+    # The kernel model is covariant under isotropic affine maps of X: the
+    # posterior of f(alpha x + b) given the mapped data is that of f(x).
+    X, y, noise = _data(regime, eta)
+    fit = fit_regression(X, y, eta, noise=noise)
+    mapped = fit_regression(alpha * X + shift, y, eta, noise=noise)
+    assert fit.regime == mapped.regime == regime
+    band, moved = fit.predict(PROBES), mapped.predict(alpha * PROBES + shift)
+    names = ("mean",) if regime == Regime.NULLSPACE_POLE else ("mean", *WIDTHS, "lower", "upper")
+    for name in names:
+        assert _gap(getattr(moved, name), getattr(band, name)) < TOL, name

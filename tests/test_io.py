@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from sipr._io import _write_csv
+from sipr._io import _float_rows, _write_csv
 
 # Values whose shortest decimal is not 17 digits, or that sit at the edges of
 # binary64: signed zero, the smallest subnormal, the largest finite value, an
@@ -47,3 +47,20 @@ def test_csv_writes_seventeen_significant_digits(tmp_path):
     path = tmp_path / "table.csv"
     _write_csv(str(path), ["a", "b", "c"], [[0.1, 0.0, -0.0]])
     assert path.read_text().splitlines()[1] == "0.10000000000000001,0,-0"
+
+
+def test_leading_zeros_are_the_text_of_each_value():
+    # A row's leading +0.0 run is written without formatting; the text is the
+    # same as one "%.17g" per value: on a staircase, after a -0.0 lead, on an
+    # all-zero row and around interior zeros.
+    staircase = np.triu(np.random.default_rng(3).standard_normal((6, 6)))
+    table = np.vstack([
+        staircase[::-1],
+        [-0.0, 0.0, 0.0, 1.5, 0.0, 0.0],
+        [0.0, -0.0, 0.0, 0.0, 0.0, 0.1],
+        np.zeros(6),
+        [0.0, 0.0, 2.0, 0.0, 0.0, -0.0],
+        [math.nan, 0.0, 0.0, 0.0, 0.0, 0.0],
+    ])
+    assert _float_rows(table) == [",".join("%.17g" % v for v in row) for row in table]
+    assert _float_rows(np.zeros((3, 0))) == ["", "", ""]

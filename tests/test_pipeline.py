@@ -90,6 +90,21 @@ class TestRegimes:
         mid = fit.predict(np.array([[0.07]]))
         assert mid.upper[0] - mid.lower[0] > 1e-3
 
+    def test_unknown_noise_interpolation_pole_is_the_interpolant(self):
+        # With unknown noise the pole's interpolant comes from the basis
+        # coordinates y = E* h_mu, not from a saddle solve: the same function.
+        X = np.linspace(0.0, 1.0, 12)[:, None]
+        y = np.sin(3.0 * X[:, 0])
+        fit = fit_regression(X, y, 1.5, noise="unknown", config=QUICK)
+        assert fit.regime == Regime.INTERPOLATION_POLE and fit.sigma_y == 0.0
+        model = solve_interpolation(X, y, 1.5)
+        np.testing.assert_allclose(fit.mean_a, model.a, rtol=0, atol=1e-8 * np.abs(model.a).max())
+        np.testing.assert_allclose(fit.mean_c, model.c, rtol=0, atol=1e-8 * np.abs(model.c).max())
+        probes = np.linspace(-0.2, 1.2, 15)[:, None]
+        band, (mean, scale, _) = fit.predict(probes), model.posterior(probes)
+        assert np.abs(band.mean - mean).max() <= 1e-10 * np.abs(mean).max()
+        assert np.abs(band.scale_t - scale).max() <= 1e-8 * scale.max()
+
     def test_noise_validation(self):
         X = np.linspace(0.0, 1.0, 6)[:, None]
         y = np.sin(X[:, 0])
@@ -175,6 +190,16 @@ class TestArchives:
         assert isinstance(doc["X"][0][0], float) and isinstance(doc["basis_H"][0][0], float)
         loaded = load_archive(str(path))
         np.testing.assert_array_equal(loaded.Sigma, normal_fit.posterior.Sigma_hat)
+
+    def test_archive_entries_are_their_json_dumps_text(self, tmp_path, normal_fit):
+        # Every entry but basis_H, the Sigma_hat block included, is written as
+        # the exact text json.dumps gives it.
+        path = tmp_path / "model.json"
+        save_archive(normal_fit, str(path))
+        text = path.read_text()
+        for key, value in archive_dict(normal_fit).items():
+            if key != "basis_H":
+                assert f"{json.dumps(key)}: {json.dumps(value)}" in text, key
 
     def test_archive_is_compact_and_parses_like_the_indented_form(self, tmp_path, normal_fit):
         path = tmp_path / "model.json"

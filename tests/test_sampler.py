@@ -472,6 +472,34 @@ class TestExactMixture:
         assert a.diagnostics.evidence == b.diagnostics.evidence
         assert not np.array_equal(a.samples, b.samples)
 
+    def test_draws_are_made_once_when_first_read(self, monkeypatch, tmp_path):
+        # A fit that reads no draws makes none; the first read of samples,
+        # log_posteriors or sigma_y_samples makes all of them, bit for bit the
+        # draw made eagerly from the same seed. A --trace path reads them at once.
+        calls = []
+        draws = sampler._ScaleMixture.draws
+
+        def counted(self, *args):
+            calls.append(args[-2])
+            return draws(self, *args)
+
+        monkeypatch.setattr(sampler._ScaleMixture, "draws", counted)
+        d = noisy_unknown_density()
+        cfg = SamplerConfig(**SMALL)
+        post = run_mcmc(d, cfg)
+        assert calls == []
+        got = (post.sigma_y_samples, post.samples, post.log_posteriors, post.samples)
+        assert calls == [cfg.chains * cfg.kept_per_chain]
+        mixture = sampler._ScaleMixture(d)
+        _, (xs, _, Q, w, _) = mixture.solve()
+        eager = draws(mixture, xs, Q, w, cfg.chains * cfg.kept_per_chain, np.random.default_rng(cfg.seed))
+        for a, b in zip(got, (eager[2], eager[0], eager[1], eager[0])):
+            np.testing.assert_array_equal(a.view(np.int64), b.view(np.int64))
+
+        calls.clear()
+        run_mcmc(d, SamplerConfig(**SMALL, trace_path=str(tmp_path / "trace.csv")))
+        assert len(calls) == 1
+
     def test_log_posteriors_are_the_density(self):
         for d in (make_density(), noisy_unknown_density()):
             post = run_mcmc(d, SamplerConfig(chains=1, samples_per_chain=6, burn_in=1))
