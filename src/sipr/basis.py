@@ -10,8 +10,8 @@ objects used by regression:
     H* = [[H, 0], [0, I_N0]]          (N + N0, N)
     E* = [G, M^T] H* = [G H, M^T]     (N, N), invertible
 
-Observed values y correspond to subspace coordinates h* with y = E* h*, and a
-Gaussian noise covariance pulls back to Sigma_inv = E*^T Sigma_y^-1 E*.
+Observed values y correspond to subspace coordinates h* with y = E* h*, and
+i.i.d. Gaussian noise of sd sigma pulls back to the precision E*^T E* / sigma^2.
 """
 
 from __future__ import annotations
@@ -20,11 +20,11 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, cholesky, null_space, solve_triangular
+from scipy.linalg import cholesky, null_space, solve_triangular
 from scipy.linalg.lapack import dtrtri
 
 from ._linalg import solve_square
-from .errors import DimensionMismatch, NotPositiveDefinite, SingularSystem, TooFewPoints
+from .errors import DimensionMismatch, SingularSystem, TooFewPoints
 from .geometry import Regularity, _Geometry, eta_norm_constant
 
 
@@ -173,34 +173,17 @@ def build_orthonormal_basis(X, eta) -> SubspaceBasis:
     return basis
 
 
-def to_subspace(basis: SubspaceBasis, y, sigma_y) -> tuple[np.ndarray, np.ndarray]:
-    """Pull the observations and their noise model into subspace coordinates.
+def to_subspace(basis: SubspaceBasis, y) -> tuple[np.ndarray, np.ndarray]:
+    """Pull the observations into subspace coordinates.
 
-    Returns (h_mu_star, Sigma_inv): the coordinates of the interpolant
-    (E* h* = y) and the precision E*^T Sigma_y^-1 E*. sigma_y may be a
-    positive scalar standard deviation or a full SPD covariance matrix.
+    Returns (h_mu_star, E*^T E*): the coordinates of the interpolant (E* h* =
+    y) and the precision of the misfit at unit noise sd, exactly symmetric.
     """
     y = np.asarray(y, dtype=float).reshape(-1)
     if y.shape[0] != basis.n_points:
         raise DimensionMismatch(f"{basis.n_points} points but {y.shape[0]} values")
     E = basis.Estar
-    h_mu_star = solve_square(E, y)
-    sig = np.asarray(sigma_y, dtype=float)
-    if sig.ndim == 0:
-        s = float(sig)
-        if not np.isfinite(s) or s <= 0.0:
-            raise NotPositiveDefinite(f"noise standard deviation must be positive, got {s!r}")
-        Sigma_inv = (E.T @ E) / s**2
-    else:
-        if sig.shape != (basis.n_points, basis.n_points):
-            raise NotPositiveDefinite(f"noise covariance has shape {sig.shape}")
-        try:
-            cf = cho_factor(sig)
-        except np.linalg.LinAlgError as exc:
-            raise NotPositiveDefinite("noise covariance is not positive definite") from exc
-        Sigma_inv = E.T @ cho_solve(cf, E)
-    Sigma_inv = 0.5 * (Sigma_inv + Sigma_inv.T)
-    return h_mu_star, Sigma_inv
+    return solve_square(E, y), E.T @ E
 
 
 def evaluation_matrix(basis: SubspaceBasis, probes) -> np.ndarray:

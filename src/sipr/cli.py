@@ -22,6 +22,7 @@ from .geometry import as_regularity
 from .interpolate import solve_interpolation
 from .pipeline import crossval as run_crossval
 from .pipeline import fit_dataset, load_archive, save_archive
+from .predict import check_level
 from .sampler import Regime, SamplerConfig
 
 
@@ -97,37 +98,6 @@ def cmd_interpolate(data_path, target, eta, probes_path, grid, paths, seed, out_
     click.echo(f"wrote {len(table)} probes to {out_path}")
 
 
-def _sampler_options(fn):
-    for opt in reversed(
-        [
-            click.option("--chains", type=int, default=2, show_default=True,
-                         help="Draws chains x (samples - burn) for --trace."),
-            click.option("--samples", type=int, default=1000, show_default=True,
-                         help="Sizes the --trace draws, chains x (samples - burn)."),
-            click.option("--burn", "burn_in", type=int, default=500, show_default=True,
-                         help="Sizes the --trace draws, chains x (samples - burn)."),
-            click.option("--leapfrog", type=int, default=32, show_default=True,
-                         help="Tunes generic HMC only; fit and crossval ignore it."),
-            click.option("--target-accept", "target_accept", type=float, default=0.8, show_default=True,
-                         help="Tunes generic HMC only; fit and crossval ignore it."),
-        ]
-    ):
-        fn = opt(fn)
-    return fn
-
-
-def _config(seed, chains, samples, burn_in, leapfrog, target_accept, trace=None) -> SamplerConfig:
-    return SamplerConfig(
-        chains=chains,
-        samples_per_chain=samples,
-        burn_in=burn_in,
-        seed=seed,
-        leapfrog_steps=leapfrog,
-        target_accept=target_accept,
-        trace_path=trace,
-    )
-
-
 @cli.command("fit")
 @click.option("--data", "data_path", required=True, type=click.Path())
 @click.option("--target", required=True)
@@ -135,7 +105,16 @@ def _config(seed, chains, samples, burn_in, leapfrog, target_accept, trace=None)
 @click.option("--noise", default="unknown", show_default=True,
               help="Known noise sd, or 'unknown' to infer it.")
 @click.option("--seed", type=int, default=0, show_default=True)
-@_sampler_options
+@click.option("--chains", type=int, default=2, show_default=True,
+              help="Draws chains x (samples - burn) for --trace.")
+@click.option("--samples", type=int, default=1000, show_default=True,
+              help="Sizes the --trace draws, chains x (samples - burn).")
+@click.option("--burn", "burn_in", type=int, default=500, show_default=True,
+              help="Sizes the --trace draws, chains x (samples - burn).")
+@click.option("--leapfrog", type=int, default=32, show_default=True,
+              help="Tunes generic HMC only; fit ignores it.")
+@click.option("--target-accept", "target_accept", type=float, default=0.8, show_default=True,
+              help="Tunes generic HMC only; fit ignores it.")
 @click.option("--trace", "trace_path", type=click.Path(), help="Dump i.i.d. posterior draws to this CSV.")
 @click.option("--model-out", "out_path", required=True, type=click.Path(), help="Model archive (JSON).")
 def cmd_fit(data_path, target, eta, noise, seed, chains, samples, burn_in, leapfrog,
@@ -143,7 +122,8 @@ def cmd_fit(data_path, target, eta, noise, seed, chains, samples, burn_in, leapf
     """Fit the regression posterior and archive the model."""
     reg = as_regularity(eta)
     ds = load_csv(data_path, target)
-    cfg = _config(seed, chains, samples, burn_in, leapfrog, target_accept, trace_path)
+    cfg = SamplerConfig(chains=chains, samples_per_chain=samples, burn_in=burn_in, seed=seed,
+                        leapfrog_steps=leapfrog, target_accept=target_accept, trace_path=trace_path)
     fit = fit_dataset(ds, reg, noise=_noise_value(noise), config=cfg)
     save_archive(fit, out_path)
 
@@ -181,6 +161,7 @@ def cmd_fit(data_path, target, eta, noise, seed, chains, samples, burn_in, leapf
 @click.option("--out", "out_path", required=True, type=click.Path())
 def cmd_predict(model_path, probes_path, grid, level, out_path):
     """Credible bands at probe points from a fitted model archive."""
+    check_level(level)
     fit = load_archive(model_path)
     probes = _load_probes(probes_path, grid, fit.feature_names)
     band = fit.predict(probes, level=level)
@@ -201,15 +182,12 @@ def cmd_predict(model_path, probes_path, grid, level, out_path):
 @click.option("--noise", default="unknown", show_default=True)
 @click.option("--folds", type=int, default=5, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
-@_sampler_options
 @click.option("--out", "out_path", required=True, type=click.Path(), help="Per-fold RMSE CSV.")
-def cmd_crossval(data_path, target, eta, noise, folds, seed, chains, samples, burn_in,
-                 leapfrog, target_accept, out_path):
+def cmd_crossval(data_path, target, eta, noise, folds, seed, out_path):
     """k-fold cross-validation; per-fold and pooled RMSE in original units."""
     reg = as_regularity(eta)
     ds = load_csv(data_path, target)
-    cfg = _config(seed, chains, samples, burn_in, leapfrog, target_accept)
-    result = run_crossval(ds, reg, noise=_noise_value(noise), k=folds, seed=seed, config=cfg)
+    result = run_crossval(ds, reg, noise=_noise_value(noise), k=folds, seed=seed)
 
     lines = [_comment_header(seed, reg.value), "fold,n_test,rmse,regime"]
     for f in result.folds:

@@ -52,10 +52,6 @@ class ConstraintViolated(ValidationError):
     """Coefficients passed to the norm do not satisfy the growth-rate constraint M a = 0."""
 
 
-class WrongRegime(ValidationError):
-    """A credible band was asked for at a level outside (0, 1)."""
-
-
 class ConstantFeature(ValidationError):
     """A feature column is constant and cannot be min-max scaled."""
 
@@ -98,10 +94,6 @@ class NoConvergence(NumericalError):
 
 class PoleCollapse(NumericalError):
     """The MAP iteration collapsed onto the nullspace pole (||h|| ~ 0)."""
-
-
-class NotPositiveDefinite(NumericalError):
-    """A matrix expected to be positive definite is not (internal; triggers fallbacks)."""
 
 
 class DivergentChains(NumericalError):

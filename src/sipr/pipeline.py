@@ -191,7 +191,7 @@ def fit_regression(X, y, eta, noise="unknown", config: SamplerConfig | None = No
     # that pulls y into the basis gives the interpolant's coordinates h_mu.
     geometry, y = _checked_geometry(X, y, reg)
     basis = build_orthonormal_basis(geometry, reg)
-    h_mu, Sigma0 = to_subspace(basis, y, sigma_known if known else 1.0)
+    h_mu, quad = to_subspace(basis, y)
     h_mu_k = h_mu[: basis.n_basis]  # ||f||^2 = ||h_mu_k||^2: H is orthonormal
     if float(h_mu_k @ h_mu_k) <= POLYNOMIAL_TOL * float(y @ y):
         return nullspace_pole(geometry)  # exactly polynomial data
@@ -204,7 +204,7 @@ def fit_regression(X, y, eta, noise="unknown", config: SamplerConfig | None = No
             raise ValidationError("target is constant; cannot initialize the noise scale")
         noise_model = UnknownNoise(sd / 10.0)
     # the exact posterior and its regime
-    posterior = run_mcmc(_density(basis, h_mu, Sigma0, noise_model), config)
+    posterior = run_mcmc(_density(basis, h_mu, quad, noise_model), config)
     extra = dict(posterior=posterior, diagnostics_summary=posterior.diagnostics.evidence)
 
     if posterior.regime == Regime.NULLSPACE_POLE:

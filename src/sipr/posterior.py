@@ -1,18 +1,19 @@
 """The regression posterior over subspace coordinates.
 
-With y = E* h*_mu and Gaussian noise, the unnormalized log posterior over the
-state h* (plus log sigma_y when the noise level is unknown) is
+With y = E* h*_mu and i.i.d. Gaussian noise of sd sigma, the unnormalized log
+posterior over the state h* (plus log sigma when the noise level is unknown)
+is
 
-    log p = -Nh log ||h||  -  (1/2) (h* - h*_mu)^T Sigma_inv (h* - h*_mu)
+    log p = -Nh log ||h||  -  (1/2) (h* - h*_mu)^T quad (h* - h*_mu) / sigma^2
 
 where h is the first Nh entries of h* (the kernel part; the polynomial block
-carries no penalty). In unknown-noise mode Sigma_inv = E*^T E* / sigma^2 and
-the Gaussian normalization contributes an extra -N log sigma; parametrized in
-log sigma the scale prior 1/sigma is absorbed by the Jacobian, so no explicit
-prior term appears.
+carries no penalty) and quad = E*^T E*. In unknown-noise mode the Gaussian
+normalization contributes an extra -N log sigma; parametrized in log sigma
+the scale prior 1/sigma is absorbed by the Jacobian, so no explicit prior
+term appears.
 
 Both quadratic forms of the density, ||h||^2 = h*^T P h* and the misfit with
-precision Sigma0 (Sigma_inv, or E*^T E* when the noise is unknown), are
+precision Sigma0 (quad / sigma^2, or quad when the noise is unknown), are
 diagonal in the coordinates t = T^-1 h* of one generalized eigendecomposition
 of the pencil (P, Sigma0), computed once per density
 (``PosteriorDensity.pencil``). In t the MAP reduces to one scalar equation
@@ -28,7 +29,6 @@ from functools import cached_property
 
 import numpy as np
 from scipy.linalg import solve_triangular
-from scipy.optimize import minimize_scalar
 
 from ._linalg import cholesky
 from .basis import SubspaceBasis, to_subspace
@@ -43,11 +43,19 @@ __all__ = [
 ]
 
 
+def _check_sd(value, what: str) -> None:
+    if not (np.ndim(value) == 0 and math.isfinite(value) and value > 0):
+        raise DomainError(f"{what} must be a positive finite number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class KnownNoise:
-    """Fixed observation noise; sigma may be a positive scalar sd or an SPD covariance."""
+    """Fixed observation noise sd."""
 
-    sigma: object
+    sigma: float
+
+    def __post_init__(self):
+        _check_sd(self.sigma, "noise sd")
 
     @property
     def is_known(self) -> bool:
@@ -61,8 +69,7 @@ class UnknownNoise:
     sigma_init: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.sigma_init) and self.sigma_init > 0):
-            raise DomainError(f"initial sigma must be positive, got {self.sigma_init!r}")
+        _check_sd(self.sigma_init, "initial sigma")
 
     @property
     def is_known(self) -> bool:
@@ -122,15 +129,7 @@ class PosteriorDensity:
     n_basis: int  # Nh
     n_null: int  # N0
     noise: KnownNoise | UnknownNoise
-    Sigma_inv: np.ndarray | None = None  # known mode: E*^T Sigma_y^-1 E*
-    base_quad: np.ndarray | None = None  # unknown mode: E*^T E*, the sigma-free part of the precision
-
-    def __post_init__(self):
-        if self.noise.is_known:
-            if self.Sigma_inv is None:
-                raise DomainError("known-noise density requires a precomputed precision")
-        elif self.base_quad is None:
-            self.base_quad = self.Estar.T @ self.Estar
+    quad: np.ndarray  # (N, N) E*^T E*, the misfit's precision at unit noise sd
 
     @property
     def n_points(self) -> int:
@@ -147,8 +146,9 @@ class PosteriorDensity:
 
     @cached_property
     def pencil(self) -> _Pencil:
-        """The eigendecomposition of (P, Sigma0) with Sigma0 = Sigma_inv, or E*^T E* for unknown noise."""
-        return _Pencil(self.Sigma_inv if self.noise.is_known else self.base_quad, self.n_basis, self.h_mu_star)
+        """The eigendecomposition of (P, Sigma0) with Sigma0 = quad / sigma^2, or quad for unknown noise."""
+        Sigma0 = self.quad / self.noise.sigma**2 if self.noise.is_known else self.quad
+        return _Pencil(Sigma0, self.n_basis, self.h_mu_star)
 
     def _split(self, state: np.ndarray) -> tuple[np.ndarray, float | None]:
         state = np.asarray(state, dtype=float).reshape(-1)
@@ -165,49 +165,48 @@ class PosteriorDensity:
             raise DomainError("log posterior undefined at ||h|| = 0 (nullspace pole)")
         return n2
 
+    def _precision_scale(self, log_sigma: float | None) -> float:
+        """sigma^-2: the fixed sd's when the noise is known, else at log_sigma."""
+        return self.noise.sigma**-2 if log_sigma is None else math.exp(-2.0 * log_sigma)
+
     # --- density interface used by the sampler ---------------------------
 
     def log_density(self, state) -> float:
         h_star, log_sigma = self._split(state)
         n2 = self._h_norm_sq(h_star)
         r = h_star - self.h_mu_star
-        lp = -0.5 * self.n_basis * math.log(n2)
-        if self.noise.is_known:
-            return lp - 0.5 * float(r @ self.Sigma_inv @ r)
-        q = float(r @ self.base_quad @ r)
-        return lp - self.n_points * log_sigma - 0.5 * math.exp(-2.0 * log_sigma) * q
+        misfit = self._precision_scale(log_sigma) * float(r @ self.quad @ r)
+        lp = -0.5 * self.n_basis * math.log(n2) - 0.5 * misfit
+        return lp if log_sigma is None else lp - self.n_points * log_sigma
 
     def grad(self, state) -> np.ndarray:
         h_star, log_sigma = self._split(state)
         n2 = self._h_norm_sq(h_star)
         r = h_star - self.h_mu_star
+        w = self._precision_scale(log_sigma)
+        Ar = self.quad @ r
         g = np.zeros(self.dim)
         g[: self.n_basis] = -self.n_basis * h_star[: self.n_basis] / n2
-        if self.noise.is_known:
-            g[: self.n_points] -= self.Sigma_inv @ r
-            return g
-        w = math.exp(-2.0 * log_sigma)
-        Ar = self.base_quad @ r
         g[: self.n_points] -= w * Ar
-        g[-1] = -self.n_points + w * float(r @ Ar)
+        if log_sigma is not None:
+            g[-1] = -self.n_points + w * float(r @ Ar)
         return g
 
 
 def build_density(basis: SubspaceBasis, y, noise: KnownNoise | UnknownNoise) -> PosteriorDensity:
     """Assemble the posterior density for observations y under a noise model."""
-    return _density(basis, *to_subspace(basis, y, noise.sigma if noise.is_known else 1.0), noise)
+    return _density(basis, *to_subspace(basis, y), noise)
 
 
-def _density(basis: SubspaceBasis, h_mu_star: np.ndarray, Sigma0: np.ndarray,
+def _density(basis: SubspaceBasis, h_mu_star: np.ndarray, quad: np.ndarray,
              noise: KnownNoise | UnknownNoise) -> PosteriorDensity:
-    """The density from to_subspace's coordinates and precision (at unit noise sd, E*^T E*)."""
-    quad = {"Sigma_inv": Sigma0} if noise.is_known else {"base_quad": Sigma0}
+    """The density from to_subspace's coordinates and precision E*^T E*."""
     return PosteriorDensity(h_mu_star=h_mu_star, Estar=basis.Estar, n_basis=basis.n_basis,
-                            n_null=basis.n_null, noise=noise, **quad)
+                            n_null=basis.n_null, noise=noise, quad=quad)
 
 
 def map_estimate(density: PosteriorDensity, tol: float = 1e-10, max_iter: int = 200) -> np.ndarray:
-    """Fixed point of (Sigma_inv + (Nh/||h||^2) P) h* = Sigma_inv h*_mu.
+    """Fixed point of (Sigma0 + (Nh/||h||^2) P) h* = Sigma0 h*_mu, Sigma0 = quad / sigma^2.
 
     P projects onto the kernel block; in unknown-noise mode the precision is
     evaluated at the initial sigma. Of the fixed points, this is the one that
@@ -227,6 +226,22 @@ _COLLAPSE_LOG = 2.0 * math.log(1e10)
 _SCAN_STEP = 0.25
 
 
+def _bisect(g, lo: np.ndarray, hi: np.ndarray, tol: float, max_iter: int):
+    """Bisect every bracket lo < hi of g, with g(lo) >= 0 > g(hi), until each is at most tol wide.
+
+    g maps an array of points, one per bracket, to their values, so all
+    brackets advance together with one call per step, for at most max_iter
+    steps. Returns (midpoints, steps, final widths).
+    """
+    steps = 0
+    while np.any(hi - lo > tol) and steps < max_iter:
+        mid = 0.5 * (lo + hi)
+        up = g(mid) >= 0.0
+        lo, hi = np.where(up, mid, lo), np.where(up, hi, mid)
+        steps += 1
+    return 0.5 * (lo + hi), steps, hi - lo
+
+
 def _largest_root(g, top: float, tol: float, max_iter: int):
     """The largest root below top of g(u) = log S(Nh e^-u) - u, or None if g < 0 down to the collapse.
 
@@ -244,6 +259,8 @@ def _largest_root(g, top: float, tol: float, max_iter: int):
         if v[j] >= 0.0:
             lo = u[j]
         elif j + 1 < u.shape[0] and v[j] > -0.5 * _SCAN_STEP and v[j] >= max(v[j - 1], v[j + 1]):
+            from scipy.optimize import minimize_scalar  # rare, and off every CLI path: import on use
+
             best = minimize_scalar(lambda x: -g(np.array([x]))[0], bounds=(u[j + 1], u[j - 1]),
                                    method="bounded", options={"xatol": tol})
             lo = best.x if -best.fun >= 0.0 else None
@@ -252,15 +269,8 @@ def _largest_root(g, top: float, tol: float, max_iter: int):
             break
     else:
         return None
-    steps = 0
-    while hi - lo > tol and steps < max_iter:
-        mid = 0.5 * (lo + hi)
-        if g(np.array([mid]))[0] >= 0.0:
-            lo = mid
-        else:
-            hi = mid
-        steps += 1
-    return 0.5 * (lo + hi), steps, hi - lo
+    root, steps, width = _bisect(g, np.array([lo]), np.array([hi]), tol, max_iter)
+    return float(root[0]), steps, float(width[0])
 
 
 def _map_coordinates(density: PosteriorDensity, tol: float = 1e-10, max_iter: int = 200):

@@ -30,7 +30,7 @@ import numpy as np
 from scipy.special import stdtrit
 
 from .basis import evaluation_matrix
-from .errors import WrongRegime
+from .errors import ValidationError
 from .geometry import as_points
 from .interpolate import t_scale_and_sd
 
@@ -57,10 +57,15 @@ class CredibleBand:
     level: float
 
 
+def check_level(level: float) -> None:
+    """Refuse a credible level outside (0, 1)."""
+    if not 0.0 < level < 1.0:
+        raise ValidationError(f"level must be in (0, 1), got {level}")
+
+
 def band_halfwidth(level: float, dof: float, scale: np.ndarray) -> np.ndarray:
     """Half-width of the central interval: t quantile at dof times the scale."""
-    if not 0.0 < level < 1.0:
-        raise WrongRegime(f"level must be in (0, 1), got {level}")
+    check_level(level)
     q = float(stdtrit(dof, 0.5 + level / 2.0))
     return q * np.asarray(scale, dtype=float)
 

@@ -28,12 +28,11 @@ from functools import cached_property
 
 import numpy as np
 from scipy.linalg import solve_triangular
-from scipy.optimize import brentq
 from scipy.special import gammaincc, gammainccinv
 
 from ._io import _write_csv
 from .errors import DivergentChains, DomainError, PoleCollapse, TooFewPoints, TooFewSamples, ValidationError
-from .posterior import PosteriorDensity
+from .posterior import PosteriorDensity, _bisect
 
 # A proposal whose energy error exceeds this is counted as divergent.
 ENERGY_ERROR_MAX = 1e3
@@ -574,24 +573,30 @@ class _ScaleMixture:
         return self.T @ np.concatenate([m_bar, self.t_mu[self.nh :]]), L @ L.T + B @ B.T
 
     def sigma_quantiles(self, Q, w) -> tuple[float, float, float]:
-        """q05, median and q95 of sigma, by root-finding on the mixture's CDF in log sigma."""
+        """q05, median and q95 of sigma, by one bisection of the mixture's CDF in log sigma.
+
+        Each quantile of the mixture lies between its nodes' quantiles, which
+        bracket it; the three brackets are bisected together to 1e-14.
+        """
         shape = 0.5 * self.nh
+        q = np.array([0.05, 0.5, 0.95])
+        per_node = 0.5 * np.log(0.5 * Q[:, None] / gammainccinv(shape, q))
 
-        def excess_cdf(log_sigma, q):
-            return float(w @ gammaincc(shape, 0.5 * Q * math.exp(-2.0 * log_sigma))) - q
+        def excess(log_sigma):  # q minus the mixture's CDF, decreasing in log sigma
+            return q - w @ gammaincc(shape, 0.5 * Q[:, None] * np.exp(-2.0 * log_sigma))
 
-        out = []
-        for q in (0.05, 0.5, 0.95):
-            # the mixture's quantile lies between its nodes' quantiles
-            per_node = 0.5 * np.log(0.5 * Q / gammainccinv(shape, q))
-            lo, hi = per_node.min(), per_node.max()
-            out.append(math.exp(lo if hi - lo < 1e-12 else brentq(excess_cdf, lo, hi, args=(q,), xtol=1e-14)))
-        return tuple(out)
+        log_sigma, _, _ = _bisect(excess, per_node.min(axis=0), per_node.max(axis=0), 1e-14, 200)
+        return tuple(math.exp(v) for v in log_sigma)
 
     def draws(self, xs, Q, w, n: int, rng: np.random.Generator):
         """n i.i.d. states (h*, then log sigma when unknown), their log densities and sigmas.
 
         Each draw takes a node, then sigma given the node, then t given both.
+        The kernel coordinates' normals zeta enter as U^T zeta, U = T[:Nh, :Nh]
+        orthogonal, which keeps their law and makes the kernel block's noise
+        U diag(sqrt(v)) U^T zeta, the symmetric root of its covariance. It does
+        not turn with the eigenvectors inside clusters of near-equal misfit
+        weights, so seeded draws move only as much as the fit's arrays do.
         """
         k = rng.choice(xs.shape[0], size=n, p=w)
         scale = np.exp(xs[k])
@@ -602,6 +607,7 @@ class _ScaleMixture:
             sigma = 1.0 / np.sqrt(np.clip(u, np.finfo(float).tiny, 1e300))
         a = (scale**2)[:, None] * self.s
         t = rng.standard_normal((n, self.n)) * sigma[:, None]
+        t[:, : self.nh] = t[:, : self.nh] @ self.T[: self.nh, : self.nh]
         t[:, : self.nh] *= scale[:, None] / np.sqrt(1.0 + a)
         t[:, : self.nh] += self.mu * a / (1.0 + a)
         t[:, self.nh :] += self.t_mu[self.nh :]

@@ -11,7 +11,7 @@ definitions, one dense solve per probe, per basis column or per iteration:
   unit norm and sign-fixed, then re-orthonormalized once. The library builds
   the same basis from one Cholesky factor.
 * ``map_estimate`` -- the MAP fixed point, bracketed on its norm equation
-  with one dense solve of Sigma_inv + lam P per trial norm. The library
+  with one dense solve of Sigma0 + lam P per trial norm. The library
   evaluates the same equation elementwise in the coordinates that
   diagonalise both quadratic forms.
 * ``laplace_precondition`` -- the Cholesky factor of the dense negative
@@ -26,6 +26,9 @@ definitions, one dense solve per probe, per basis column or per iteration:
   ``_Diagonalised``), an exact log-sigma draw between trajectories and the
   regime read off the traces (``detect_poles``). The library computes the
   same posterior exactly as a one-dimensional scale mixture.
+* ``brentq_sigma_quantiles`` -- the sigma_y quantiles of the exact
+  posterior, each found by Brent's method on the mixture's CDF from its own
+  bracket. The library bisects the three brackets together.
 * ``sequential_sample_path`` -- a sample path drawn one grid point at a time,
   each value from its pointwise t posterior and then added to the data by a
   refit. The library draws the whole grid jointly from one factored saddle.
@@ -39,6 +42,8 @@ from functools import cached_property
 
 import numpy as np
 from scipy.linalg import cholesky, null_space, solve_triangular
+from scipy.optimize import brentq
+from scipy.special import gammaincc, gammainccinv
 
 from sipr.basis import SubspaceBasis
 from sipr._linalg import SymmetricFactor
@@ -201,7 +206,7 @@ def loop_orthonormal_basis(X, eta) -> SubspaceBasis:
 
 
 def map_estimate(density, tol: float = 1e-10, max_iter: int = 200) -> np.ndarray:
-    """Fixed point of (Sigma_inv + (Nh/||h||^2) P) h* = Sigma_inv h*_mu, with dense solves.
+    """Fixed point of (Sigma0 + (Nh/||h||^2) P) h* = Sigma0 h*_mu, with dense solves.
 
     P projects onto the kernel block; in unknown-noise mode the precision is
     evaluated at the initial sigma. For each trial r = ||h||^2 one dense
@@ -268,8 +273,8 @@ def laplace_precondition(h_map, density) -> np.ndarray:
 
 def sigma_inv_at(density, log_sigma: float) -> np.ndarray:
     if density.noise.is_known:
-        return density.Sigma_inv
-    return density.base_quad * math.exp(-2.0 * log_sigma)
+        return density.quad / density.noise.sigma**2
+    return density.quad * math.exp(-2.0 * log_sigma)
 
 
 def hessian(density, state) -> np.ndarray:
@@ -282,12 +287,12 @@ def hessian(density, state) -> np.ndarray:
     Hm[:Nh, :Nh] = -density.n_basis * (np.eye(Nh) / n2 - 2.0 * np.outer(h, h) / n2**2)
     N = density.n_points
     if density.noise.is_known:
-        Hm[:N, :N] -= density.Sigma_inv
+        Hm[:N, :N] -= density.quad / density.noise.sigma**2
         return Hm
     w = math.exp(-2.0 * log_sigma)
     r = h_star - density.h_mu_star
-    Ar = density.base_quad @ r
-    Hm[:N, :N] -= w * density.base_quad
+    Ar = density.quad @ r
+    Hm[:N, :N] -= w * density.quad
     Hm[:N, -1] = 2.0 * w * Ar
     Hm[-1, :N] = Hm[:N, -1]
     Hm[-1, -1] = -2.0 * w * float(r @ Ar)
@@ -315,7 +320,22 @@ def draw_log_sigma(density, h_star: np.ndarray, rng: np.random.Generator) -> flo
     if density.noise.is_known:
         raise DomainError("the noise scale is fixed; there is nothing to draw")
     r = np.asarray(h_star, dtype=float).reshape(-1) - density.h_mu_star
-    return _log_sigma_draw(density.n_points, float(r @ density.base_quad @ r), rng)
+    return _log_sigma_draw(density.n_points, float(r @ density.quad @ r), rng)
+
+
+def brentq_sigma_quantiles(Q: np.ndarray, w: np.ndarray, n_basis: int) -> tuple[float, float, float]:
+    """q05, median and q95 of sigma for the mixture of 1/sigma^2 ~ Gamma(Nh/2, rate Q/2) with weights w."""
+    shape = 0.5 * n_basis
+
+    def excess_cdf(log_sigma, q):
+        return float(w @ gammaincc(shape, 0.5 * Q * math.exp(-2.0 * log_sigma))) - q
+
+    out = []
+    for q in (0.05, 0.5, 0.95):
+        per_node = 0.5 * np.log(0.5 * Q / gammainccinv(shape, q))
+        lo, hi = per_node.min(), per_node.max()
+        out.append(math.exp(lo if hi - lo < 1e-12 else brentq(excess_cdf, lo, hi, args=(q,), xtol=1e-14)))
+    return tuple(out)
 
 
 def sequential_sample_path(X, y, eta, grid, seed) -> tuple[np.ndarray, int]:

@@ -13,7 +13,7 @@ from sipr.basis import (
     evaluation_matrix,
     to_subspace,
 )
-from sipr.errors import DimensionMismatch, NotPositiveDefinite, SingularSystem, TooFewPoints
+from sipr.errors import DimensionMismatch, SingularSystem, TooFewPoints
 from sipr.geometry import _Geometry, eta_norm_constant
 from sipr.interpolate import solve_interpolation
 from tests.conftest import random_dataset
@@ -120,7 +120,7 @@ def test_degenerate_leading_points():
 def test_estar_reproduces_observations():
     X, y = random_dataset(15, 2, seed=21)
     basis = build_orthonormal_basis(X, 1.5)
-    h_mu, _ = to_subspace(basis, y, 0.1)
+    h_mu, _ = to_subspace(basis, y)
     np.testing.assert_allclose(basis.Estar @ h_mu, y, rtol=1e-8, atol=1e-10)
 
 
@@ -128,7 +128,7 @@ def test_subspace_coordinates_match_interpolant():
     X, y = random_dataset(14, 1, seed=2)
     eta = 1.5
     basis = build_orthonormal_basis(X, eta)
-    h_mu, _ = to_subspace(basis, y, 0.05)
+    h_mu, _ = to_subspace(basis, y)
     model = solve_interpolation(X, y, eta)
     probes = np.linspace(0.05, 0.95, 11)[:, None]
     direct = model.evaluate(probes)
@@ -139,39 +139,30 @@ def test_subspace_coordinates_match_interpolant():
 def test_spline_coefficients_satisfy_constraint():
     X, y = random_dataset(16, 2, seed=27)
     basis = build_orthonormal_basis(X, 2.5)
-    h_mu, _ = to_subspace(basis, y, 0.1)
+    h_mu, _ = to_subspace(basis, y)
     a, c = basis.spline_coefficients(h_mu)
     assert a.shape == (16,)
     assert c.shape == (basis.n_null,)
     assert np.abs(basis.geometry.M @ a).max() < 1e-8
 
 
-def test_scalar_and_matrix_noise_agree():
+def test_precision_is_the_exact_gram_of_estar():
+    # The posterior divides this one matrix by sigma^2 for known noise, so it
+    # must be E*^T E* to the bit and exactly symmetric, with no symmetrizing pass.
     X, y = random_dataset(10, 1, seed=33)
     basis = build_orthonormal_basis(X, 1.5)
-    sd = 0.3
-    h1, P1 = to_subspace(basis, y, sd)
-    h2, P2 = to_subspace(basis, y, sd**2 * np.eye(10))
-    np.testing.assert_allclose(h1, h2, rtol=1e-10)
-    np.testing.assert_allclose(P1, P2, rtol=1e-8, atol=1e-8)
-    # Precision is symmetric positive definite.
-    np.testing.assert_allclose(P1, P1.T, atol=0)
-    assert np.linalg.eigvalsh(P1).min() > 0
-
-
-def test_non_spd_noise_covariance_rejected():
-    X, y = random_dataset(8, 1, seed=35)
-    basis = build_orthonormal_basis(X, 1.5)
-    bad = -np.eye(8)
-    with pytest.raises(NotPositiveDefinite):
-        to_subspace(basis, y, bad)
+    _, quad = to_subspace(basis, y)
+    E = basis.Estar
+    np.testing.assert_array_equal(quad, E.T @ E)
+    np.testing.assert_array_equal(quad, quad.T)
+    assert np.linalg.eigvalsh(quad).min() > 0
 
 
 def test_wrong_number_of_values_is_a_validation_error():
     X, y = random_dataset(8, 1, seed=35)
     basis = build_orthonormal_basis(X, 1.5)
     with pytest.raises(DimensionMismatch, match="8 points but 7 values"):
-        to_subspace(basis, y[:-1], 0.1)
+        to_subspace(basis, y[:-1])
 
 
 def test_evaluation_matrix_shape_and_polynomial_block():

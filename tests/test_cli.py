@@ -255,6 +255,14 @@ class TestFitAndPredict:
         _, _, rows = read_output(out)
         np.testing.assert_allclose(rows[:, 0], np.linspace(-2, 12, 8), rtol=1e-15)
 
+    @pytest.mark.parametrize("level", ["1.5", "0", "nan"])
+    def test_predict_checks_level_before_reading_the_archive(self, tmp_path, capsys, level):
+        # the archive does not exist: reading it first would exit 4
+        code = main(["predict", "--model", str(tmp_path / "absent.json"), "--grid", "0:1:5",
+                     "--level", level, "--out", str(tmp_path / "o.csv")])
+        assert code == 2
+        assert "level must be in (0, 1)" in capsys.readouterr().err
+
 
 class TestCrossval:
     def test_leave_one_out_and_pooled_row(self, tmp_path):
@@ -276,6 +284,17 @@ class TestCrossval:
         assert pooled[0] == "pooled" and pooled[1] == "6"
         fold_rmses = [float(r[2]) for r in body[:-1]]
         assert min(fold_rmses) <= float(pooled[2]) <= max(fold_rmses)
+
+    @pytest.mark.parametrize("flag", ["--chains", "--samples", "--burn", "--leapfrog", "--target-accept"])
+    def test_takes_no_sampler_options(self, tmp_path, capsys, flag):
+        # a fold's draws are never read, so nothing sizes or tunes them
+        data = tmp_path / "d.csv"
+        write_higdon(data, n=6, sigma=0.02)
+        code = main(["crossval", "--data", str(data), "--target", "y", "--eta", "0.5", "--noise", "0",
+                     flag, "3", "--out", str(tmp_path / "cv.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "no such option" in err.lower() and flag in err
 
 
 class TestExitCodes:

@@ -1,5 +1,5 @@
 """Every name a sipr module imports is used there, and every name it exports is bound there;
-importing the CLI leaves scipy.stats unloaded.
+importing the CLI leaves scipy.stats unloaded, and no command loads scipy.optimize.
 
 No linter is a test dependency; these scans use the standard library's ast.
 """
@@ -12,6 +12,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "sipr"
@@ -106,4 +107,31 @@ def test_cli_import_leaves_out_scipy_stats():
     # costs about half a second and sipr needs none of it.
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC.parent), os.environ.get("PYTHONPATH", "")])}
     code = "import sipr.cli, sys; assert 'scipy.stats' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
+
+
+def test_cli_commands_leave_out_scipy_optimize(tmp_path):
+    # scipy.optimize costs about a quarter of a second per process. Importing
+    # the CLI must not load it, and neither may an unknown-noise fit (its
+    # sigma_y quantiles), a prediction, a crossval or an interpolation.
+    x = np.linspace(0.0, 10.0, 20)
+    y = np.sin(2.0 * np.pi * x / 10.0) + 0.1 * np.random.default_rng(0).standard_normal(20)
+    data = tmp_path / "d.csv"
+    data.write_text("x,y\n" + "\n".join(f"{a!r},{b!r}" for a, b in zip(x.tolist(), y.tolist())) + "\n")
+    model, out = tmp_path / "m.json", tmp_path / "o.csv"
+    common = ["--data", str(data), "--target", "y", "--eta", "1.5"]
+    commands = [
+        ["fit", *common, "--noise", "unknown", "--model-out", str(model)],
+        ["predict", "--model", str(model), "--grid", "0:10:7", "--out", str(out)],
+        ["crossval", *common, "--noise", "unknown", "--folds", "3", "--out", str(out)],
+        ["interpolate", *common, "--grid", "0.1:9.9:7", "--paths", "2", "--out", str(out)],
+    ]
+    code = (
+        "import sys, sipr.cli\n"
+        "assert 'scipy.optimize' not in sys.modules\n"
+        f"for argv in {commands!r}:\n"
+        "    assert sipr.cli.main(argv) == 0, argv\n"
+        "    assert 'scipy.optimize' not in sys.modules, argv\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC.parent), os.environ.get("PYTHONPATH", "")])}
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)

@@ -15,7 +15,7 @@ from sipr._linalg import SymmetricFactor
 from sipr.basis import evaluation_matrix
 from sipr.cli import main
 from sipr.data import higdon
-from sipr.errors import WrongRegime
+from sipr.errors import ValidationError
 from sipr.geometry import _Geometry, monomial_matrix
 from sipr.interpolate import solve_interpolation
 from sipr.pipeline import crossval, fit_dataset, fit_regression, load_archive, save_archive
@@ -153,8 +153,9 @@ def test_every_regime_bands_through_credible_band(fit):
 
 
 def test_band_halfwidth_validates_level():
-    with pytest.raises(WrongRegime):
-        band_halfwidth(1.5, 4.0, np.ones(3))
+    for level in (1.5, 0.0, 1.0, math.nan):
+        with pytest.raises(ValidationError, match=r"level must be in \(0, 1\)"):
+            band_halfwidth(level, 4.0, np.ones(3))
     np.testing.assert_allclose(
         band_halfwidth(0.95, 10.0, np.array([2.0])),
         student_t.ppf(0.975, 10.0) * 2.0,

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from sipr import sampler
-from sipr.basis import build_orthonormal_basis
+from sipr.basis import SubspaceBasis, build_orthonormal_basis
 from sipr.data import higdon, minmax_scale
 from sipr.errors import DivergentChains, TooFewSamples, ValidationError
 from sipr.posterior import KnownNoise, UnknownNoise, _map_coordinates, build_density
@@ -24,7 +24,7 @@ from sipr.sampler import (
     run_mcmc,
 )
 from tests.conftest import random_dataset
-from tests.oracles import _Diagonalised, _laplace_metric, detect_poles, hmc_posterior
+from tests.oracles import _Diagonalised, _laplace_metric, brentq_sigma_quantiles, detect_poles, hmc_posterior
 
 
 def make_density(n=10, eta=1.5, noise=None, seed=7):
@@ -461,6 +461,33 @@ class TestExactMixture:
                 # the fraction of draws below the exact quantile is binomial
                 frac = np.mean(post.sigma_y_samples <= value)
                 assert abs(frac - q) < 5.0 * math.sqrt(q * (1.0 - q) / n)
+
+    @pytest.mark.parametrize("n, noise, seed", [(30, 0.2, 4), (25, 0.08, 3), (50, 0.08, 3)])
+    def test_sigma_quantiles_match_brent(self, n, noise, seed):
+        # the Higdon sets of the quantile tests here, in test_predict and in criterion 8
+        ds = minmax_scale(higdon(n, noise, seed=seed))
+        d = build_density(build_orthonormal_basis(ds.X, 1.5), ds.y, UnknownNoise(float(np.std(ds.y)) / 10.0))
+        mixture = sampler._ScaleMixture(d)
+        regime, (_, _, Q, w, _) = mixture.solve()
+        assert regime is Regime.NORMAL
+        got = np.array(mixture.sigma_quantiles(Q, w))
+        expected = np.array(brentq_sigma_quantiles(Q, w, d.n_basis))
+        np.testing.assert_allclose(got, expected, rtol=1e-13, atol=0.0)
+
+    def test_draws_are_continuous_in_estar(self):
+        # Computing E*'s kernel block as G H instead of (H^T G)^T changes the
+        # fit's arrays at rounding level; the seeded draws must move as little,
+        # not turn with the pencil's eigenvectors inside clusters of near-equal s.
+        cfg = SamplerConfig(**SMALL)
+        for seed in (1, 2, 3):
+            X, y = random_dataset(100, 1, seed=seed, min_gap=1e-4)
+            y = y + 0.1 * np.random.default_rng(seed).standard_normal(100)
+            basis = build_orthonormal_basis(X, 1.5)
+            regrouped = SubspaceBasis(geometry=basis.geometry, H=basis.H)
+            regrouped.Estar = np.hstack([basis.geometry.G @ basis.H, basis.geometry.M.T])
+            noise = UnknownNoise(float(np.std(y)) / 10.0)
+            a, b = (run_mcmc(build_density(B, y, noise), cfg).samples for B in (basis, regrouped))
+            assert np.abs(a - b).max() <= 1e-6 * np.abs(a).max()
 
     def test_seed_moves_only_the_draws(self):
         d = noisy_unknown_density()
