@@ -1,10 +1,10 @@
 """Dense solves with an explicit condition-number gate.
 
-Every helper factors once, estimates the reciprocal condition number from
-the factorization, and raises SingularSystem below RCOND_MIN instead of
-returning garbage. The saddle systems are symmetric indefinite, so they go
-through the Bunch-Kaufman path; general square systems use LU, and symmetric
-positive definite matrices are Cholesky-factored.
+The saddle systems are symmetric indefinite, so they go through the
+Bunch-Kaufman path: it factors once, estimates the reciprocal condition
+number from the factorization, and raises SingularSystem below RCOND_MIN
+instead of returning garbage. The regression posterior gates its
+eigendecomposition on the same RCOND_MIN.
 """
 
 from __future__ import annotations
@@ -39,35 +39,3 @@ class SymmetricFactor:
         if info != 0:
             raise SingularSystem(f"symmetric solve failed (info={info})")
         return x
-
-
-def solve_square(A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve A x = b for general square A, gating on rcond."""
-    A = np.ascontiguousarray(A, dtype=float)
-    b = np.asarray(b, dtype=float)
-    getrf, gecon, getrs = get_lapack_funcs(("getrf", "gecon", "getrs"), (A,))
-    anorm = np.linalg.norm(A, 1)
-    lu, piv, info = getrf(A)
-    if info != 0:
-        raise SingularSystem(f"LU factorization failed (info={info})")
-    rcond, info = gecon(lu, anorm)
-    if info != 0 or not np.isfinite(rcond) or rcond < RCOND_MIN:
-        raise SingularSystem(f"system too ill-conditioned to solve (rcond={rcond:.3e})")
-    x, info = getrs(lu, piv, b)
-    if info != 0:
-        raise SingularSystem(f"LU solve failed (info={info})")
-    return x
-
-
-def cholesky(A: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor of symmetric positive definite A, gating on rcond."""
-    A = np.ascontiguousarray(A, dtype=float)
-    potrf, pocon = get_lapack_funcs(("potrf", "pocon"), (A,))
-    anorm = np.linalg.norm(A, 1)
-    L, info = potrf(A, lower=1)
-    if info != 0:
-        raise SingularSystem(f"matrix is not positive definite (potrf info={info})")
-    rcond, info = pocon(L, anorm, uplo="L")
-    if info != 0 or not np.isfinite(rcond) or rcond < RCOND_MIN:
-        raise SingularSystem(f"system too ill-conditioned to factor (rcond={rcond:.3e})")
-    return L

@@ -4,14 +4,13 @@ The N datapoints span an (N - N0)-dimensional space of kernel combinations
 satisfying the growth constraint, plus the N0-dimensional polynomial
 nullspace. This module builds a norm-orthonormal basis H for the kernel part
 (in datapoint order: each new point contributes its test function against the
-points before it, giving H a staircase zero pattern), and the extended
-objects used by regression:
+points before it, giving H a staircase zero pattern). Coordinates h* = (h, c)
+give the function with kernel coefficients H h and polynomial coefficients c,
+whose values at the datapoints are
 
-    H* = [[H, 0], [0, I_N0]]          (N + N0, N)
-    E* = [G, M^T] H* = [G H, M^T]     (N, N), invertible
+    E* h* = [G H, M^T] h* = G H h + M^T c,
 
-Observed values y correspond to subspace coordinates h* with y = E* h*, and
-i.i.d. Gaussian noise of sd sigma pulls back to the precision E*^T E* / sigma^2.
+and at probes evaluation_matrix(basis, P) h*.
 """
 
 from __future__ import annotations
@@ -23,8 +22,7 @@ import numpy as np
 from scipy.linalg import cholesky, null_space, solve_triangular
 from scipy.linalg.lapack import dtrtri
 
-from ._linalg import solve_square
-from .errors import DimensionMismatch, SingularSystem, TooFewPoints
+from .errors import SingularSystem, TooFewPoints
 from .geometry import Regularity, _Geometry, eta_norm_constant
 
 
@@ -61,15 +59,14 @@ class SubspaceBasis:
         return self.H.shape[1]
 
     @cached_property
-    def Estar(self) -> np.ndarray:
-        """Map from subspace coordinates to function values at the datapoints.
+    def GH(self) -> np.ndarray:
+        """The kernel block of E*: the basis columns' values at the datapoints.
 
         G H is computed as (H^T G)^T, the product build_orthonormal_basis's
-        orthonormality check makes and hands over; on the staircase basis its
-        largest rounding error measured 2-3 times smaller than G H's. A basis
-        loaded from an archive computes the same bits.
+        orthonormality check reads from here; on the staircase basis its
+        largest rounding error measured 2-3 times smaller than G H's.
         """
-        return np.hstack([(self.H.T @ self.geometry.G).T, self.geometry.M.T])
+        return (self.H.T @ self.geometry.G).T
 
     def spline_coefficients(self, h_star: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Kernel and polynomial coefficients (a, c) of the function at h*."""
@@ -146,8 +143,8 @@ def build_orthonormal_basis(X, eta) -> SubspaceBasis:
     pass reads Z's structure (_orthonormalize_staircase); one more pass
     against the computed Gram matrix removes the rounding the first Cholesky
     leaves at large N (CholeskyQR2, Fukaya et al. 2014); a basis that is
-    still not orthonormal to 1e-6 raises SingularSystem. The check's H^T G,
-    transposed, is the kernel block of E*, which the basis keeps.
+    still not orthonormal to 1e-6 raises SingularSystem. The check's H^T G
+    is the basis's cached GH, transposed, which a regression fit reuses.
 
     X may also be the _Geometry of the points already assembled (a fit's
     every stage shares one); eta is then the geometry's own.
@@ -161,29 +158,14 @@ def build_orthonormal_basis(X, eta) -> SubspaceBasis:
     Nh = N - N0
 
     H = _orthonormalize(_orthonormalize_staircase(_staircase_top(geometry.M_u), G, C), G, C)
-    HtG = H.T @ G  # G is symmetric, so its transpose is G H, the kernel block of E*
-    resid = float(np.abs(C * (HtG @ H) - np.eye(Nh)).max())
+    basis = SubspaceBasis(geometry=geometry, H=H)
+    resid = float(np.abs(C * (basis.GH.T @ H) - np.eye(Nh)).max())
     if not resid <= 1e-6:
         raise SingularSystem(
             f"basis is not orthonormal (max |C H^T G H - I| = {resid:.3e}); "
             "the datapoints are too close together for the kernel system"
         )
-    basis = SubspaceBasis(geometry=geometry, H=H)
-    basis.Estar = np.hstack([HtG.T, geometry.M.T])
     return basis
-
-
-def to_subspace(basis: SubspaceBasis, y) -> tuple[np.ndarray, np.ndarray]:
-    """Pull the observations into subspace coordinates.
-
-    Returns (h_mu_star, E*^T E*): the coordinates of the interpolant (E* h* =
-    y) and the precision of the misfit at unit noise sd, exactly symmetric.
-    """
-    y = np.asarray(y, dtype=float).reshape(-1)
-    if y.shape[0] != basis.n_points:
-        raise DimensionMismatch(f"{basis.n_points} points but {y.shape[0]} values")
-    E = basis.Estar
-    return solve_square(E, y), E.T @ E
 
 
 def evaluation_matrix(basis: SubspaceBasis, probes) -> np.ndarray:

@@ -1,9 +1,8 @@
-"""Datasets: CSV loading, min-max scaling, jitter, a synthetic generator, folds.
+"""Datasets: CSV loading, min-max scaling, a synthetic generator, folds.
 
 The experiment protocol scales every feature to [0, 1] (recording the
-transform so probes and predictions stay in original units), optionally
-jitters discrete columns to break exact duplicates, and evaluates fits by
-k-fold cross-validated RMSE.
+transform so probes and predictions stay in original units) and evaluates
+fits by k-fold cross-validated RMSE.
 """
 
 from __future__ import annotations
@@ -161,30 +160,6 @@ def minmax_scale(dataset: Dataset) -> Dataset:
             )
     scaling = FeatureScaling(mins=mins, ranges=ranges)
     return replace(dataset, X=scaling.apply(dataset.X), scaling=scaling)
-
-
-def add_jitter(dataset: Dataset, columns, magnitude: float = 1e-6, seed: int = 0) -> Dataset:
-    """Add uniform +-magnitude * (feature range) noise to the named columns.
-
-    Used to break exact ties in discrete features before fitting; the draw is
-    deterministic per seed.
-    """
-    idx = []
-    for c in columns:
-        if isinstance(c, str):
-            if c not in dataset.feature_names:
-                raise ValidationError(f"unknown feature {c!r}; have {dataset.feature_names}")
-            idx.append(dataset.feature_names.index(c))
-        else:
-            if not 0 <= int(c) < dataset.dim:
-                raise ValidationError(f"feature index {c} out of range for {dataset.dim} columns")
-            idx.append(int(c))
-    rng = np.random.default_rng(seed)
-    X = dataset.X.copy()
-    for j in idx:
-        span = float(X[:, j].max() - X[:, j].min())
-        X[:, j] += rng.uniform(-magnitude * span, magnitude * span, size=dataset.n)
-    return replace(dataset, X=X)
 
 
 # --- synthetic benchmark ---------------------------------------------------

@@ -44,10 +44,6 @@ class DuplicatePoints(ValidationError):
     """Two input locations coincide within tolerance; the kernel matrix would be singular."""
 
 
-class CoincidesWithDatapoint(ValidationError):
-    """A probe point coincides with a datapoint where a test function is undefined."""
-
-
 class ConstraintViolated(ValidationError):
     """Coefficients passed to the norm do not satisfy the growth-rate constraint M a = 0."""
 

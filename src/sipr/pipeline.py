@@ -30,12 +30,12 @@ import numpy as np
 
 from . import __version__ as _pkg_version
 from ._io import _float_rows, atomic_write_text
-from .basis import SubspaceBasis, build_orthonormal_basis, evaluation_matrix, to_subspace
+from .basis import SubspaceBasis, build_orthonormal_basis, evaluation_matrix
 from .data import Dataset, FeatureScaling, minmax_scale
 from .errors import ArchiveVersionError, IOError_, NumericalError, ValidationError
 from .geometry import Regularity, _Geometry, as_points, as_regularity
 from .interpolate import POLYNOMIAL_TOL, _checked_geometry, solve_interpolation
-from .posterior import KnownNoise, UnknownNoise, _density
+from .posterior import KnownNoise, UnknownNoise, build_density
 from .predict import CredibleBand, credible_band
 from .sampler import Regime, RegressionPosterior, SamplerConfig, run_mcmc
 
@@ -116,8 +116,9 @@ class RegressionFit:
 
     @property
     def fitted(self) -> np.ndarray:
-        """Predictive mean at the training inputs (model space)."""
-        return self.basis.Estar @ self.h
+        """Predictive mean at the training inputs (model space): G a + M^T c."""
+        a, c = self.basis.spline_coefficients(self.h)
+        return self.basis.geometry.G @ a + self.basis.geometry.M.T @ c
 
 
 def _regime_fit(regime, geometry, *, sigma_y, noise_known, a=None, c=None, basis=None, h_hat=None,
@@ -187,30 +188,25 @@ def fit_regression(X, y, eta, noise="unknown", config: SamplerConfig | None = No
         return _regime_fit(Regime.INTERPOLATION_POLE, model.geometry, a=model.a, c=model.c, sigma_y=0.0,
                            **common)
 
-    # One factorization serves the interpolant and the posterior: the LU of E*
-    # that pulls y into the basis gives the interpolant's coordinates h_mu.
+    # The basis and one eigendecomposition serve the interpolant and the
+    # posterior: the density's pencil gives the interpolant's coordinates.
     geometry, y = _checked_geometry(X, y, reg)
     basis = build_orthonormal_basis(geometry, reg)
-    h_mu, quad = to_subspace(basis, y)
-    h_mu_k = h_mu[: basis.n_basis]  # ||f||^2 = ||h_mu_k||^2: H is orthonormal
-    if float(h_mu_k @ h_mu_k) <= POLYNOMIAL_TOL * float(y @ y):
+    sd = float(np.std(y))
+    if sd == 0.0:
+        return nullspace_pole(geometry)  # constant data is exactly polynomial
+    density = build_density(basis, y, KnownNoise(sigma_known) if known else UnknownNoise(sd / 10.0))
+    # ||f||^2 = ||h_mu_k||^2: H is orthonormal
+    if density.h_mu_norm**2 <= POLYNOMIAL_TOL * float(y @ y):
         return nullspace_pole(geometry)  # exactly polynomial data
-
-    if known:
-        noise_model = KnownNoise(sigma_known)
-    else:
-        sd = float(np.std(y))
-        if sd <= 0.0:
-            raise ValidationError("target is constant; cannot initialize the noise scale")
-        noise_model = UnknownNoise(sd / 10.0)
     # the exact posterior and its regime
-    posterior = run_mcmc(_density(basis, h_mu, quad, noise_model), config)
+    posterior = run_mcmc(density, config)
     extra = dict(posterior=posterior, diagnostics_summary=posterior.diagnostics.evidence)
 
     if posterior.regime == Regime.NULLSPACE_POLE:
         return nullspace_pole(geometry, **extra)
     sigma = sigma_known if known else posterior.sigma_y_median
-    a, c = basis.spline_coefficients(h_mu)
+    a, c = basis.spline_coefficients(density.h_mu_star)
     return _regime_fit(
         posterior.regime, geometry, a=a, c=c, basis=basis, h_hat=posterior.h_hat,
         Sigma_hat=posterior.Sigma_hat, sigma_y=sigma, **extra, **common,
@@ -370,11 +366,17 @@ def _fit_from_archive(doc: dict) -> RegressionFit:
         )
     sigma_info = doc["sigma_y"]
     cfg_doc = doc.get("config") or {}
+    y = np.asarray(doc["y"], dtype=float)
+    if y.shape != (N,):
+        raise ValueError(f"y has shape {y.shape} for {N} points")
     arrays = {}
     if regime == Regime.NORMAL:
+        H, h_hat = np.asarray(doc["basis_H"], dtype=float), np.asarray(doc["h_hat"], dtype=float)
+        if H.shape != (N, N - geometry.n_null) or h_hat.shape != (N,):
+            raise ValueError(f"basis_H and h_hat have shapes {H.shape} and {h_hat.shape} for {N} points")
         arrays.update(
-            basis=SubspaceBasis(geometry=geometry, H=np.asarray(doc["basis_H"], dtype=float)),
-            h_hat=np.asarray(doc["h_hat"], dtype=float),
+            basis=SubspaceBasis(geometry=geometry, H=H),
+            h_hat=h_hat,
             Sigma_hat=_unblock(doc["Sigma_hat"], (N, N)),
         )
     else:
@@ -386,7 +388,7 @@ def _fit_from_archive(doc: dict) -> RegressionFit:
         regime,
         geometry,
         **arrays,
-        y=np.asarray(doc["y"], dtype=float),
+        y=y,
         noise_known=sigma_info["mode"] == "known",
         sigma_y=float(sigma_info["value"]),
         scaling=scaling,

@@ -18,9 +18,12 @@ definitions, one dense solve per probe, per basis column or per iteration:
   Hessian at a state, with a diagonal fallback. ``_laplace_metric`` below
   applies the same metric as a diagonal and one rank-one term in those
   coordinates.
+* ``dense_density`` -- a ``PosteriorDensity`` that also holds E* = [G H, M^T]
+  and the misfit's precision E*^T E*, built as dense matrices. The library
+  reads the misfit off one eigendecomposition and forms neither.
 * ``sigma_inv_at``, ``hessian``, ``initial_state`` and ``draw_log_sigma`` --
   the dense precision, the analytic Hessian, the state layout and the exact
-  log-sigma draw of a ``PosteriorDensity`` in its original coordinates.
+  log-sigma draw of a ``dense_density`` in its original coordinates.
 * ``hmc_posterior`` -- the regression posterior sampled by HMC in those
   coordinates, with the Laplace metric at the MAP (``_laplace_metric``,
   ``_Diagonalised``), an exact log-sigma draw between trajectories and the
@@ -48,13 +51,13 @@ from scipy.special import gammaincc, gammainccinv
 from sipr.basis import SubspaceBasis
 from sipr._linalg import SymmetricFactor
 from sipr.errors import (
-    CoincidesWithDatapoint,
     DimensionMismatch,
     DomainError,
     NoConvergence,
     PoleCollapse,
     SingularSystem,
     TooFewPoints,
+    ValidationError,
 )
 from sipr.geometry import (
     DUPLICATE_TOL,
@@ -69,7 +72,7 @@ from sipr.geometry import (
 )
 from sipr.interpolate import InterpolationModel, pointwise_posterior, solve_interpolation
 from sipr import sampler
-from sipr.posterior import PosteriorDensity, _largest_root, _map_coordinates
+from sipr.posterior import PosteriorDensity, _largest_root, _map_coordinates, build_density
 from sipr.sampler import (
     INTERPOLATION_POLE_TOL,
     NULLSPACE_POLE_TOL,
@@ -81,6 +84,10 @@ from sipr.sampler import (
     _split_rhat,
     posterior_moments,
 )
+
+
+class CoincidesWithDatapoint(ValidationError):
+    """A probe point coincides with a datapoint where a test function is undefined."""
 
 
 @dataclass(eq=False)
@@ -271,6 +278,26 @@ def laplace_precondition(h_map, density) -> np.ndarray:
         return np.diag(np.sqrt(d))
 
 
+@dataclass(eq=False)
+class DenseDensity(PosteriorDensity):
+    """A library density with its dense E* and misfit precision E*^T E* (see dense_density)."""
+
+    Estar: np.ndarray  # (N, N)
+    quad: np.ndarray  # (N, N) E*^T E*, the misfit's precision at unit noise sd
+
+
+def dense_density(basis: SubspaceBasis, y, noise) -> DenseDensity:
+    """build_density's density, plus E* = [G H, M^T] and E*^T E* as dense matrices.
+
+    G H is formed as (H^T G)^T, the order in which the library computes the
+    basis's kernel block: the two products differ at rounding level, which
+    the conditioning of E* amplifies to about 1e-9 of the solution at N = 400.
+    """
+    d = build_density(basis, y, noise)
+    E = np.hstack([(basis.H.T @ basis.geometry.G).T, basis.geometry.M.T])
+    return DenseDensity(pencil=d.pencil, noise=d.noise, Estar=E, quad=E.T @ E)
+
+
 def sigma_inv_at(density, log_sigma: float) -> np.ndarray:
     if density.noise.is_known:
         return density.quad / density.noise.sigma**2
@@ -411,6 +438,11 @@ class _LaplaceMetric:
     @property
     def name(self) -> str:
         return "laplace" if self.k > 0.0 else "laplace_without_radial_term"
+
+
+def pencil_coordinates(density: PosteriorDensity, h_star: np.ndarray) -> np.ndarray:
+    """t = T^-1 h*, as t_mu + T^-1 (h* - h*_mu): the misfit t - t_mu is exactly 0 at h*_mu."""
+    return density.pencil.t_mu + density.pencil.coordinates(h_star - density.h_mu_star)
 
 
 def _laplace_metric(density: PosteriorDensity, t: np.ndarray, log_sigma: float | None) -> _LaplaceMetric:
@@ -592,7 +624,7 @@ def hmc_posterior(density: PosteriorDensity, config: SamplerConfig, init=None) -
         log_sigma0 = None if density.noise.is_known else math.log(density.noise.sigma_init)
     else:
         h0, log_sigma0 = density._split(init)
-        t0 = density.pencil.coordinates(h0)
+        t0 = pencil_coordinates(density, h0)
     metric = _laplace_metric(density, t0, log_sigma0)
     target = _Diagonalised(density, metric)
     z0 = target.start(t0, log_sigma0)

@@ -34,7 +34,7 @@ from sipr.geometry import (
 )
 from sipr.interpolate import pointwise_posterior, solve_interpolation
 from sipr.pipeline import crossval, fit_dataset, fit_regression
-from sipr.posterior import KnownNoise, UnknownNoise, build_density, map_estimate
+from sipr.posterior import KnownNoise, UnknownNoise, map_estimate
 from sipr.sampler import Regime, SamplerConfig, posterior_moments, run_mcmc
 from tests import oracles
 from tests.conftest import random_dataset
@@ -222,7 +222,7 @@ def test_criterion_6_map_correctness(report):
         rng = np.random.default_rng(99)
         for n, dim, eta, noise, seed in instances:
             X, y = random_dataset(n, dim, seed=seed)
-            d = build_density(build_orthonormal_basis(X, eta), y, noise)
+            d = oracles.dense_density(build_orthonormal_basis(X, eta), y, noise)
             h_map = map_estimate(d)
             grad_at_map = d.grad(oracles.initial_state(d, h_map))[: d.n_points]
             assert np.max(np.abs(grad_at_map)) < 1e-6

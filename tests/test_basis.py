@@ -11,13 +11,13 @@ from sipr.basis import (
     _staircase_top,
     build_orthonormal_basis,
     evaluation_matrix,
-    to_subspace,
 )
 from sipr.errors import DimensionMismatch, SingularSystem, TooFewPoints
 from sipr.geometry import _Geometry, eta_norm_constant
 from sipr.interpolate import solve_interpolation
+from sipr.posterior import KnownNoise, build_density
 from tests.conftest import random_dataset
-from tests.oracles import loop_orthonormal_basis
+from tests.oracles import dense_density, loop_orthonormal_basis
 
 
 @pytest.mark.parametrize("n,dim", [(10, 1), (20, 2), (30, 3), (50, 3)])
@@ -65,12 +65,11 @@ def test_first_pass_reads_the_staircase(n, dim, eta):
 
 
 def test_estar_kernel_block_is_g_h():
-    # The orthonormality check's H^T G, transposed, is kept as E*'s kernel block.
+    # The orthonormality check reads H^T G from the basis's GH, E*'s kernel block.
     X, _ = random_dataset(20, 2, seed=4)
     basis = build_orthonormal_basis(X, 1.5)
     GH = basis.geometry.G @ basis.H
-    assert np.abs(basis.Estar[:, : basis.n_basis] - GH).max() <= 1e-13 * np.abs(GH).max()
-    np.testing.assert_array_equal(basis.Estar[:, basis.n_basis :], basis.geometry.M.T)
+    assert np.abs(basis.GH - GH).max() <= 1e-13 * np.abs(GH).max()
 
 
 def test_1600_equispaced_points_pass_the_gate():
@@ -119,16 +118,15 @@ def test_degenerate_leading_points():
 
 def test_estar_reproduces_observations():
     X, y = random_dataset(15, 2, seed=21)
-    basis = build_orthonormal_basis(X, 1.5)
-    h_mu, _ = to_subspace(basis, y)
-    np.testing.assert_allclose(basis.Estar @ h_mu, y, rtol=1e-8, atol=1e-10)
+    d = dense_density(build_orthonormal_basis(X, 1.5), y, KnownNoise(0.1))
+    np.testing.assert_allclose(d.Estar @ d.h_mu_star, y, rtol=1e-8, atol=1e-10)
 
 
 def test_subspace_coordinates_match_interpolant():
     X, y = random_dataset(14, 1, seed=2)
     eta = 1.5
     basis = build_orthonormal_basis(X, eta)
-    h_mu, _ = to_subspace(basis, y)
+    h_mu = build_density(basis, y, KnownNoise(0.1)).h_mu_star
     model = solve_interpolation(X, y, eta)
     probes = np.linspace(0.05, 0.95, 11)[:, None]
     direct = model.evaluate(probes)
@@ -139,30 +137,17 @@ def test_subspace_coordinates_match_interpolant():
 def test_spline_coefficients_satisfy_constraint():
     X, y = random_dataset(16, 2, seed=27)
     basis = build_orthonormal_basis(X, 2.5)
-    h_mu, _ = to_subspace(basis, y)
-    a, c = basis.spline_coefficients(h_mu)
+    a, c = basis.spline_coefficients(build_density(basis, y, KnownNoise(0.1)).h_mu_star)
     assert a.shape == (16,)
     assert c.shape == (basis.n_null,)
     assert np.abs(basis.geometry.M @ a).max() < 1e-8
-
-
-def test_precision_is_the_exact_gram_of_estar():
-    # The posterior divides this one matrix by sigma^2 for known noise, so it
-    # must be E*^T E* to the bit and exactly symmetric, with no symmetrizing pass.
-    X, y = random_dataset(10, 1, seed=33)
-    basis = build_orthonormal_basis(X, 1.5)
-    _, quad = to_subspace(basis, y)
-    E = basis.Estar
-    np.testing.assert_array_equal(quad, E.T @ E)
-    np.testing.assert_array_equal(quad, quad.T)
-    assert np.linalg.eigvalsh(quad).min() > 0
 
 
 def test_wrong_number_of_values_is_a_validation_error():
     X, y = random_dataset(8, 1, seed=35)
     basis = build_orthonormal_basis(X, 1.5)
     with pytest.raises(DimensionMismatch, match="8 points but 7 values"):
-        to_subspace(basis, y[:-1])
+        build_density(basis, y[:-1], KnownNoise(0.1))
 
 
 def test_evaluation_matrix_shape_and_polynomial_block():

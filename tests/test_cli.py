@@ -442,6 +442,19 @@ class TestExitCodes:
         assert code == 2
         assert "not a model archive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["basis_H", "h_hat", "y"])
+    def test_truncated_array_is_2(self, tmp_path, capsys, archive, key):
+        # A normal fit's map is read from basis_H and h_hat, so their shapes
+        # and y's are checked against the archived points.
+        model, doc = archive
+        doc[key] = doc[key][:-1]
+        model.write_text(json.dumps(doc))
+        capsys.readouterr()
+        code = main(["predict", "--model", str(model), "--grid", "0:1:5",
+                     "--out", str(tmp_path / "o.csv")])
+        assert code == 2
+        assert "not a model archive" in capsys.readouterr().err
+
     def test_repeated_probe_column_is_2(self, tmp_path, capsys):
         data = tmp_path / "d.csv"
         write_higdon(data, n=8)

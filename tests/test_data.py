@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from sipr.data import (
-    add_jitter,
     higdon,
     higdon_truth,
     kfold,
@@ -113,41 +112,6 @@ class TestMinmaxScale:
         p.write_text("a,b,y\n1,7,0\n2,7,0\n")
         with pytest.raises(ConstantFeature, match="'b'"):
             minmax_scale(load_csv(str(p), target="y"))
-
-
-class TestAddJitter:
-    def base(self):
-        X = np.array([[0.0, 10.0], [1.0, 10.5], [2.0, 11.0], [3.0, 11.5]])
-        from sipr.data import Dataset
-
-        return Dataset(X=X, y=np.zeros(4), feature_names=("u", "v"), target_name="y")
-
-    def test_bounds_and_selectivity(self):
-        ds = self.base()
-        out = add_jitter(ds, ["u"], magnitude=1e-3, seed=1)
-        delta = out.X - ds.X
-        assert np.array_equal(delta[:, 1], np.zeros(4))  # untouched column
-        span = 3.0
-        assert np.abs(delta[:, 0]).max() <= 1e-3 * span
-        assert np.abs(delta[:, 0]).min() > 0
-
-    def test_deterministic_per_seed(self):
-        ds = self.base()
-        a = add_jitter(ds, ["u", "v"], seed=9)
-        b = add_jitter(ds, ["u", "v"], seed=9)
-        c = add_jitter(ds, ["u", "v"], seed=10)
-        np.testing.assert_array_equal(a.X, b.X)
-        assert not np.array_equal(a.X, c.X)
-
-    def test_accepts_indices_and_validates_names(self):
-        ds = self.base()
-        by_name = add_jitter(ds, ["v"], seed=2)
-        by_index = add_jitter(ds, [1], seed=2)
-        np.testing.assert_array_equal(by_name.X, by_index.X)
-        with pytest.raises(ValidationError, match="unknown feature"):
-            add_jitter(ds, ["w"])
-        with pytest.raises(ValidationError, match="out of range"):
-            add_jitter(ds, [5])
 
 
 class TestHigdon:

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from sipr.errors import (
-    CoincidesWithDatapoint,
     ConstraintViolated,
     DimensionMismatch,
     DuplicatePoints,
@@ -33,6 +32,7 @@ from sipr.interpolate import (
 )
 from tests import oracles
 from tests.conftest import random_dataset
+from tests.oracles import CoincidesWithDatapoint
 from tests.oracles import test_function as make_test_function
 
 

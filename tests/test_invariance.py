@@ -78,13 +78,8 @@ def test_permuting_the_points(regime, eta):
 
 # (alpha, b) of x -> alpha x + b; the last shrinks the unit interval to [5, 5.02].
 MAPS = [(3.0, -1.0), (-1.5, 0.25), (0.02, 5.0)]
-# The regression fit reads the polynomial block in the caller's units: far from
-# the origin relative to its spread, 1 and x are nearly collinear, and the
-# normal regime's mean at eta = 1.5 moves by about 1e-6.
-NARROW_AND_FAR = pytest.mark.xfail(strict=True, reason="polynomial block conditioned in the caller's units")
 INPUT_CASES = [
-    pytest.param(regime, eta, alpha, shift, id=f"{regime.value}-{eta}-{alpha}-{shift}",
-                 marks=NARROW_AND_FAR if (regime, eta, alpha) == (Regime.NORMAL, 1.5, 0.02) else ())
+    pytest.param(regime, eta, alpha, shift, id=f"{regime.value}-{eta}-{alpha}-{shift}")
     for regime, eta in CASES for alpha, shift in MAPS
 ]
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -9,7 +10,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from sipr.basis import build_orthonormal_basis
+from sipr.basis import SubspaceBasis, build_orthonormal_basis
+from sipr.data import higdon, minmax_scale
 from sipr.errors import DomainError, NoConvergence, PoleCollapse, SingularSystem
 from sipr.posterior import (
     KnownNoise,
@@ -25,7 +27,7 @@ from tests.conftest import random_dataset
 def make_density(n=12, dim=1, eta=1.5, noise=None, seed=7):
     X, y = random_dataset(n, dim, seed=seed)
     basis = build_orthonormal_basis(X, eta)
-    return build_density(basis, y, noise or KnownNoise(0.1))
+    return oracles.dense_density(basis, y, noise or KnownNoise(0.1))
 
 
 def numeric_grad(f, x, step=1e-6):
@@ -47,17 +49,11 @@ class TestLogDensity:
         assert d.log_density(d.h_mu_star) == pytest.approx(expected, rel=1e-12)
 
     def test_scale_invariance_of_prior(self):
-        # With the residual precision zeroed out, rescaling the state changes
+        # With the misfit weights zeroed out, rescaling the state changes
         # the log density by exactly -Nh log s for any s.
         base = make_density()
-        d = PosteriorDensity(
-            h_mu_star=base.h_mu_star,
-            Estar=base.Estar,
-            n_basis=base.n_basis,
-            n_null=base.n_null,
-            noise=KnownNoise(1.0),
-            quad=np.zeros((base.n_points, base.n_points)),
-        )
+        d = PosteriorDensity(pencil=dataclasses.replace(base.pencil, s=np.zeros(base.n_points)),
+                             noise=KnownNoise(1.0))
         state = np.random.default_rng(0).normal(size=d.n_points)
         for s in [0.5, 2.0, 10.0, 1e4]:
             delta = d.log_density(s * state) - d.log_density(state)
@@ -122,17 +118,11 @@ class TestDerivatives:
         np.testing.assert_allclose(H, H.T, atol=1e-12)
 
     def test_prior_gradient_ignores_polynomial_block(self):
-        # Zero residual precision isolates the prior: its gradient lives
+        # Zero misfit weights isolate the prior: its gradient lives
         # entirely in the kernel block.
         base = make_density()
-        d = PosteriorDensity(
-            h_mu_star=base.h_mu_star,
-            Estar=base.Estar,
-            n_basis=base.n_basis,
-            n_null=base.n_null,
-            noise=KnownNoise(1.0),
-            quad=np.zeros((base.n_points, base.n_points)),
-        )
+        d = PosteriorDensity(pencil=dataclasses.replace(base.pencil, s=np.zeros(base.n_points)),
+                             noise=KnownNoise(1.0))
         state = np.random.default_rng(3).normal(size=d.n_points)
         g = d.grad(state)
         np.testing.assert_array_equal(g[d.n_basis :], np.zeros(d.n_null))
@@ -144,7 +134,7 @@ class TestPencil:
         "noise", [KnownNoise(0.15), KnownNoise(1e3), UnknownNoise(0.15)]
     )
     def test_diagonalises_both_quadratic_forms(self, noise):
-        d = make_density(noise=noise)
+        d = make_density(noise=noise)  # with the dense E*^T E*
         p = d.pencil
         Sigma0 = d.quad / d.noise.sigma**2 if d.noise.is_known else d.quad
         P = np.diag(p.rho)
@@ -156,7 +146,25 @@ class TestPencil:
         assert not np.any(p.T[: d.n_basis, d.n_basis :])
         t = np.random.default_rng(0).normal(size=d.n_points)
         np.testing.assert_allclose(p.coordinates(p.T @ t), t, rtol=1e-9, atol=1e-9)
-        np.testing.assert_allclose(p.T @ p.t_mu, d.h_mu_star, rtol=1e-9, atol=1e-12)
+        np.testing.assert_allclose(p.pull_back(t), np.linalg.solve(p.T.T, t), rtol=1e-9, atol=1e-9)
+
+    def test_rank_deficient_misfit_is_singular(self):
+        # A basis whose last column repeats its first makes S singular; the
+        # eigenvalue gate refuses it instead of dividing by a rounding error.
+        X, y = random_dataset(12, 1, seed=7)
+        basis = build_orthonormal_basis(X, 1.5)
+        repeated = SubspaceBasis(geometry=basis.geometry, H=np.column_stack([basis.H[:, :-1], basis.H[:, 0]]))
+        with pytest.raises(SingularSystem, match="misfit too ill-conditioned"):
+            build_density(repeated, y, KnownNoise(0.1))
+
+    def test_interpolant_matches_a_dense_solve(self):
+        # The semi-normal equations square E*'s condition number; refinement
+        # on the residual must bring h*_mu back to what a dense LU of E* gives.
+        ds = minmax_scale(higdon(400, 0.1, seed=3))
+        d = oracles.dense_density(build_orthonormal_basis(ds.X, 1.5), ds.y, KnownNoise(0.1))
+        expected = np.linalg.solve(d.Estar, ds.y)
+        np.testing.assert_allclose(d.Estar @ d.h_mu_star, ds.y, rtol=0.0, atol=1e-10 * np.abs(ds.y).max())
+        assert np.linalg.norm(d.h_mu_star - expected) <= 1e-10 * np.linalg.norm(expected)
 
 
 class TestMapEstimate:
@@ -219,12 +227,12 @@ class TestMapMatchesDenseOracle:
     def test_matches_or_collapses_with_the_oracle(self, seed, eta, kind, sd):
         X, y = random_dataset(10, 1, seed=seed)
         noise = KnownNoise(sd) if kind == "scalar" else UnknownNoise(sd)
-        d = build_density(build_orthonormal_basis(X, eta), y, noise)
+        d = oracles.dense_density(build_orthonormal_basis(X, eta), y, noise)
         self.check(d)
 
     def test_collapses_where_the_oracle_collapses(self):
         X, y = random_dataset(10, 1, seed=2)
-        d = build_density(build_orthonormal_basis(X, 1.5), y, KnownNoise(0.1))
+        d = oracles.dense_density(build_orthonormal_basis(X, 1.5), y, KnownNoise(0.1))
         with pytest.raises(PoleCollapse):
             oracles.map_estimate(d)
         self.check(d)
@@ -253,7 +261,7 @@ def whitening(d, state):
     for log sigma). Returns J and the metric.
     """
     h_star, log_sigma = d._split(state)
-    m = oracles._laplace_metric(d, d.pencil.coordinates(h_star), log_sigma)
+    m = oracles._laplace_metric(d, oracles.pencil_coordinates(d, h_star), log_sigma)
     N = d.n_points
     L_M = np.linalg.cholesky(np.eye(N) - m.k * np.outer(m.u, m.u))
     J = np.zeros((d.dim, d.dim))

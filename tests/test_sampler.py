@@ -24,13 +24,20 @@ from sipr.sampler import (
     run_mcmc,
 )
 from tests.conftest import random_dataset
-from tests.oracles import _Diagonalised, _laplace_metric, brentq_sigma_quantiles, detect_poles, hmc_posterior
+from tests.oracles import (
+    _Diagonalised,
+    _laplace_metric,
+    brentq_sigma_quantiles,
+    dense_density,
+    detect_poles,
+    hmc_posterior,
+)
 
 
 def make_density(n=10, eta=1.5, noise=None, seed=7):
     X, y = random_dataset(n, 1, seed=seed)
     basis = build_orthonormal_basis(X, eta)
-    return build_density(basis, y, noise or KnownNoise(0.1))
+    return dense_density(basis, y, noise or KnownNoise(0.1))
 
 
 SMALL = dict(chains=2, samples_per_chain=300, burn_in=100, seed=0)
@@ -409,7 +416,7 @@ class TestRegressionRuns:
 def noisy_unknown_density():
     """Higdon data with unknown noise, well inside the normal regime (20 nats from either plateau)."""
     ds = minmax_scale(higdon(30, 0.2, seed=4))
-    return build_density(build_orthonormal_basis(ds.X, 1.5), ds.y, UnknownNoise(float(np.std(ds.y)) / 10.0))
+    return dense_density(build_orthonormal_basis(ds.X, 1.5), ds.y, UnknownNoise(float(np.std(ds.y)) / 10.0))
 
 
 EXACT = [make_density, noisy_unknown_density]
@@ -475,7 +482,7 @@ class TestExactMixture:
         np.testing.assert_allclose(got, expected, rtol=1e-13, atol=0.0)
 
     def test_draws_are_continuous_in_estar(self):
-        # Computing E*'s kernel block as G H instead of (H^T G)^T changes the
+        # Computing the basis's GH as G H instead of (H^T G)^T changes the
         # fit's arrays at rounding level; the seeded draws must move as little,
         # not turn with the pencil's eigenvectors inside clusters of near-equal s.
         cfg = SamplerConfig(**SMALL)
@@ -484,7 +491,7 @@ class TestExactMixture:
             y = y + 0.1 * np.random.default_rng(seed).standard_normal(100)
             basis = build_orthonormal_basis(X, 1.5)
             regrouped = SubspaceBasis(geometry=basis.geometry, H=basis.H)
-            regrouped.Estar = np.hstack([basis.geometry.G @ basis.H, basis.geometry.M.T])
+            regrouped.GH = basis.geometry.G @ basis.H
             noise = UnknownNoise(float(np.std(y)) / 10.0)
             a, b = (run_mcmc(build_density(B, y, noise), cfg).samples for B in (basis, regrouped))
             assert np.abs(a - b).max() <= 1e-6 * np.abs(a).max()
