@@ -113,17 +113,14 @@ def cmd_interpolate(data_path, target, eta, probes_path, grid, paths, seed, out_
               help="Sizes the --trace draws, chains x (samples - burn).")
 @click.option("--leapfrog", type=int, default=32, show_default=True,
               help="Tunes generic HMC only; fit ignores it.")
-@click.option("--target-accept", "target_accept", type=float, default=0.8, show_default=True,
-              help="Tunes generic HMC only; fit ignores it.")
 @click.option("--trace", "trace_path", type=click.Path(), help="Dump i.i.d. posterior draws to this CSV.")
 @click.option("--model-out", "out_path", required=True, type=click.Path(), help="Model archive (JSON).")
-def cmd_fit(data_path, target, eta, noise, seed, chains, samples, burn_in, leapfrog,
-            target_accept, trace_path, out_path):
+def cmd_fit(data_path, target, eta, noise, seed, chains, samples, burn_in, leapfrog, trace_path, out_path):
     """Fit the regression posterior and archive the model."""
     reg = as_regularity(eta)
     ds = load_csv(data_path, target)
     cfg = SamplerConfig(chains=chains, samples_per_chain=samples, burn_in=burn_in, seed=seed,
-                        leapfrog_steps=leapfrog, target_accept=target_accept, trace_path=trace_path)
+                        leapfrog_steps=leapfrog, trace_path=trace_path)
     fit = fit_dataset(ds, reg, noise=_noise_value(noise), config=cfg)
     save_archive(fit, out_path)
 

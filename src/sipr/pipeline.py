@@ -12,16 +12,16 @@ that knows its regime:
 In every regime the fit is one linear map and a Gaussian over its
 coordinates, and predict.credible_band gives its bands (see RegressionFit).
 Fits can be serialized to a versioned JSON archive and reloaded for
-prediction; a reloaded model predicts bit-identically to the fresh fit. Every
-entry is plain JSON except the posterior covariance Sigma_hat, which format 2
-stores as one exact block of float64 bytes (see _block); the basis columns
-basis_H are JSON numbers with 17 significant digits (see _json_matrix).
+prediction. Format 3 stores that map in every regime under the same entries:
+the kernel columns basis_H as JSON numbers with 17 significant digits (see
+_json_matrix), the coordinates h_hat, and their covariance Sigma_hat as one
+exact block of float64 bytes (see _block). The loader reads them back without
+a regime branch, so a reloaded model predicts bit-identically to the fresh fit.
 """
 
 from __future__ import annotations
 
 import base64
-import dataclasses
 import json
 import math
 from dataclasses import dataclass, field
@@ -39,7 +39,7 @@ from .posterior import KnownNoise, UnknownNoise, build_density
 from .predict import CredibleBand, credible_band
 from .sampler import Regime, RegressionPosterior, SamplerConfig, run_mcmc
 
-ARCHIVE_VERSION = 2
+ARCHIVE_VERSION = 3
 
 
 @dataclass(eq=False)
@@ -48,9 +48,11 @@ class RegressionFit:
 
     Every regime is one linear map and a Gaussian over its coordinates: the
     basis holds the points' geometry and kernel columns H (N x k), h the
-    coordinates (kernel part, then polynomial part), Sigma their covariance
-    and dof the band's degrees of freedom. The function with coordinates h
-    is read at probes P by E(P) = [g(P) H, m(P)^T] (predict.credible_band):
+    coordinates (kernel part, then polynomial part) and Sigma their
+    covariance; dof, the band's degrees of freedom, follows from the regime.
+    The function with coordinates h is read at probes P by
+    E(P) = [g(P) H, m(P)^T] (predict.credible_band). The archive stores H, h
+    and Sigma as they are, in every regime:
 
         regime              H                     h        Sigma                 dof
         normal              the basis (N x Nh)    h_hat    Sigma_hat             N - N0
@@ -62,7 +64,6 @@ class RegressionFit:
     basis: SubspaceBasis
     h: np.ndarray
     Sigma: np.ndarray
-    dof: float
     y: np.ndarray
     noise_known: bool
     sigma_y: float  # known value, posterior median, or residual estimate
@@ -97,6 +98,13 @@ class RegressionFit:
         return self.X.shape[0]
 
     @property
+    def dof(self) -> float:
+        """The band's degrees of freedom: inf at the nullspace pole with known noise, else N - N0."""
+        if self.regime == Regime.NULLSPACE_POLE and self.noise_known:
+            return math.inf
+        return float(self.n_points - self.basis.geometry.n_null)
+
+    @property
     def dim(self) -> int:
         return self.X.shape[1]
 
@@ -126,7 +134,6 @@ def _regime_fit(regime, geometry, *, sigma_y, noise_known, a=None, c=None, basis
     """The fit of a regime from its arrays: the normal regime's basis, h_hat and
     Sigma_hat, or a pole's spline coefficients (a, c); see RegressionFit."""
     N, N0 = geometry.n_points, geometry.n_null
-    dof = float(N - N0)
     if regime == Regime.NORMAL:
         h, Sigma = h_hat, Sigma_hat
     elif regime == Regime.INTERPOLATION_POLE:
@@ -135,9 +142,7 @@ def _regime_fit(regime, geometry, *, sigma_y, noise_known, a=None, c=None, basis
     else:
         basis = SubspaceBasis(geometry=geometry, H=np.zeros((N, 0)))
         h, Sigma = c, sigma_y**2 * np.linalg.pinv(geometry.M @ geometry.M.T)
-        if noise_known:
-            dof = math.inf
-    return RegressionFit(regime=regime, basis=basis, h=h, Sigma=Sigma, dof=dof, sigma_y=sigma_y,
+    return RegressionFit(regime=regime, basis=basis, h=h, Sigma=Sigma, sigma_y=sigma_y,
                          noise_known=noise_known, **fields)
 
 
@@ -263,20 +268,15 @@ def _json_matrix(x) -> list[str]:
     return pieces
 
 
-def archive_dict(fit: RegressionFit) -> dict:
-    """JSON-ready description of a fit, sufficient to reproduce predictions."""
-    doc = _archive_entries(fit)
-    if doc["basis_H"] is not None:
-        doc["basis_H"] = _arr(doc["basis_H"])
-    return doc
-
-
 def _archive_entries(fit: RegressionFit) -> dict:
-    """archive_dict with basis_H left as an array, for save_archive to format."""
+    """The archive's entries, with basis_H left as an array for save_archive to format.
+
+    Every regime stores its map as it is: basis_H (N x k), h_hat (k + N0) and
+    the Sigma_hat block ((k + N0)^2); see RegressionFit for k.
+    """
     post = fit.posterior
-    normal = fit.regime == Regime.NORMAL
     sigma_summary: dict = {"mode": "known" if fit.noise_known else "unknown", "value": fit.sigma_y}
-    if normal and post is not None and post.sigma_y_quantiles:
+    if fit.regime == Regime.NORMAL and post is not None and post.sigma_y_quantiles:
         sigma_summary.update(zip(("q05", "median", "q95"), post.sigma_y_quantiles))
     cfg = fit.config or SamplerConfig()
     return {
@@ -291,26 +291,22 @@ def _archive_entries(fit: RegressionFit) -> dict:
         else {"mins": _arr(fit.scaling.mins), "ranges": _arr(fit.scaling.ranges)},
         "X": _arr(fit.X),
         "y": _arr(fit.y),
-        "spline": {"a": _arr(fit.mean_a), "c": _arr(fit.mean_c)},
-        "basis_H": fit.basis.H if normal else None,
-        "h_hat": _arr(fit.h) if normal else None,
-        "Sigma_hat": _block(fit.Sigma) if normal else None,
+        "basis_H": fit.basis.H,
+        "h_hat": _arr(fit.h),
+        "Sigma_hat": _block(fit.Sigma),
         "sigma_y": sigma_summary,
         "config": {
             "chains": cfg.chains,
             "samples_per_chain": cfg.samples_per_chain,
             "burn_in": cfg.burn_in,
             "seed": cfg.seed,
-            "leapfrog_steps": cfg.leapfrog_steps,
-            "target_accept": cfg.target_accept,
         },
         "diagnostics": fit.diagnostics_summary,
-        "fitted": _arr(fit.fitted),
     }
 
 
 def save_archive(fit: RegressionFit, path: str) -> None:
-    """Write archive_dict(fit) as one line of JSON, with basis_H in its exact text (_json_matrix).
+    """Write a fit's archive as one line of JSON, with basis_H in its exact text (_json_matrix).
 
     The pieces are joined once, so the megabytes of basis and Sigma_hat text
     are not copied again on their way into the file.
@@ -320,7 +316,7 @@ def save_archive(fit: RegressionFit, path: str) -> None:
         pieces += [", " if pieces else "{", json.dumps(key), ": "]
         if isinstance(value, np.ndarray):
             pieces += _json_matrix(value)
-        elif key == "Sigma_hat" and value is not None:
+        elif key == "Sigma_hat":
             # base64 needs no JSON escaping: the same text as json.dumps, without its scan
             pieces += ['{"shape": ', json.dumps(value["shape"]), ', "f8le_base64": "',
                        value["f8le_base64"], '"}']
@@ -357,7 +353,8 @@ def load_archive(path: str) -> RegressionFit:
 def _fit_from_archive(doc: dict) -> RegressionFit:
     regime = Regime(doc["regime"])
     geometry = _Geometry(np.asarray(doc["X"], dtype=float), Regularity(float(doc["eta"])))
-    N = geometry.n_points
+    N, N0 = geometry.n_points, geometry.n_null
+    k = {Regime.NORMAL: N - N0, Regime.INTERPOLATION_POLE: 1, Regime.NULLSPACE_POLE: 0}[regime]
     scaling = None
     if doc.get("scaling") is not None:
         scaling = FeatureScaling(
@@ -366,28 +363,15 @@ def _fit_from_archive(doc: dict) -> RegressionFit:
         )
     sigma_info = doc["sigma_y"]
     cfg_doc = doc.get("config") or {}
-    y = np.asarray(doc["y"], dtype=float)
-    if y.shape != (N,):
-        raise ValueError(f"y has shape {y.shape} for {N} points")
-    arrays = {}
-    if regime == Regime.NORMAL:
-        H, h_hat = np.asarray(doc["basis_H"], dtype=float), np.asarray(doc["h_hat"], dtype=float)
-        if H.shape != (N, N - geometry.n_null) or h_hat.shape != (N,):
-            raise ValueError(f"basis_H and h_hat have shapes {H.shape} and {h_hat.shape} for {N} points")
-        arrays.update(
-            basis=SubspaceBasis(geometry=geometry, H=H),
-            h_hat=h_hat,
-            Sigma_hat=_unblock(doc["Sigma_hat"], (N, N)),
-        )
-    else:
-        a, c = (np.asarray(doc["spline"][k], dtype=float) for k in ("a", "c"))
-        if a.shape != (N,) or c.shape != (geometry.n_null,):
-            raise ValueError(f"spline has shapes {a.shape} and {c.shape} for {N} points")
-        arrays.update(a=a, c=c)
-    return _regime_fit(
-        regime,
-        geometry,
-        **arrays,
+    y, H, h = (np.asarray(doc[key], dtype=float) for key in ("y", "basis_H", "h_hat"))
+    if y.shape != (N,) or H.shape != (N, k) or h.shape != (k + N0,):
+        raise ValueError(f"y, basis_H and h_hat have shapes {y.shape}, {H.shape} and {h.shape} "
+                         f"for {N} points in the {regime.value} regime")
+    return RegressionFit(
+        regime=regime,
+        basis=SubspaceBasis(geometry=geometry, H=H),
+        h=h,
+        Sigma=_unblock(doc["Sigma_hat"], (k + N0, k + N0)),
         y=y,
         noise_known=sigma_info["mode"] == "known",
         sigma_y=float(sigma_info["value"]),
@@ -422,19 +406,15 @@ def crossval(
     noise="unknown",
     k: int = 5,
     seed: int = 0,
-    config: SamplerConfig | None = None,
 ) -> CrossvalResult:
     """k-fold CV of the full pipeline; pooled RMSE over all held-out points.
 
     Each fold scales its own training features, fits, and predicts the
-    held-out rows in original units. Fold seeds are split from the master
-    seed, so results do not depend on execution order.
+    held-out rows in original units. The seed only shuffles the folds.
     """
     from .data import kfold, rmse as _rmse
 
-    base = config or SamplerConfig()
     splits = kfold(dataset.n, k, seed=seed)
-    fold_seeds = [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(seed).spawn(k)]
 
     folds = []
     sq_errors = []
@@ -445,8 +425,7 @@ def crossval(
             feature_names=dataset.feature_names,
             target_name=dataset.target_name,
         )
-        cfg = dataclasses.replace(base, seed=fold_seeds[j], trace_path=None)
-        fit = fit_dataset(train, eta, noise=noise, config=cfg)
+        fit = fit_dataset(train, eta, noise=noise)
         pred, actual = fit.predict_mean(dataset.X[test_idx]), dataset.y[test_idx]
         folds.append(
             FoldResult(fold=j, n_test=len(actual), rmse=_rmse(pred, actual), regime=fit.regime.value)

@@ -129,10 +129,10 @@ class TestFitAndPredict:
         assert "sigma_y (known): 0.05" in msg
         assert "posterior: 128 nodes in log_tau, peak at " in msg and "gap to nullspace plateau " in msg
         doc = json.loads(model.read_text())
-        assert doc["format_version"] == 2
+        assert doc["format_version"] == 3
 
         # Predictions at the training inputs (original units; the archive
-        # stores the scaled copy) reproduce the archived fitted values.
+        # stores the scaled copy) reproduce the archived fit's fitted values.
         out = tmp_path / "pred.csv"
         probes = tmp_path / "probes.csv"
         mins, ranges = doc["scaling"]["mins"][0], doc["scaling"]["ranges"][0]
@@ -141,7 +141,7 @@ class TestFitAndPredict:
         assert main(["predict", "--model", str(model), "--probes", str(probes), "--out", str(out)]) == 0
         _, header, rows = read_output(out)
         assert header == ["x", "mean", "sigma_s", "sigma_t", "sigma_f", "sigma_d", "lower", "upper"]
-        np.testing.assert_allclose(rows[:, 1], np.asarray(doc["fitted"]), atol=1e-10)
+        np.testing.assert_allclose(rows[:, 1], load_archive(str(model)).fitted, atol=1e-10)
         # Interval geometry survives the file round trip.
         np.testing.assert_allclose(rows[:, 4], np.hypot(rows[:, 3], rows[:, 2]), rtol=1e-12)
         assert np.all(rows[:, 6] < rows[:, 1]) and np.all(rows[:, 1] < rows[:, 7])
@@ -155,6 +155,16 @@ class TestFitAndPredict:
         assert main(args + ["--model-out", str(m1)]) == 0
         assert main(args + ["--model-out", str(m2)]) == 0
         assert m1.read_text() == m2.read_text()
+
+    def test_fit_takes_leapfrog_but_no_target_accept(self, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        write_higdon(data, n=8)
+        args = ["fit", "--data", str(data), "--target", "y", "--eta", "1.5", "--noise", "0.05",
+                "--model-out", str(tmp_path / "m.json")]
+        assert main(args + ["--leapfrog", "8"]) == 0
+        capsys.readouterr()
+        assert main(args + ["--target-accept", "0.8"]) == 2
+        assert "no such option" in capsys.readouterr().err.lower()
 
     def test_seed_moves_only_the_trace(self, tmp_path):
         # The posterior is exact: the seed only chooses the --trace draws.
@@ -388,7 +398,7 @@ class TestExitCodes:
         assert code == 2
         assert "not a model archive" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("document", ["[]", '{"format_version": 2}'])
+    @pytest.mark.parametrize("document", ["[]", '{"format_version": 3}'])
     def test_json_that_is_not_an_archive_is_2(self, tmp_path, capsys, document):
         model = tmp_path / "m.json"
         model.write_text(document + "\n")
@@ -421,6 +431,17 @@ class TestExitCodes:
                      "--out", str(tmp_path / "o.csv")])
         assert code == 2
         assert "archive format 1" in capsys.readouterr().err
+
+    def test_version_2_archive_is_2(self, tmp_path, capsys, archive):
+        # Format 2 stored a pole's map as spline coefficients; it is not read any more.
+        model, doc = archive
+        doc.update(format_version=2)
+        model.write_text(json.dumps(doc))
+        capsys.readouterr()
+        code = main(["predict", "--model", str(model), "--grid", "0:1:5",
+                     "--out", str(tmp_path / "o.csv")])
+        assert code == 2
+        assert "archive format 2" in capsys.readouterr().err
 
     @pytest.mark.parametrize("corruption", ["bad base64", "byte count", "shape"])
     def test_corrupt_sigma_block_is_2(self, tmp_path, capsys, archive, corruption):

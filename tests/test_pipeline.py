@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import base64
 import dataclasses
 import json
 import math
@@ -16,7 +17,6 @@ from sipr.data import Dataset, higdon, higdon_truth, kfold, load_csv, rmse
 from sipr.errors import ArchiveVersionError, IOError_, KTooLarge, NumericalError, ValidationError
 from sipr.interpolate import solve_interpolation
 from sipr.pipeline import (
-    archive_dict,
     crossval,
     fit_dataset,
     fit_regression,
@@ -146,21 +146,39 @@ class TestFitIsScaledInternally:
 
 
 class TestArchives:
-    @pytest.mark.parametrize("noise", [0.08, "unknown", 0.0, "polynomial"])
-    def test_roundtrip_preserves_predictions(self, tmp_path, noise):
-        if noise == "polynomial":
+    @pytest.mark.parametrize(
+        "data, noise, regime",
+        [
+            pytest.param("higdon", 0.08, Regime.NORMAL, id="0.08"),
+            pytest.param("higdon-25", "unknown", Regime.NORMAL, id="unknown-normal"),
+            pytest.param("higdon", 0.0, Regime.INTERPOLATION_POLE, id="0.0"),
+            pytest.param("higdon", "unknown", Regime.INTERPOLATION_POLE, id="unknown"),  # chosen by the profile
+            pytest.param("polynomial", 0.08, Regime.NULLSPACE_POLE, id="polynomial-0.08"),
+            pytest.param("polynomial", "unknown", Regime.NULLSPACE_POLE, id="polynomial"),
+        ],
+    )
+    def test_roundtrip_preserves_predictions(self, tmp_path, data, noise, regime):
+        # Every regime archives its own map, and the loader reads it back as
+        # it is: the same H, h, Sigma and dof, so the same bands.
+        if data == "polynomial":
             X = np.linspace(0.0, 10.0, 9)[:, None]
             ds = Dataset(X=X, y=0.5 - 0.3 * X[:, 0], feature_names=("x",), target_name="y")
-            noise = "unknown"
         else:
-            ds = higdon(20, 0.08, seed=1)
+            ds = higdon(20, 0.08, seed=1) if data == "higdon" else higdon(25, 0.08, seed=3)
         fit = fit_dataset(ds, 1.5, noise=noise, config=QUICK)
+        assert fit.regime == regime
         path = tmp_path / "model.json"
         save_archive(fit, str(path))
         loaded = load_archive(str(path))
         assert loaded.regime == fit.regime
         assert loaded.eta.value == fit.eta.value
         assert loaded.feature_names == fit.feature_names
+        # -0.0 in basis_H reads back as 0.0 (its text is 0); h and Sigma keep every bit
+        assert loaded.basis.H.shape == fit.basis.H.shape and np.array_equal(loaded.basis.H, fit.basis.H)
+        assert loaded.h.shape == fit.h.shape and loaded.h.tobytes() == fit.h.tobytes()
+        assert loaded.Sigma.shape == fit.Sigma.shape and loaded.Sigma.tobytes() == fit.Sigma.tobytes()
+        assert loaded.dof == fit.dof
+        assert fit.dof == (math.inf if regime == Regime.NULLSPACE_POLE and noise == 0.08 else fit.n_points - 2)
         probes = np.linspace(-2.0, 12.0, 13)[:, None]
         b1 = fit.predict(probes)
         b2 = loaded.predict(probes)
@@ -173,7 +191,7 @@ class TestArchives:
         path = tmp_path / "model.json"
         save_archive(normal_fit, str(path))
         doc = json.loads(path.read_text())
-        assert doc["format_version"] == 2
+        assert doc["format_version"] == 3
         assert doc["regime"] == "normal"
         assert doc["eta"] == 1.5
         assert doc["sigma_y"]["mode"] == "known"
@@ -197,7 +215,7 @@ class TestArchives:
         path = tmp_path / "model.json"
         save_archive(normal_fit, str(path))
         text = path.read_text()
-        for key, value in archive_dict(normal_fit).items():
+        for key, value in json.loads(text).items():
             if key != "basis_H":
                 assert f"{json.dumps(key)}: {json.dumps(value)}" in text, key
 
@@ -206,7 +224,12 @@ class TestArchives:
         save_archive(normal_fit, str(path))
         text = path.read_text()
         assert "\n" not in text.rstrip("\n")
-        assert json.loads(text) == json.loads(json.dumps(archive_dict(normal_fit), indent=1))
+        doc = json.loads(text)
+        assert json.loads(json.dumps(doc, indent=1)) == doc
+        # the map, the posterior summary and the --trace draw plan; nothing no reader uses
+        assert list(doc) == ["format_version", "package_version", "eta", "regime", "feature_names", "target_name",
+                             "scaling", "X", "y", "basis_H", "h_hat", "Sigma_hat", "sigma_y", "config", "diagnostics"]
+        assert list(doc["config"]) == ["chains", "samples_per_chain", "burn_in", "seed"]
 
     @given(data=st.data())
     @settings(max_examples=40, deadline=None)
@@ -238,7 +261,8 @@ class TestArchives:
 
     def test_indented_archive_still_loads(self, tmp_path, normal_fit):
         path = tmp_path / "model.json"
-        path.write_text(json.dumps(archive_dict(normal_fit), indent=1) + "\n")
+        save_archive(normal_fit, str(path))
+        path.write_text(json.dumps(json.loads(path.read_text()), indent=1) + "\n")
         loaded = load_archive(str(path))
         probes = np.linspace(-2.0, 12.0, 13)[:, None]
         np.testing.assert_array_equal(loaded.predict(probes).mean, normal_fit.predict(probes).mean)
@@ -253,17 +277,26 @@ class TestArchives:
         with pytest.raises(ArchiveVersionError, match="999"):
             load_archive(str(path))
 
-    @pytest.mark.parametrize("key", ["a", "c"])
-    def test_pole_archive_with_a_wrong_spline_shape_is_rejected(self, tmp_path, key):
-        # A pole fit's linear map is read from its spline coefficients, so
-        # their shapes are checked against the archived points.
+    @pytest.mark.parametrize("key", ["basis_H", "h_hat", "Sigma_hat"])
+    @pytest.mark.parametrize("polynomial", [False, True], ids=["interpolation_pole", "nullspace_pole"])
+    def test_pole_archive_with_a_wrong_map_shape_is_rejected(self, tmp_path, key, polynomial):
+        # A pole stores its map as a normal fit does, with one kernel column
+        # (the interpolation pole) or none (the nullspace pole); every shape
+        # is checked against the archived points and the regime.
         X = np.linspace(0.0, 1.0, 8)[:, None]
-        fit = fit_regression(X, np.sin(3.0 * X[:, 0]), 1.5, noise=0.0)
-        doc = archive_dict(fit)
-        doc["spline"][key] = doc["spline"][key][:-1]
+        y = 1.0 + 2.0 * X[:, 0] if polynomial else np.sin(3.0 * X[:, 0])
         path = tmp_path / "model.json"
+        save_archive(fit_regression(X, y, 1.5, noise=0.0), str(path))
+        doc = json.loads(path.read_text())
+        if key == "basis_H":
+            doc[key] = [row + [0.5] for row in doc[key]]  # one kernel column too many
+        elif key == "h_hat":
+            doc[key] = doc[key][:-1]
+        else:
+            n = doc[key]["shape"][0] + 1
+            doc[key] = {"shape": [n, n], "f8le_base64": base64.b64encode(bytes(8 * n * n)).decode()}
         path.write_text(json.dumps(doc))
-        with pytest.raises(ArchiveVersionError, match="spline has shapes"):
+        with pytest.raises(ArchiveVersionError, match="not a model archive"):
             load_archive(str(path))
 
     def test_non_archive_file_rejected(self, tmp_path):

@@ -285,6 +285,6 @@ def test_crossval_folds_solve_no_border(monkeypatch):
     # Held-out predictions are the mean E h alone: no band, no border solve.
     counts = count_kernel_work(monkeypatch, border=True)
     for noise in (0.08, 0.0):
-        crossval(higdon(15, 0.08, seed=1), 1.5, noise=noise, k=3, config=QUICK)
+        crossval(higdon(15, 0.08, seed=1), 1.5, noise=noise, k=3)
     assert counts["border"] == 0
     assert counts["greens_matrix"] == counts["check_distinct"] == 6
