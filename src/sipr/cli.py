@@ -147,6 +147,11 @@ def cmd_fit(data_path, target, eta, noise, seed, chains, samples, burn_in, leapf
             f"gap to nullspace plateau {d['gap_nullspace_pole']:.4g} nats"
             + ("" if gap_i is None else f", to interpolation plateau {gap_i:.4g} nats")
         )
+        ranked = sorted(((m, r) for r, m in d["log_mass"].items() if m is not None), reverse=True)
+        if len(ranked) > 1:
+            click.echo(f"regime margin: {ranked[0][0] - ranked[1][0]:.4g} nats over {ranked[1][1]}")
+        else:
+            click.echo("regime margin: no other regime has mass")
     click.echo(f"wrote model archive to {out_path}")
 
 

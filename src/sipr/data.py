@@ -34,9 +34,6 @@ class FeatureScaling:
     def apply(self, X: np.ndarray) -> np.ndarray:
         return (np.atleast_2d(np.asarray(X, dtype=float)) - self.mins) / self.ranges
 
-    def invert(self, U: np.ndarray) -> np.ndarray:
-        return np.atleast_2d(np.asarray(U, dtype=float)) * self.ranges + self.mins
-
 
 @dataclass(frozen=True)
 class Dataset:

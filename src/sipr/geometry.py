@@ -3,10 +3,11 @@
 Everything downstream is built from two arrays computed here for a point set
 X (N x D) and a regularity exponent eta,
 
-    G[n, m] = ||x_n - x_m||^(2 eta)        (symmetric, zero diagonal)
-    M[v, n] = x_n^v                        (one row per multi-index |v| < eta)
+    G[n, m]   = ||x_n - x_m||^(2 eta)      (symmetric, zero diagonal)
+    M_u[v, n] = u_n^v                      (one row per multi-index |v| < eta)
 
-and the constant that turns the quadratic form a^T G a into a squared norm.
+with u = (x - shift) / s the points mapped into the unit box, and the
+constant that turns the quadratic form a^T G a into a squared norm.
 _Geometry holds them, and the factored kernel system they form, for one point
 set: the interpolant, its posterior, the orthonormal basis and the bands all
 read them from one instance.
@@ -54,10 +55,6 @@ class Regularity:
     @property
     def floor(self) -> int:
         return int(math.floor(self.value))
-
-    @property
-    def hurst(self) -> float:
-        return self.value - self.floor
 
 
 def as_regularity(eta) -> Regularity:
@@ -225,22 +222,23 @@ def unit_box_map(X) -> UnitBoxMap:
 class _Geometry:
     """The kernel system of one point set X at regularity eta, assembled once.
 
-    G and M are in the caller's units; building G rejects duplicate points.
-    Solves run in the unit box u = (x - shift) / s for conditioning: distances
-    shrink by s, so the saddle there is
+    G is in the caller's units; building G rejects duplicate points. The
+    polynomial part has one basis, the monomials M_u of the unit-box points
+    u = (x - shift) / s. Every solve, constraint check and band reads
+    polynomial coefficients c_u over M_u, so none of them depends on where
+    the inputs sit or on their scale, up to rounding. Distances shrink by s
+    in the unit box, so the saddle there is
 
-        K = [[G s^(-2 eta), M_u^T], [M_u, 0]],
+        K = [[G s^(-2 eta), M_u^T], [M_u, 0]].
 
-    with M_u the unit-box monomials, which span the same polynomials. K is
-    factored on first use and serves every solve and probe set of the point
-    set.
+    K is factored on first use and serves every solve and probe set of the
+    point set. caller_polynomial rewrites c_u over the caller's monomials.
     """
 
     def __init__(self, X, eta):
         self.eta = as_regularity(eta)
         self.X = as_points(X)
         self.G = greens_matrix(self.X, self.eta)
-        self.M = monomial_matrix(self.X, self.eta)
         self.box = unit_box_map(self.X)
         self.U = self.box.forward(self.X)
         self.M_u = monomial_matrix(self.U, self.eta)
@@ -255,7 +253,7 @@ class _Geometry:
 
     @property
     def n_null(self) -> int:
-        return self.M.shape[0]
+        return self.M_u.shape[0]
 
     @cached_property
     def saddle(self) -> SymmetricFactor:
@@ -272,9 +270,9 @@ class _Geometry:
         return P
 
     def probe_rows(self, probes) -> tuple[np.ndarray, np.ndarray]:
-        """Kernel rows g(p)[n] = ||p - x_n||^(2 eta), shape (P, N), and monomials m(p), shape (N0, P)."""
+        """Kernel rows g(p)[n] = ||p - x_n||^(2 eta), shape (P, N), and unit-box monomials m_u(p), (N0, P)."""
         P = self.as_probes(probes)
-        return pairwise_sq_dists(P, self.X) ** self.eta.value, monomial_matrix(P, self.eta)
+        return pairwise_sq_dists(P, self.X) ** self.eta.value, monomial_matrix(self.box.forward(P), self.eta)
 
     def border(self, probes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Unit-box probes Q, their columns B = [g(Q); m(Q)] bordering K, and W = K^-1 B."""
@@ -301,4 +299,19 @@ class _Geometry:
 
     def norm_sq(self, a) -> float:
         """Squared norm of the function with kernel coefficients a on these points."""
-        return eta_norm_sq(a, self.G, self.eta, self.dim, M=self.M)
+        return eta_norm_sq(a, self.G, self.eta, self.dim, M=self.M_u)
+
+    def caller_polynomial(self, c_u: np.ndarray) -> np.ndarray:
+        """Re-express sum_v c_u[v] ((x - shift) / s)^v over the caller's monomials x^v.
+
+        The substitution is affine, so the result lives on the same index set
+        (every sub-index of an admissible index is admissible).
+        """
+        indices, shift, scale = multi_indices(self.dim, self.eta), self.box.shift, self.box.scale
+        pos = {v: i for i, v in enumerate(indices)}
+        out = np.zeros_like(c_u)
+        for v, cv in zip(indices, c_u):  # expand prod_d (x_d - shift_d)^(v_d) term by term
+            for ks in product(*(range(vd + 1) for vd in v)):
+                binomials = (math.comb(vd, k) * (-shift[d]) ** (vd - k) for d, (vd, k) in enumerate(zip(v, ks)))
+                out[pos[ks]] += cv * scale ** -sum(v) * math.prod(binomials)
+        return out

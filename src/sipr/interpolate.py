@@ -2,15 +2,16 @@
 
 The interpolant through (X, y) is
 
-    f(x) = sum_n a_n ||x - x_n||^(2 eta) + sum_v c_v x^v,   M a = 0,
+    f(x) = sum_n a_n ||x - x_n||^(2 eta) + sum_v c_u[v] u(x)^v,   M_u a = 0,
 
-obtained from the saddle system [[G, M^T], [M, 0]] [a; c] = [y; 0]. Among all
-functions of finite norm that hit the data it minimizes the norm, and the
-posterior of the function value at any other point is a Student-t centered on
-it, and its values on any finite grid are jointly multivariate t. Solves run
-in unit-box coordinates for conditioning, from the one factorization of the
-saddle that the points' geometry holds; coefficients are mapped back, so
-everything reported here is in the caller's original units.
+with u(x) the unit-box map of the points' geometry, obtained from the saddle
+system [[G, M_u^T], [M_u, 0]] [a; c_u] = [y; 0]. Among all functions of finite
+norm that hit the data it minimizes the norm, and the posterior of the
+function value at any other point is a Student-t centered on it, and its
+values on any finite grid are jointly multivariate t. Solves run in unit-box
+coordinates for conditioning, from the one factorization of the saddle that
+the points' geometry holds; a is mapped back to the caller's units, and c
+reads the polynomial over the caller's monomials.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import product
 
 import numpy as np
 
@@ -29,7 +29,6 @@ from .geometry import (
     as_points,
     as_regularity,
     eta_norm_constant,
-    multi_indices,
     nullspace_dim,
     pairwise_sq_dists,
 )
@@ -37,34 +36,6 @@ from .geometry import (
 # An interpolant whose squared norm falls below this fraction of ||y||^2 is
 # treated as exactly polynomial data: the posterior collapses to a point mass.
 POLYNOMIAL_TOL = 1e-12
-
-
-def _rebase_polynomial(
-    c: np.ndarray, indices: list[tuple[int, ...]], shift: np.ndarray, scale: float
-) -> np.ndarray:
-    """Re-express sum_v c_v ((x - shift)/scale)^v over plain monomials x^v.
-
-    The substitution is affine, so the result lives on the same index set
-    (every sub-index of an admissible index is admissible).
-    """
-    pos = {v: i for i, v in enumerate(indices)}
-    out = np.zeros_like(c)
-    for v, cv in zip(indices, c):
-        if cv == 0.0:
-            continue
-        base = cv * scale ** (-sum(v))
-        # expand prod_d (x_d - u_d)^(v_d) term by term
-        per_dim = [
-            [(k, math.comb(vd, k) * (-shift[d]) ** (vd - k)) for k in range(vd + 1)]
-            for d, vd in enumerate(v)
-        ]
-        for combo in product(*per_dim):
-            target = tuple(k for k, _ in combo)
-            coeff = base
-            for _, w in combo:
-                coeff *= w
-            out[pos[target]] += coeff
-    return out
 
 
 def t_scale_and_sd(ratio: np.ndarray, dof: float) -> tuple[np.ndarray, np.ndarray]:
@@ -85,8 +56,13 @@ class InterpolationModel:
 
     geometry: _Geometry = field(repr=False)  # the points, eta and the factored saddle
     y: np.ndarray  # (N,) values
-    a: np.ndarray  # (N,) kernel coefficients, M a = 0
-    c: np.ndarray  # (N0,) polynomial coefficients over multi_indices(D, eta)
+    a: np.ndarray  # (N,) kernel coefficients, M_u a = 0
+    c_u: np.ndarray  # (N0,) polynomial coefficients over the unit-box monomials
+
+    @property
+    def c(self) -> np.ndarray:
+        """Polynomial coefficients over the caller's monomials x^v, v in multi_indices(D, eta)."""
+        return self.geometry.caller_polynomial(self.c_u)
 
     @property
     def X(self) -> np.ndarray:
@@ -110,7 +86,7 @@ class InterpolationModel:
         """Interpolant values at probe points, shape (P,)."""
         g, m = self.geometry.probe_rows(probes)
         # row by row, so a probe's value does not depend on the other probes
-        return np.einsum("pn,n->p", g, self.a) + np.einsum("vp,v->p", m, self.c)
+        return np.einsum("pn,n->p", g, self.a) + np.einsum("vp,v->p", m, self.c_u)
 
     __call__ = evaluate
 
@@ -200,11 +176,10 @@ def _checked_geometry(X, y, eta) -> tuple[_Geometry, np.ndarray]:
 def solve_interpolation(X, y, eta) -> InterpolationModel:
     """Fit the minimum-norm interpolant through (X, y)."""
     geometry, y = _checked_geometry(X, y, eta)
-    N, box, reg = geometry.n_points, geometry.box, geometry.eta
+    N = geometry.n_points
     sol = geometry.saddle.solve(np.concatenate([y, np.zeros(geometry.n_null)]))
-    a = sol[:N] * box.scale ** (-2.0 * reg.value)
-    c = _rebase_polynomial(sol[N:], multi_indices(geometry.dim, reg), box.shift, box.scale)
-    return InterpolationModel(geometry=geometry, y=y, a=a, c=c)
+    a = sol[:N] * geometry.box.scale ** (-2.0 * geometry.eta.value)
+    return InterpolationModel(geometry=geometry, y=y, a=a, c_u=sol[N:])
 
 
 # --- pointwise posterior --------------------------------------------------

@@ -12,11 +12,13 @@ that knows its regime:
 In every regime the fit is one linear map and a Gaussian over its
 coordinates, and predict.credible_band gives its bands (see RegressionFit).
 Fits can be serialized to a versioned JSON archive and reloaded for
-prediction. Format 3 stores that map in every regime under the same entries:
+prediction. Format 4 stores that map in every regime under the same entries:
 the kernel columns basis_H as JSON numbers with 17 significant digits (see
-_json_matrix), the coordinates h_hat, and their covariance Sigma_hat as one
-exact block of float64 bytes (see _block). The loader reads them back without
-a regime branch, so a reloaded model predicts bit-identically to the fresh fit.
+_json_matrix), the coordinates h_hat, whose polynomial block weighs the
+unit-box monomials of the archived X (the identity map for fit_dataset's
+min-max scaled inputs), and their covariance Sigma_hat as one exact block of
+float64 bytes (see _block). The loader reads them back without a regime
+branch, so a reloaded model predicts bit-identically to the fresh fit.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from .posterior import KnownNoise, UnknownNoise, build_density
 from .predict import CredibleBand, credible_band
 from .sampler import Regime, RegressionPosterior, SamplerConfig, run_mcmc
 
-ARCHIVE_VERSION = 3
+ARCHIVE_VERSION = 4
 
 
 @dataclass(eq=False)
@@ -48,16 +50,19 @@ class RegressionFit:
 
     Every regime is one linear map and a Gaussian over its coordinates: the
     basis holds the points' geometry and kernel columns H (N x k), h the
-    coordinates (kernel part, then polynomial part) and Sigma their
-    covariance; dof, the band's degrees of freedom, follows from the regime.
-    The function with coordinates h is read at probes P by
-    E(P) = [g(P) H, m(P)^T] (predict.credible_band). The archive stores H, h
-    and Sigma as they are, in every regime:
+    coordinates (kernel part, then the polynomial part c_u over the
+    geometry's unit-box monomials M_u) and Sigma their covariance; dof, the
+    band's degrees of freedom, follows from the regime. The function with
+    coordinates h is read at probes P by E(P) = [g(P) H, m_u(P)^T]
+    (predict.credible_band). The archive stores H, h and Sigma as they are, in
+    every regime:
 
-        regime              H                     h        Sigma                 dof
-        normal              the basis (N x Nh)    h_hat    Sigma_hat             N - N0
-        interpolation_pole  the interpolant's a   (1, c)   0                     N - N0
-        nullspace_pole      no columns (N x 0)    c        sigma_y^2 (M M^T)^+   inf if noise known, else N - N0
+        regime              H                     h         Sigma                    dof
+        normal              the basis (N x Nh)    h_hat     Sigma_hat                N - N0
+        interpolation_pole  the interpolant's a   (1, c_u)  0                        N - N0
+        nullspace_pole      no columns (N x 0)    c_u       sigma_y^2 (M_u M_u^T)^+  inf if noise known, else N - N0
+
+    mean_c reads the mean's polynomial over the caller's monomials.
     """
 
     regime: Regime
@@ -90,8 +95,8 @@ class RegressionFit:
 
     @property
     def mean_c(self) -> np.ndarray:
-        """Polynomial coefficients of the predictive mean."""
-        return self.basis.spline_coefficients(self.h)[1]
+        """Polynomial coefficients of the predictive mean over the monomials of X."""
+        return self.basis.geometry.caller_polynomial(self.basis.spline_coefficients(self.h)[1])
 
     @property
     def n_points(self) -> int:
@@ -124,37 +129,26 @@ class RegressionFit:
 
     @property
     def fitted(self) -> np.ndarray:
-        """Predictive mean at the training inputs (model space): G a + M^T c."""
-        a, c = self.basis.spline_coefficients(self.h)
-        return self.basis.geometry.G @ a + self.basis.geometry.M.T @ c
+        """Predictive mean at the training inputs (model space): G a + M_u^T c_u."""
+        a, c_u = self.basis.spline_coefficients(self.h)
+        return self.basis.geometry.G @ a + self.basis.geometry.M_u.T @ c_u
 
 
-def _regime_fit(regime, geometry, *, sigma_y, noise_known, a=None, c=None, basis=None, h_hat=None,
+def _regime_fit(regime, geometry, *, sigma_y, noise_known, a=None, c_u=None, basis=None, h_hat=None,
                 Sigma_hat=None, **fields) -> RegressionFit:
     """The fit of a regime from its arrays: the normal regime's basis, h_hat and
-    Sigma_hat, or a pole's spline coefficients (a, c); see RegressionFit."""
+    Sigma_hat, or a pole's spline coefficients (a, c_u); see RegressionFit."""
     N, N0 = geometry.n_points, geometry.n_null
     if regime == Regime.NORMAL:
         h, Sigma = h_hat, Sigma_hat
     elif regime == Regime.INTERPOLATION_POLE:
         basis = SubspaceBasis(geometry=geometry, H=a[:, None])
-        h, Sigma = np.concatenate([[1.0], c]), np.zeros((N0 + 1, N0 + 1))
+        h, Sigma = np.concatenate([[1.0], c_u]), np.zeros((N0 + 1, N0 + 1))
     else:
         basis = SubspaceBasis(geometry=geometry, H=np.zeros((N, 0)))
-        h, Sigma = c, sigma_y**2 * np.linalg.pinv(geometry.M @ geometry.M.T)
+        h, Sigma = c_u, sigma_y**2 * np.linalg.pinv(geometry.M_u @ geometry.M_u.T)
     return RegressionFit(regime=regime, basis=basis, h=h, Sigma=Sigma, sigma_y=sigma_y,
                          noise_known=noise_known, **fields)
-
-
-def _polynomial_fit(M, y) -> np.ndarray:
-    c, *_ = np.linalg.lstsq(M.T, y, rcond=None)
-    return c
-
-
-def _residual_sigma(M, y, c) -> float:
-    resid = y - M.T @ c
-    nu = max(y.shape[0] - M.shape[0], 1)
-    return float(np.sqrt(resid @ resid / nu))
 
 
 def fit_regression(X, y, eta, noise="unknown", config: SamplerConfig | None = None) -> RegressionFit:
@@ -182,15 +176,17 @@ def fit_regression(X, y, eta, noise="unknown", config: SamplerConfig | None = No
     common = dict(y=y, noise_known=known, config=config)
 
     def nullspace_pole(geometry, **extra) -> RegressionFit:
-        c = _polynomial_fit(geometry.M, y)
-        sigma = sigma_known if known else _residual_sigma(geometry.M, y, c)
-        return _regime_fit(Regime.NULLSPACE_POLE, geometry, c=c, sigma_y=sigma, **extra, **common)
+        # polynomial least squares; unknown noise takes the residual estimate
+        c_u, *_ = np.linalg.lstsq(geometry.M_u.T, y, rcond=None)
+        resid = y - geometry.M_u.T @ c_u
+        sigma = sigma_known if known else float(np.sqrt(resid @ resid / max(y.shape[0] - geometry.n_null, 1)))
+        return _regime_fit(Regime.NULLSPACE_POLE, geometry, c_u=c_u, sigma_y=sigma, **extra, **common)
 
     if known and sigma_known == 0.0:
         model = solve_interpolation(X, y, reg)
         if model.norm_sq <= POLYNOMIAL_TOL * float(y @ y):
             return nullspace_pole(model.geometry)  # exactly polynomial data
-        return _regime_fit(Regime.INTERPOLATION_POLE, model.geometry, a=model.a, c=model.c, sigma_y=0.0,
+        return _regime_fit(Regime.INTERPOLATION_POLE, model.geometry, a=model.a, c_u=model.c_u, sigma_y=0.0,
                            **common)
 
     # The basis and one eigendecomposition serve the interpolant and the
@@ -211,9 +207,9 @@ def fit_regression(X, y, eta, noise="unknown", config: SamplerConfig | None = No
     if posterior.regime == Regime.NULLSPACE_POLE:
         return nullspace_pole(geometry, **extra)
     sigma = sigma_known if known else posterior.sigma_y_median
-    a, c = basis.spline_coefficients(density.h_mu_star)
+    a, c_u = basis.spline_coefficients(density.h_mu_star)
     return _regime_fit(
-        posterior.regime, geometry, a=a, c=c, basis=basis, h_hat=posterior.h_hat,
+        posterior.regime, geometry, a=a, c_u=c_u, basis=basis, h_hat=posterior.h_hat,
         Sigma_hat=posterior.Sigma_hat, sigma_y=sigma, **extra, **common,
     )
 

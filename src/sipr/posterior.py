@@ -1,6 +1,6 @@
 """The regression posterior over subspace coordinates.
 
-With values E* h* at the datapoints, E* = [G H, M^T], and i.i.d. Gaussian
+With values E* h* at the datapoints, E* = [G H, M_u^T], and i.i.d. Gaussian
 noise of sd sigma, the unnormalized log posterior over the state h* (plus
 log sigma when the noise level is unknown) is
 
@@ -31,8 +31,6 @@ import numpy as np
 from ._linalg import RCOND_MIN
 from .basis import SubspaceBasis
 from .errors import DimensionMismatch, DomainError, NoConvergence, PoleCollapse, SingularSystem
-from .geometry import multi_indices
-from .interpolate import _rebase_polynomial
 
 __all__ = [
     "KnownNoise",
@@ -120,9 +118,8 @@ def _pencil(basis: SubspaceBasis, y: np.ndarray, sigma: float) -> _Pencil:
     With the thin QR M_u^T = Q1 R of the unit-box monomials and A = G H, the
     misfit's Schur complement on the kernel block is S = A^T A - F^T F, F =
     Q1^T A, and one eigh S = U diag(e) U^T gives t = (U^T h, (R c_u + F h) /
-    sigma), where c_u is the polynomial block in unit-box monomials (c = B c_u,
-    B from _rebase_polynomial). Then E* T = [(I - Q1 Q1^T) A U, sigma Q1] has
-    orthogonal columns, so s = (e / sigma^2, 1). The interpolant's t_mu
+    sigma), where c_u is the polynomial block h*[Nh:]. Then E* T = [(I - Q1
+    Q1^T) A U, sigma Q1] has orthogonal columns, so s = (e / sigma^2, 1). The interpolant's t_mu
     solves E* T t = y by the semi-normal equations, which lose accuracy by
     squaring the condition number; refinement on the residual recovers it
     (Bjorck 1987). Against an SVD solve, ||h_mu||^2 is off by 5.5e-11 after
@@ -140,9 +137,7 @@ def _pencil(basis: SubspaceBasis, y: np.ndarray, sigma: float) -> _Pencil:
     e, U = np.linalg.eigh(S)
     if not e[0] > RCOND_MIN * e[-1]:
         raise SingularSystem(f"misfit too ill-conditioned to diagonalise (eigenvalues {e[0]:.3e} to {e[-1]:.3e})")
-    indices, box = multi_indices(geometry.dim, geometry.eta), geometry.box
-    B = np.column_stack([_rebase_polynomial(col, indices, box.shift, box.scale) for col in np.eye(geometry.n_null)])
-    W = B @ np.linalg.inv(R)
+    W = np.linalg.inv(R)
     T = np.zeros((basis.n_points, basis.n_points))
     T[:Nh, :Nh] = U
     T[Nh:, :Nh] = -W @ (F @ U)
@@ -157,16 +152,17 @@ def _pencil(basis: SubspaceBasis, y: np.ndarray, sigma: float) -> _Pencil:
         h = U @ t_mu[:Nh]
         t_mu += semi_normal(y - A @ h - Q1 @ (sigma * t_mu[Nh:] - F @ h))
     return _Pencil(T=T, s=np.concatenate([e / sigma**2, np.ones(geometry.n_null)]), t_mu=t_mu,
-                   poly_rows=np.hstack([F, np.linalg.inv(W)]) / sigma)
+                   poly_rows=np.hstack([F, R]) / sigma)
 
 
 @dataclass(eq=False)
 class PosteriorDensity:
     """Differentiable unnormalized log posterior in subspace coordinates.
 
-    State layout: the first n_points entries are h*; unknown-noise mode
-    appends log sigma_y as the last entry. The pencil holds the misfit at the
-    known sd, or at unit sd when the noise is unknown.
+    State layout: the first n_points entries are h* = (h, c_u), c_u the
+    polynomial block over the geometry's unit-box monomials; unknown-noise
+    mode appends log sigma_y as the last entry. The pencil holds the misfit
+    at the known sd, or at unit sd when the noise is unknown.
     """
 
     pencil: _Pencil

@@ -4,7 +4,7 @@ A fit is a linear map and a Gaussian over its coordinates: on its points'
 geometry, with kernel columns H (N x k), the function with coordinates h is
 read at probes by
 
-    E(P) = [g(P) H, m(P)^T],
+    E(P) = [g(P) H, m_u(P)^T],   m_u the monomials of P in the unit box of the points,
 
 and the fit holds its coordinates h, their covariance Sigma and the band dof.
 The regimes differ only in these arrays (see RegressionFit). The predictive

@@ -547,7 +547,7 @@ class _ScaleMixture:
         return xs, fs, Q, w / total if total > 0.0 else w, log_mass
 
     def solve(self):
-        """The regime and the nodes of its posterior (see nodes)."""
+        """The regime and the nodes of its posterior (see nodes); keeps every regime's log-mass in log_masses."""
         x = self.grid()
         f, _ = self.profile(x)
         k = int(np.argmax(f))
@@ -557,6 +557,7 @@ class _ScaleMixture:
             Regime.NULLSPACE_POLE: self.plateaus[0] + math.log(math.log(1.0 / NULLSPACE_POLE_TOL)),
             Regime.INTERPOLATION_POLE: self.plateaus[1] + math.log(math.log(1.0 / INTERPOLATION_POLE_TOL)),
         }
+        self.log_masses = masses
         regime = max(masses, key=masses.get)
         return regime, basin if regime is Regime.NORMAL else self.nodes(x, f, k, (-math.inf, -math.inf))
 
@@ -631,6 +632,8 @@ class _ScaleMixture:
             "peak": float(xs[np.argmax(fs)]),
             "gap_nullspace_pole": float(top - self.plateaus[0]),
             "gap_interpolation_pole": None if self.known else float(top - self.plateaus[1]),
+            # null for a regime without mass (-inf is not JSON)
+            "log_mass": {r.value: float(m) if math.isfinite(m) else None for r, m in self.log_masses.items()},
         }
         quantiles = None if self.known else self.sigma_quantiles(Q, w)
         if quantiles is not None and regime is Regime.INTERPOLATION_POLE:

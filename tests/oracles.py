@@ -287,14 +287,14 @@ class DenseDensity(PosteriorDensity):
 
 
 def dense_density(basis: SubspaceBasis, y, noise) -> DenseDensity:
-    """build_density's density, plus E* = [G H, M^T] and E*^T E* as dense matrices.
+    """build_density's density, plus E* = [G H, M_u^T] and E*^T E* as dense matrices.
 
     G H is formed as (H^T G)^T, the order in which the library computes the
     basis's kernel block: the two products differ at rounding level, which
     the conditioning of E* amplifies to about 1e-9 of the solution at N = 400.
     """
     d = build_density(basis, y, noise)
-    E = np.hstack([(basis.H.T @ basis.geometry.G).T, basis.geometry.M.T])
+    E = np.hstack([(basis.H.T @ basis.geometry.G).T, basis.geometry.M_u.T])
     return DenseDensity(pencil=d.pencil, noise=d.noise, Estar=E, quad=E.T @ E)
 
 

@@ -13,7 +13,7 @@ from sipr.basis import (
     evaluation_matrix,
 )
 from sipr.errors import DimensionMismatch, SingularSystem, TooFewPoints
-from sipr.geometry import _Geometry, eta_norm_constant
+from sipr.geometry import _Geometry, eta_norm_constant, monomial_matrix
 from sipr.interpolate import solve_interpolation
 from sipr.posterior import KnownNoise, build_density
 from tests.conftest import random_dataset
@@ -30,7 +30,7 @@ def test_orthonormality_and_constraints(n, dim, eta):
     gram = C * (H.T @ basis.geometry.G @ H)
     np.testing.assert_allclose(gram, np.eye(basis.n_basis), atol=1e-8)
     # Every column satisfies the growth-rate constraint.
-    assert np.abs(basis.geometry.M @ H).max() < 1e-8
+    assert np.abs(monomial_matrix(basis.X, eta) @ H).max() < 1e-8
 
 
 @pytest.mark.parametrize("n,dim", [(10, 1), (14, 1), (20, 2), (30, 3)])
@@ -140,7 +140,7 @@ def test_spline_coefficients_satisfy_constraint():
     a, c = basis.spline_coefficients(build_density(basis, y, KnownNoise(0.1)).h_mu_star)
     assert a.shape == (16,)
     assert c.shape == (basis.n_null,)
-    assert np.abs(basis.geometry.M @ a).max() < 1e-8
+    assert np.abs(monomial_matrix(basis.X, 2.5) @ a).max() < 1e-8
 
 
 def test_wrong_number_of_values_is_a_validation_error():
@@ -153,7 +153,8 @@ def test_wrong_number_of_values_is_a_validation_error():
 def test_evaluation_matrix_shape_and_polynomial_block():
     X, _ = random_dataset(9, 2, seed=41)
     basis = build_orthonormal_basis(X, 1.5)
-    e = evaluation_matrix(basis, np.array([[0.3, 0.7]]))[0]
+    probe = np.array([[0.3, 0.7]])
+    e = evaluation_matrix(basis, probe)[0]
     assert e.shape == (9,)
-    # Last N0 entries are the probe's monomials 1, x0, x1.
-    np.testing.assert_allclose(e[-3:], [1.0, 0.3, 0.7], rtol=1e-14)
+    # Last N0 entries are the monomials 1, u0, u1 of the probe in the unit box.
+    np.testing.assert_allclose(e[-3:], monomial_matrix(basis.geometry.box.forward(probe), 1.5)[:, 0], rtol=1e-14)

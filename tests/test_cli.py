@@ -129,7 +129,7 @@ class TestFitAndPredict:
         assert "sigma_y (known): 0.05" in msg
         assert "posterior: 128 nodes in log_tau, peak at " in msg and "gap to nullspace plateau " in msg
         doc = json.loads(model.read_text())
-        assert doc["format_version"] == 3
+        assert doc["format_version"] == 4
 
         # Predictions at the training inputs (original units; the archive
         # stores the scaled copy) reproduce the archived fit's fitted values.
@@ -145,6 +145,27 @@ class TestFitAndPredict:
         # Interval geometry survives the file round trip.
         np.testing.assert_allclose(rows[:, 4], np.hypot(rows[:, 3], rows[:, 2]), rtol=1e-12)
         assert np.all(rows[:, 6] < rows[:, 1]) and np.all(rows[:, 1] < rows[:, 7])
+
+    @pytest.mark.parametrize("noise", ["unknown", "0.05"])
+    def test_fit_prints_the_regime_margin(self, tmp_path, capsys, noise):
+        # Every regime's log-mass is archived (null without mass); fit prints
+        # the chosen regime's lead over the runner-up.
+        data = tmp_path / "d.csv"
+        write_higdon(data, n=30, sigma=0.2, seed=4)
+        model = tmp_path / "m.json"
+        assert main(["fit", "--data", str(data), "--target", "y", "--eta", "1.5", "--noise", noise,
+                     "--model-out", str(model)]) == 0
+        line = next(ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("regime margin: "))
+        doc = json.loads(model.read_text())
+        masses = doc["diagnostics"]["log_mass"]
+        assert set(masses) == {"normal", "nullspace_pole", "interpolation_pole"}
+        assert (masses["interpolation_pole"] is None) == (noise != "unknown")
+        others = {r: m for r, m in masses.items() if r != doc["regime"] and m is not None}
+        runner_up = max(others, key=others.get)
+        margin, name = line.removeprefix("regime margin: ").split(" nats over ")
+        assert name == runner_up
+        assert float(margin) >= 0.0
+        assert float(margin) == pytest.approx(masses[doc["regime"]] - others[runner_up], rel=1e-3)
 
     def test_fit_is_deterministic(self, tmp_path):
         data = tmp_path / "d.csv"
@@ -359,6 +380,18 @@ class TestExitCodes:
         assert code == 3
         assert "numerical failure" in capsys.readouterr().err
 
+    def test_ill_conditioned_basis_is_3_and_names_eta(self, tmp_path, capsys):
+        # Evenly spread points, none close together: at eta = 2.5 and N = 200
+        # the kernel system itself is too ill-conditioned for the basis gate.
+        data = tmp_path / "d.csv"
+        x = np.linspace(0.0, 1.0, 200)
+        write_csv(data, x, np.sin(6.0 * x))
+        code = main(["fit", "--data", str(data), "--target", "y", "--eta", "2.5", "--noise", "0.1",
+                     "--model-out", str(tmp_path / "m.json")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "eta=2.5" in err and "N=200" in err and "condition estimate" in err
+
     def test_duplicate_points_are_2_at_every_entry_point(self, tmp_path, capsys):
         # The distinctness check runs once, where a point set's kernel
         # system is assembled; every way in still reaches it.
@@ -398,7 +431,7 @@ class TestExitCodes:
         assert code == 2
         assert "not a model archive" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("document", ["[]", '{"format_version": 3}'])
+    @pytest.mark.parametrize("document", ["[]", '{"format_version": 4}'])
     def test_json_that_is_not_an_archive_is_2(self, tmp_path, capsys, document):
         model = tmp_path / "m.json"
         model.write_text(document + "\n")
@@ -442,6 +475,18 @@ class TestExitCodes:
                      "--out", str(tmp_path / "o.csv")])
         assert code == 2
         assert "archive format 2" in capsys.readouterr().err
+
+    def test_version_3_archive_is_2(self, tmp_path, capsys, archive):
+        # Format 3 stored a raw-input fit's polynomial block over the caller's
+        # monomials, not the unit box's; it is not read any more.
+        model, doc = archive
+        doc.update(format_version=3)
+        model.write_text(json.dumps(doc))
+        capsys.readouterr()
+        code = main(["predict", "--model", str(model), "--grid", "0:1:5",
+                     "--out", str(tmp_path / "o.csv")])
+        assert code == 2
+        assert "archive format 3" in capsys.readouterr().err
 
     @pytest.mark.parametrize("corruption", ["bad base64", "byte count", "shape"])
     def test_corrupt_sigma_block_is_2(self, tmp_path, capsys, archive, corruption):

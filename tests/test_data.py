@@ -98,15 +98,6 @@ class TestMinmaxScale:
         np.testing.assert_allclose(ds.scaling.mins, [2.0])
         np.testing.assert_allclose(ds.scaling.ranges, [4.0])
 
-    def test_inverse_recovers_original(self):
-        gen = np.random.default_rng(0)
-        ds = higdon(20, 0.1)
-        scaled = minmax_scale(ds)
-        back = scaled.scaling.invert(scaled.X)
-        np.testing.assert_allclose(back, ds.X, rtol=1e-12, atol=1e-12)
-        probe = gen.uniform(-5, 15, size=(4, 1))
-        np.testing.assert_allclose(scaled.scaling.invert(scaled.scaling.apply(probe)), probe, rtol=1e-12)
-
     def test_constant_feature_rejected(self, tmp_path):
         p = tmp_path / "d.csv"
         p.write_text("a,b,y\n1,7,0\n2,7,0\n")

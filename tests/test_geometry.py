@@ -27,7 +27,6 @@ class TestRegularity:
         assert Regularity(1.5).value == 1.5
         assert Regularity(0.5).floor == 0
         assert Regularity(2.25).floor == 2
-        assert Regularity(2.25).hurst == pytest.approx(0.25)
 
     @pytest.mark.parametrize("bad", [1.0, 2.0, 3.0, 1.0000005, 2.0 - 1e-7])
     def test_rejects_integers_and_near_integers(self, bad):

@@ -191,7 +191,7 @@ class TestArchives:
         path = tmp_path / "model.json"
         save_archive(normal_fit, str(path))
         doc = json.loads(path.read_text())
-        assert doc["format_version"] == 3
+        assert doc["format_version"] == 4
         assert doc["regime"] == "normal"
         assert doc["eta"] == 1.5
         assert doc["sigma_y"]["mode"] == "known"
