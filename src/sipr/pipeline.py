@@ -249,7 +249,7 @@ def _unblock(doc: dict, shape: tuple[int, ...]) -> np.ndarray:
 
 def _json_matrix(x) -> list[str]:
     """The pieces of a JSON array of arrays of numbers holding a finite float matrix with at
-    least one row, exact to the bit (see _float_rows).
+    least one row, exact to the bit: each row is _float_rows' "%.17g" text.
 
     %.17g writes nan and inf, which are not JSON, so a non-finite entry is
     refused here rather than written into an archive that cannot be read.

@@ -3,8 +3,14 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
@@ -64,3 +70,103 @@ def test_leading_zeros_are_the_text_of_each_value():
     ])
     assert _float_rows(table) == [",".join("%.17g" % v for v in row) for row in table]
     assert _float_rows(np.zeros((3, 0))) == ["", "", ""]
+
+
+def percent_rows(table) -> list[str]:
+    """The reference text: one Python "%.17g" per value."""
+    return [",".join("%.17g" % v for v in row) for row in table]
+
+
+def bit_patterns():
+    # every sign, exponent and mantissa, including subnormals, inf and nan payloads
+    bits = np.random.default_rng(23).integers(0, 2**64, 10**6, dtype=np.uint64)
+    return bits.view(np.float64).reshape(-1, 100)
+
+
+def scaled_mantissas():
+    rng = np.random.default_rng(24)
+    exps = np.arange(-6, 19)
+    values = rng.uniform(1.0, 10.0, (exps.size, 400)) * 10.0 ** exps[:, None]
+    return np.vstack([values, -values])
+
+
+def short_decimals():
+    rng = np.random.default_rng(25)
+    decimals = rng.integers(0, 10**6, 4000) / 10.0 ** rng.integers(0, 7, 4000)
+    integers = rng.integers(0, 2**60, 4000, dtype=np.int64) >> rng.integers(0, 60, 4000)
+    return np.concatenate([decimals, integers.astype(float), np.arange(-500.0, 500.0)]).reshape(-1, 9)
+
+
+def powers_of_ten():
+    # the exponent of a value just below a power of ten comes from its exact
+    # product, not from its rounded digits: 9.9999999999999997e-305, not 1e-304
+    p = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    return np.stack([p, np.nextafter(p, 0.0), np.nextafter(p, np.inf), -p], axis=1)
+
+
+def powers_of_two():
+    normal = np.ldexp(1.0, np.arange(-1022, 1024))
+    subnormal = np.ldexp(1.0, np.arange(-1074, -1022))
+    smallest_normal = 2.2250738585072014e-308
+    edges = [5e-324, smallest_normal, np.nextafter(smallest_normal, 0.0), 1.7976931348623157e308]
+    odd = np.arange(1, 4001) * 5e-324  # the first 4000 subnormals
+    return np.concatenate([normal, -normal, subnormal, edges, odd]).reshape(-1, 4)
+
+
+def exact_ties():
+    # 18 significant digits ending in 5: %.17g rounds them half to even
+    return np.array([[1e15 + 0.25, 1e15 + 0.75, 1e14 + 0.125, 1e14 + 0.375],
+                     [-(1e15 + 0.75), -(1e14 + 0.375), 2.0**56 + 16.0, 2.0**57 + 32.0]])
+
+
+def signed_zeros_and_non_finite():
+    return np.array([[0.0, -0.0, math.nan, math.inf, -math.inf], [-math.inf, math.nan, -0.0, 0.0, 1.0]])
+
+
+def several_chunks():
+    # rows that span blocks, one row wider than a block, and a column that ends each row
+    rng = np.random.default_rng(26)
+    return [rng.standard_normal((1000, 102)), rng.standard_normal((3, 9000)), rng.standard_normal((9000, 1))]
+
+
+TABLES = {
+    "bit_patterns": lambda: [bit_patterns()],
+    "scaled_mantissas": lambda: [scaled_mantissas()],
+    "short_decimals": lambda: [short_decimals()],
+    "powers_of_ten": lambda: [powers_of_ten()],
+    "powers_of_two": lambda: [powers_of_two()],
+    "exact_ties": lambda: [exact_ties()],
+    "signed_zeros_and_non_finite": lambda: [signed_zeros_and_non_finite()],
+    "several_chunks": several_chunks,
+    "empty": lambda: [np.zeros((0, 4)), np.zeros((0, 0)), np.zeros((5, 0))],
+}
+
+
+@pytest.mark.parametrize("name", TABLES)
+def test_float_rows_write_the_percent_text_of_every_value(name):
+    for table in TABLES[name]():
+        assert _float_rows(table) == percent_rows(table)
+
+
+def test_float_rows_transient_memory_does_not_grow_with_the_table():
+    # the text is built one block of rows at a time, so the peak less the
+    # result is one bound at 1000 and at 8000 rows of trace draws
+    rng = np.random.default_rng(27)
+    _float_rows(np.ones((1, 1)))
+    for rows in (1000, 8000):
+        table = rng.standard_normal((rows, 102))
+        tracemalloc.start()
+        try:
+            text = _float_rows(table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        result = sys.getsizeof(text) + sum(map(sys.getsizeof, text))
+        assert peak - result < 2_000_000, rows
+
+
+def test_import_builds_no_float_table():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    code = "import sipr.cli, sipr._io as io; assert io._tables.cache_info().currsize == 0"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
