@@ -120,8 +120,12 @@ def cmd_fit(data_path, target, eta, noise, seed, chains, samples, burn_in, leapf
     reg = as_regularity(eta)
     ds = load_csv(data_path, target)
     cfg = SamplerConfig(chains=chains, samples_per_chain=samples, burn_in=burn_in, seed=seed,
-                        leapfrog_steps=leapfrog, trace_path=trace_path)
+                        leapfrog_steps=leapfrog)
     fit = fit_dataset(ds, reg, noise=_noise_value(noise), config=cfg)
+    post = fit.posterior
+    if trace_path is not None and post is not None:
+        header = [f"state_{i}" for i in range(post.samples.shape[1])] + ["log_posterior"]
+        _write_csv(trace_path, header, np.column_stack([post.samples, post.log_posteriors]))
     save_archive(fit, out_path)
 
     pole = fit.regime == Regime.NULLSPACE_POLE
@@ -137,7 +141,7 @@ def cmd_fit(data_path, target, eta, noise, seed, chains, samples, burn_in, leapf
             "polynomial coefficients: " + ", ".join(f"{v:.6g}" for v in fit.mean_c)
             + " (in the features min-max scaled to [0, 1])"
         )
-    if trace_path is not None and fit.posterior is None:
+    if trace_path is not None and post is None:
         click.echo(f"{fit.regime.value}: no posterior draws to trace; {trace_path} was not written", err=True)
     if fit.diagnostics_summary:
         d = fit.diagnostics_summary

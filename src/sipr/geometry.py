@@ -1,16 +1,17 @@
 """Kernel geometry: the radial basis, its polynomial nullspace, and the norm constant.
 
-Everything downstream is built from two arrays computed here for a point set
-X (N x D) and a regularity exponent eta,
+Everything downstream is built from two arrays of a point set X (N x D) at a
+regularity exponent eta,
 
     G[n, m]   = ||x_n - x_m||^(2 eta)      (symmetric, zero diagonal)
     M_u[v, n] = u_n^v                      (one row per multi-index |v| < eta)
 
 with u = (x - shift) / s the points mapped into the unit box, and the
 constant that turns the quadratic form a^T G a into a squared norm.
-_Geometry holds them, and the factored kernel system they form, for one point
-set: the interpolant, its posterior, the orthonormal basis and the bands all
-read them from one instance.
+_Geometry is their one owner: it maps a point set into the unit box, checks
+it for duplicates and assembles G and M_u, once, and holds them with the
+factored kernel system they form. The interpolant, its posterior, the
+orthonormal basis and the bands all read them from one instance.
 """
 
 from __future__ import annotations
@@ -126,30 +127,6 @@ def pairwise_sq_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return np.einsum("nmd,nmd->nm", diff, diff)
 
 
-def check_distinct(X: np.ndarray) -> None:
-    """Raise DuplicatePoints if two rows coincide within tolerance in unit-box coords."""
-    X = as_points(X)
-    span = unit_box_map(X)
-    U = span.forward(X)
-    d2 = pairwise_sq_dists(U, U)
-    np.fill_diagonal(d2, np.inf)
-    if d2.min() < DUPLICATE_TOL**2:
-        n, m = np.unravel_index(int(np.argmin(d2)), d2.shape)
-        raise DuplicatePoints(f"points {n} and {m} coincide within tolerance {DUPLICATE_TOL:g}")
-
-
-def greens_matrix(X, eta) -> np.ndarray:
-    """G[n, m] = ||x_n - x_m||^(2 eta) with an exactly zero diagonal."""
-    reg = as_regularity(eta)
-    X = as_points(X)
-    check_distinct(X)
-    d2 = pairwise_sq_dists(X, X)
-    np.fill_diagonal(d2, 0.0)
-    G = d2**reg.value
-    np.fill_diagonal(G, 0.0)
-    return G
-
-
 def monomial_matrix(X, eta) -> np.ndarray:
     """M[v, n] = x_n^v over the multi-indices with |v| < eta (N0 x N)."""
     X = as_points(X)
@@ -158,28 +135,6 @@ def monomial_matrix(X, eta) -> np.ndarray:
     for i, v in enumerate(idx):
         M[i] = np.prod(X ** np.asarray(v, dtype=float), axis=1)
     return M
-
-
-def eta_norm_sq(a, G, eta, dim: int, M=None) -> float:
-    """Squared norm of the function with kernel coefficients a on matrix G.
-
-    Requires the growth-rate constraint M a = 0; pass M to have it checked
-    (violations beyond 1e-6 raise ConstraintViolated, since the quadratic
-    form has no norm meaning off the constraint set).
-    """
-    reg = as_regularity(eta)
-    a = np.asarray(a, dtype=float).reshape(-1)
-    G = np.asarray(G, dtype=float)
-    if G.shape != (a.shape[0], a.shape[0]):
-        raise DimensionMismatch(f"G has shape {G.shape}, coefficients have length {a.shape[0]}")
-    if M is not None:
-        resid = np.abs(np.asarray(M) @ a)
-        scale = max(float(np.abs(a).max(initial=0.0)), 1.0)
-        if resid.size and resid.max() > 1e-6 * scale:
-            raise ConstraintViolated(
-                f"coefficients violate the growth-rate constraint (|M a| up to {resid.max():.3e})"
-            )
-    return eta_norm_constant(dim, reg) * float(a @ G @ a)
 
 
 # --- conditioning transform ----------------------------------------------
@@ -201,33 +156,20 @@ class UnitBoxMap:
         return (np.atleast_2d(X) - self.shift) / self.scale
 
 
-def unit_box_map(X) -> UnitBoxMap:
-    """Translate to the feature minima and divide by the largest feature range.
-
-    Degenerate spreads (all points equal in every feature) fall back to
-    scale 1 so the map stays invertible; duplicate detection rejects that
-    case later anyway.
-    """
-    X = as_points(X)
-    lo = X.min(axis=0)
-    span = float((X.max(axis=0) - lo).max())
-    if not np.isfinite(span) or span <= 0.0:
-        span = 1.0
-    return UnitBoxMap(shift=lo, scale=span)
-
-
 # --- one point set --------------------------------------------------------
 
 
 class _Geometry:
     """The kernel system of one point set X at regularity eta, assembled once.
 
-    G is in the caller's units; building G rejects duplicate points. The
-    polynomial part has one basis, the monomials M_u of the unit-box points
-    u = (x - shift) / s. Every solve, constraint check and band reads
-    polynomial coefficients c_u over M_u, so none of them depends on where
-    the inputs sit or on their scale, up to rounding. Distances shrink by s
-    in the unit box, so the saddle there is
+    Building it maps X into the unit box, computes the N x N squared
+    distances once, rejects points that coincide within DUPLICATE_TOL in the
+    unit box, and raises the distances to eta for G, which is in the
+    caller's units. The polynomial part has one basis, the monomials M_u of
+    the unit-box points u = (x - shift) / s. Every solve, constraint check
+    and band reads polynomial coefficients c_u over M_u, so none of them
+    depends on where the inputs sit or on their scale, up to rounding.
+    Distances shrink by s in the unit box, so the saddle there is
 
         K = [[G s^(-2 eta), M_u^T], [M_u, 0]].
 
@@ -237,10 +179,20 @@ class _Geometry:
 
     def __init__(self, X, eta):
         self.eta = as_regularity(eta)
-        self.X = as_points(X)
-        self.G = greens_matrix(self.X, self.eta)
-        self.box = unit_box_map(self.X)
-        self.U = self.box.forward(self.X)
+        self.X = X = as_points(X)
+        # the widest feature range; scale 1 if every point is the same, which
+        # the duplicate check then rejects
+        lo = X.min(axis=0)
+        scale = float((X.max(axis=0) - lo).max())
+        self.box = UnitBoxMap(shift=lo, scale=scale if np.isfinite(scale) and scale > 0.0 else 1.0)
+        self.U = self.box.forward(X)
+        d2 = pairwise_sq_dists(X, X)
+        np.fill_diagonal(d2, np.inf)
+        if d2.min() / self.box.scale**2 < DUPLICATE_TOL**2:
+            n, m = np.unravel_index(int(np.argmin(d2)), d2.shape)
+            raise DuplicatePoints(f"points {n} and {m} coincide within tolerance {DUPLICATE_TOL:g}")
+        self.G = d2**self.eta.value
+        np.fill_diagonal(self.G, 0.0)
         self.M_u = monomial_matrix(self.U, self.eta)
 
     @property
@@ -298,8 +250,18 @@ class _Geometry:
         return np.where(s > floor, s * self.box.scale ** (2.0 * self.eta.value) / abs(C), 0.0)
 
     def norm_sq(self, a) -> float:
-        """Squared norm of the function with kernel coefficients a on these points."""
-        return eta_norm_sq(a, self.G, self.eta, self.dim, M=self.M_u)
+        """Squared norm C a^T G a of the function with kernel coefficients a on these points.
+
+        The quadratic form is a norm only on the growth-rate constraint
+        M_u a = 0; a violation beyond 1e-6 raises ConstraintViolated.
+        """
+        a = np.asarray(a, dtype=float).reshape(-1)
+        resid = np.abs(self.M_u @ a)
+        if resid.max() > 1e-6 * max(float(np.abs(a).max(initial=0.0)), 1.0):
+            raise ConstraintViolated(
+                f"coefficients violate the growth-rate constraint (|M a| up to {resid.max():.3e})"
+            )
+        return eta_norm_constant(self.dim, self.eta) * float(a @ self.G @ a)
 
     def caller_polynomial(self, c_u: np.ndarray) -> np.ndarray:
         """Re-express sum_v c_u[v] ((x - shift) / s)^v over the caller's monomials x^v.

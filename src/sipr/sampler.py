@@ -30,7 +30,6 @@ import numpy as np
 from scipy.linalg import solve_triangular
 from scipy.special import gammaincc, gammainccinv
 
-from ._io import _write_csv
 from .errors import DivergentChains, DomainError, PoleCollapse, TooFewPoints, TooFewSamples, ValidationError
 from .posterior import PosteriorDensity, _bisect
 
@@ -72,7 +71,6 @@ class SamplerConfig:
     seed: int = 0
     leapfrog_steps: int = 32
     target_accept: float = 0.8
-    trace_path: str | None = None
 
     def __post_init__(self):
         if self.chains < 1:
@@ -389,11 +387,6 @@ def _split_rhat(chains: list[np.ndarray]) -> float:
     return float(np.max(rhat))
 
 
-def _write_trace(path: str, samples: np.ndarray, log_posts: np.ndarray) -> None:
-    header = [f"state_{i}" for i in range(samples.shape[1])] + ["log_posterior"]
-    _write_csv(path, header, np.column_stack([samples, log_posts]))
-
-
 def run_mcmc(
     density,
     config: SamplerConfig,
@@ -435,8 +428,6 @@ def run_mcmc(
     if n_div > 0.5 * samples.shape[0]:
         raise DivergentChains(f"{n_div}/{samples.shape[0]} post-burn-in proposals diverged")
     h_hat, Sigma_hat = posterior_moments(samples)
-    if config.trace_path is not None:
-        _write_trace(config.trace_path, samples, kept_lp.reshape(-1))
     return RegressionPosterior(
         draw=lambda: (samples, kept_lp.reshape(-1), None),
         h_hat=h_hat,
@@ -621,7 +612,7 @@ class _ScaleMixture:
         return np.column_stack([h, log_sigma]), lp - self.n * log_sigma - 0.5 * q / sigma**2, sigma
 
     def posterior(self, config: SamplerConfig) -> RegressionPosterior:
-        """The exact posterior; its draws are made from config.seed when first read (or traced)."""
+        """The exact posterior; its draws are made from config.seed when first read."""
         regime, (xs, fs, Q, w, _) = self.solve()
         h_hat, Sigma_hat = self.moments(xs, Q, w)
         n_draws = config.chains * config.kept_per_chain
@@ -638,7 +629,7 @@ class _ScaleMixture:
         quantiles = None if self.known else self.sigma_quantiles(Q, w)
         if quantiles is not None and regime is Regime.INTERPOLATION_POLE:
             quantiles = (0.0, 0.0, 0.0)  # the exact posterior of sigma there is a point mass at 0
-        posterior = RegressionPosterior(
+        return RegressionPosterior(
             draw=lambda: self.draws(xs, Q, w, n_draws, np.random.default_rng(config.seed)),
             h_hat=h_hat,
             Sigma_hat=Sigma_hat,
@@ -653,6 +644,3 @@ class _ScaleMixture:
             config=config,
             sigma_y_quantiles=quantiles,
         )
-        if config.trace_path is not None:
-            _write_trace(config.trace_path, posterior.samples, posterior.log_posteriors)
-        return posterior

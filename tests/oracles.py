@@ -3,6 +3,9 @@
 They build their objects the slow, literal way, straight from the
 definitions, one dense solve per probe, per basis column or per iteration:
 
+* ``kernel_matrix`` and ``to_unit_box`` -- the kernel ||x_n - x_m||^(2 eta)
+  and the unit-box map written out in numpy, so no reference reuses the
+  geometry it is compared with.
 * ``test_function`` -- the minimum-norm function that is 1 at a probe and 0 at
   every datapoint, as the interpolant through the augmented point set. The
   library reads its squared norm off the power function instead.
@@ -65,10 +68,8 @@ from sipr.geometry import (
     as_points,
     as_regularity,
     eta_norm_constant,
-    greens_matrix,
     monomial_matrix,
     nullspace_dim,
-    unit_box_map,
 )
 from sipr.interpolate import InterpolationModel, pointwise_posterior, solve_interpolation
 from sipr import sampler
@@ -123,10 +124,24 @@ class TestFunction:
     __call__ = evaluate
 
 
+def kernel_matrix(A, eta) -> np.ndarray:
+    """||a_n - a_m||^(2 eta) between the rows of A, with a zero diagonal."""
+    A = as_points(A)
+    G = ((A[:, None, :] - A[None, :, :]) ** 2).sum(axis=2) ** as_regularity(eta).value
+    np.fill_diagonal(G, 0.0)
+    return G
+
+
+def to_unit_box(X, P=None) -> np.ndarray:
+    """P (default X) shifted by X's feature minima and divided by X's widest feature range (1 if none)."""
+    X = as_points(X)
+    lo = X.min(axis=0)
+    return ((X if P is None else as_points(P)) - lo) / ((X.max(axis=0) - lo).max() or 1.0)
+
+
 def _nearest_datapoint(X: np.ndarray, x_t: np.ndarray) -> tuple[int, float]:
     """Index and unit-box distance of the datapoint closest to x_t."""
-    box = unit_box_map(X)
-    du = box.forward(X) - box.forward(x_t[None, :])
+    du = to_unit_box(X) - to_unit_box(X, x_t[None, :])
     d = np.sqrt(np.einsum("nd,nd->n", du, du))
     n = int(np.argmin(d))
     return n, float(d[n])
@@ -172,7 +187,7 @@ def loop_orthonormal_basis(X, eta) -> SubspaceBasis:
     N0 = nullspace_dim(D, reg)
     if N < N0 + 1:
         raise TooFewPoints(f"need at least {N0 + 1} points, got {N}")
-    G = greens_matrix(X, reg)
+    G = kernel_matrix(X, reg)
     M = monomial_matrix(X, reg)
     C = eta_norm_constant(D, reg)
     Nh = N - N0

@@ -26,8 +26,8 @@ from scipy.spatial.distance import pdist
 from sipr.basis import build_orthonormal_basis
 from sipr.data import Dataset, higdon, higdon_truth, load_csv, rmse
 from sipr.geometry import (
+    _Geometry,
     eta_norm_constant,
-    greens_matrix,
     monomial_matrix,
     multi_indices,
     nullspace_dim,
@@ -149,7 +149,7 @@ def test_criterion_4_eta_norm_consistency(report):
         # (-1)^ceil(eta) a^T G a > 0 on the constraint surface M a = 0
         for dim, eta in [(1, 0.5), (2, 1.5), (3, 2.5)]:
             X = rng.uniform(0.0, 1.0, (30, dim))
-            G = greens_matrix(X, eta)
+            G = _Geometry(X, eta).G
             M = monomial_matrix(X, eta)
             proj = np.eye(30) - M.T @ np.linalg.solve(M @ M.T, M)
             sign = (-1) ** math.ceil(eta)

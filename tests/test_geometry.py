@@ -9,16 +9,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sipr.errors import DimensionMismatch, DuplicatePoints, IntegerEta
+from sipr import geometry
+from sipr.errors import ConstraintViolated, DimensionMismatch, DuplicatePoints, IntegerEta
 from sipr.geometry import (
     Regularity,
-    check_distinct,
+    _Geometry,
     eta_norm_constant,
-    greens_matrix,
     monomial_matrix,
     multi_indices,
     nullspace_dim,
-    unit_box_map,
+    pairwise_sq_dists,
 )
 
 
@@ -98,7 +98,7 @@ class TestNormConstant:
 class TestGreensMatrix:
     def test_values_and_zero_diagonal(self):
         X = np.array([[0.0], [1.0], [3.0]])
-        G = greens_matrix(X, 1.5)
+        G = _Geometry(X, 1.5).G
         assert np.array_equal(np.diag(G), np.zeros(3))
         assert G[0, 1] == pytest.approx(1.0)
         assert G[0, 2] == pytest.approx(3.0**3)
@@ -108,15 +108,51 @@ class TestGreensMatrix:
     def test_duplicate_points_rejected(self):
         X = np.array([[0.0, 0.0], [1.0, 2.0], [1.0, 2.0]])
         with pytest.raises(DuplicatePoints, match="1 and 2"):
-            greens_matrix(X, 1.5)
+            _Geometry(X, 1.5)
 
     def test_near_duplicates_relative_to_span(self):
         # The duplicate test runs in unit-box coordinates, so "coincide" is
         # relative to the data spread, not absolute.
         with pytest.raises(DuplicatePoints):
-            check_distinct(np.array([[0.0], [1e-13], [1.0]]))
+            _Geometry(np.array([[0.0], [1e-13], [1.0]]), 1.5)
         # The same absolute gap is fine when it IS the data spread.
-        check_distinct(np.array([[0.0], [1e-13]]))
+        _Geometry(np.array([[0.0], [1e-13]]), 1.5)
+
+    @pytest.mark.parametrize("dim, eta", [(1, 1.5), (1, 2.5), (2, 0.5), (2, 1.5)])
+    def test_is_the_kernel_of_the_pairwise_distances_bit_for_bit(self, dim, eta):
+        X = np.random.default_rng(dim).uniform(-3.0, 40.0, size=(30, dim))
+        want = pairwise_sq_dists(X, X) ** eta
+        np.fill_diagonal(want, 0.0)
+        np.testing.assert_array_equal(_Geometry(X, eta).G.view(np.int64), want.view(np.int64))
+
+    def test_distances_are_computed_once(self, monkeypatch):
+        # The duplicate check and G read one matrix of squared distances.
+        calls = []
+
+        def counted(A, B):
+            calls.append((A, B))
+            return pairwise_sq_dists(A, B)
+
+        monkeypatch.setattr(geometry, "pairwise_sq_dists", counted)
+        X = np.random.default_rng(5).uniform(size=(12, 2))
+        g = _Geometry(X, 1.5)
+        assert len(calls) == 1
+        assert calls[0][0] is g.X and calls[0][1] is g.X
+
+
+def test_norm_rejects_coefficients_off_the_constraint():
+    # A linear trend is in the nullspace of eta = 1.5 in 2-D: coefficients
+    # that sum to 0 but have a nonzero first moment are not a norm's argument.
+    X = np.random.default_rng(6).uniform(size=(8, 2))
+    g = _Geometry(X, 1.5)
+    a = np.zeros(8)
+    a[0], a[1] = 1.0, -1.0
+    assert abs(g.M_u[0] @ a) == 0.0 and np.abs(g.M_u @ a).max() > 1e-3
+    with pytest.raises(ConstraintViolated):
+        g.norm_sq(a)
+    # projected onto the constraint, the same coefficients have a positive norm
+    a -= g.M_u.T @ np.linalg.solve(g.M_u @ g.M_u.T, g.M_u @ a)
+    assert g.norm_sq(a) > 0.0
 
 
 def test_monomial_matrix_rows_are_monomials():
@@ -131,13 +167,13 @@ def test_monomial_matrix_rows_are_monomials():
 class TestUnitBoxMap:
     def test_forward_lands_in_unit_box(self):
         X = np.random.default_rng(8).normal(size=(50, 2)) * [100.0, 0.01]
-        U = unit_box_map(X).forward(X)
+        U = _Geometry(X, 1.5).box.forward(X)
         assert U.min() >= 0.0
         assert U.max() <= 1.0 + 1e-12
 
     def test_isotropic_single_scale(self):
         # One scalar scale for all features: the widest range.
         X = np.array([[0.0, 0.0], [10.0, 1.0]])
-        box = unit_box_map(X)
+        box = _Geometry(X, 1.5).box
         assert box.scale == 10.0
         np.testing.assert_allclose(box.forward(X)[1], [1.0, 0.1])

@@ -18,11 +18,8 @@ from sipr.errors import (
 from sipr.geometry import (
     _Geometry,
     eta_norm_constant,
-    eta_norm_sq,
-    greens_matrix,
     monomial_matrix,
     nullspace_dim,
-    unit_box_map,
 )
 from sipr.interpolate import (
     POLYNOMIAL_TOL,
@@ -101,10 +98,10 @@ class TestNorm:
     def test_matches_quadratic_form(self):
         X, y = random_dataset(10, 1, seed=2)
         model = solve_interpolation(X, y, 1.5)
-        G = greens_matrix(X, 1.5)
+        G = oracles.kernel_matrix(X, 1.5)
         C = eta_norm_constant(1, 1.5)
         expected = C * float(model.a @ G @ model.a)
-        assert eta_norm_sq(model.a, G, 1.5, 1) == pytest.approx(expected, rel=1e-12)
+        assert _Geometry(X, 1.5).norm_sq(model.a) == pytest.approx(expected, rel=1e-12)
         assert model.norm_sq == pytest.approx(expected, rel=1e-9)
 
     def test_positive_for_nonpolynomial_data(self):
@@ -114,11 +111,9 @@ class TestNorm:
 
     def test_constraint_checked_when_m_given(self):
         X = np.linspace(0.0, 1.0, 5)[:, None]
-        G = greens_matrix(X, 1.5)
-        M = monomial_matrix(X, 1.5)
         a = np.ones(5)  # sum a != 0 violates the degree-0 constraint
         with pytest.raises(ConstraintViolated):
-            eta_norm_sq(a, G, 1.5, 1, M=M)
+            _Geometry(X, 1.5).norm_sq(a)
 
     def test_interpolant_minimizes_norm(self):
         # Any other function through the same data has a larger norm. Build
@@ -343,8 +338,8 @@ def test_saddle_layout():
     # against that matrix times v gives v back.
     X = np.random.default_rng(3).uniform(size=(5, 2)) * [40.0, 7.0] - 3.0
     geometry = _Geometry(X, 1.5)
-    U = unit_box_map(X).forward(X)
-    G, M = greens_matrix(U, 1.5), monomial_matrix(U, 1.5)
+    U = oracles.to_unit_box(X)
+    G, M = oracles.kernel_matrix(U, 1.5), monomial_matrix(U, 1.5)
     N, N0 = G.shape[0], M.shape[0]
     np.testing.assert_allclose(geometry.G * geometry.box.scale**-3.0, G, rtol=1e-12)
     np.testing.assert_array_equal(geometry.M_u, M)

@@ -56,9 +56,10 @@ def test_csv_writes_seventeen_significant_digits(tmp_path):
 
 
 def test_leading_zeros_are_the_text_of_each_value():
-    # A row's leading +0.0 run is written without formatting; the text is the
-    # same as one "%.17g" per value: on a staircase, after a -0.0 lead, on an
-    # all-zero row and around interior zeros.
+    # Zeros, a row's leading +0.0 run among them, go through the same kernel
+    # as every other value; the text is the same as one "%.17g" per value: on
+    # a staircase, after a -0.0 lead, on an all-zero row and around interior
+    # zeros.
     staircase = np.triu(np.random.default_rng(3).standard_normal((6, 6)))
     table = np.vstack([
         staircase[::-1],

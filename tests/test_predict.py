@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 import math
-import sys
 from collections import Counter
 
 import numpy as np
@@ -176,7 +175,7 @@ def test_t_quantile_is_scipy_stats_bit_for_bit(dof):
 
 
 def count_kernel_work(monkeypatch, border: bool = False) -> Counter:
-    """Count Green's matrices, distinctness checks, saddle factorizations and, optionally, borders."""
+    """Count kernel systems assembled (_Geometry), saddle factorizations and, optionally, borders."""
     counts = Counter()
 
     def counted(name, fn):
@@ -186,10 +185,7 @@ def count_kernel_work(monkeypatch, border: bool = False) -> Counter:
 
         return wrapper
 
-    for module in [m for n, m in list(sys.modules.items()) if n == "sipr" or n.startswith("sipr.")]:
-        for name in ("greens_matrix", "check_distinct"):
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    monkeypatch.setattr(_Geometry, "__init__", counted("_Geometry", _Geometry.__init__))
     monkeypatch.setattr(SymmetricFactor, "__init__", counted("SymmetricFactor", SymmetricFactor.__init__))
     if border:
         monkeypatch.setattr(_Geometry, "border", counted("border", _Geometry.border))
@@ -199,7 +195,8 @@ def count_kernel_work(monkeypatch, border: bool = False) -> Counter:
 @pytest.mark.parametrize("n_probes", [5, 50])
 def test_one_saddle_solve_per_probe_set(fit, monkeypatch, tmp_path, n_probes):
     # Each command assembles the kernel system of its point set once: one
-    # Green's matrix and one distinctness check. A regression fit factors no
+    # _Geometry, which maps the points, checks them for duplicates and builds
+    # G. A regression fit factors no
     # saddle (the LU of E* gives its interpolant); predict and interpolate
     # factor it once, which serves every probe and path however many there are.
     X, y, eta = fit.X, fit.y, 1.5
@@ -217,7 +214,7 @@ def test_one_saddle_solve_per_probe_set(fit, monkeypatch, tmp_path, n_probes):
         counts.clear()
         assert main(args) == 0
         saddles = {"SymmetricFactor": 1} if command != "fit" else {}
-        assert counts == {"greens_matrix": 1, "check_distinct": 1, **saddles}, command
+        assert counts == {"_Geometry": 1, **saddles}, command
         if command == "fit":
             assert json.loads(model.read_text())["regime"] == "normal"
 
@@ -230,7 +227,7 @@ def test_one_saddle_solve_per_probe_set(fit, monkeypatch, tmp_path, n_probes):
         fitted = fit_regression(X, y, eta, noise=noise, config=config)
         assert fitted.regime == (Regime.NORMAL if noise else Regime.INTERPOLATION_POLE)
         fitted.predict(probes)
-        assert counts == {"greens_matrix": 1, "check_distinct": 1, "SymmetricFactor": 1}, noise
+        assert counts == {"_Geometry": 1, "SymmetricFactor": 1}, noise
 
 
 def test_interpolate_paths_solve_the_probe_border_once(monkeypatch, tmp_path):
@@ -262,8 +259,8 @@ def test_interpolate_paths_solve_the_probe_border_once(monkeypatch, tmp_path):
     ],
 )
 def test_every_regime_assembles_its_geometry_once(monkeypatch, tmp_path, noise, polynomial, regime):
-    # Fresh or loaded, in every regime, a fit and its band assemble one Green's
-    # matrix, check distinctness once and factor the saddle at most once; a
+    # Fresh or loaded, in every regime, a fit and its band assemble one
+    # kernel system and factor the saddle at most once; a
     # nullspace-pole band has no t part, so it solves no border.
     X, y = random_dataset(12, 1, seed=7)
     if polynomial:
@@ -278,7 +275,7 @@ def test_every_regime_assembles_its_geometry_once(monkeypatch, tmp_path, noise, 
             fitted = load_archive(str(tmp_path / "m.json"))
         fitted.predict(PROBES)
         fitted.predict_mean(PROBES)
-        assert counts["greens_matrix"] == 1 and counts["check_distinct"] == 1, stage
+        assert counts["_Geometry"] == 1, stage
         assert counts["SymmetricFactor"] <= 1, stage
         assert counts["border"] == (0 if regime == Regime.NULLSPACE_POLE else 1), stage
 
@@ -289,4 +286,4 @@ def test_crossval_folds_solve_no_border(monkeypatch):
     for noise in (0.08, 0.0):
         crossval(higdon(15, 0.08, seed=1), 1.5, noise=noise, k=3)
     assert counts["border"] == 0
-    assert counts["greens_matrix"] == counts["check_distinct"] == 6
+    assert counts["_Geometry"] == 6

@@ -12,8 +12,10 @@ from scipy import stats
 
 from sipr import sampler
 from sipr.basis import SubspaceBasis, build_orthonormal_basis
-from sipr.data import higdon, minmax_scale
+from sipr.cli import main
+from sipr.data import higdon, load_csv, minmax_scale
 from sipr.errors import DivergentChains, TooFewSamples, ValidationError
+from sipr.pipeline import fit_dataset
 from sipr.posterior import KnownNoise, UnknownNoise, _map_coordinates, build_density
 from sipr.sampler import (
     Regime,
@@ -23,7 +25,7 @@ from sipr.sampler import (
     posterior_moments,
     run_mcmc,
 )
-from tests.conftest import random_dataset
+from tests.conftest import random_dataset, write_csv
 from tests.oracles import (
     _Diagonalised,
     _laplace_metric,
@@ -392,25 +394,39 @@ class TestRegressionRuns:
             run_mcmc(Explosive(), cfg, init=np.ones(2))
 
     def test_trace_file(self, tmp_path):
-        d = make_density()
-        path = tmp_path / "trace.csv"
-        cfg = SamplerConfig(chains=2, samples_per_chain=120, burn_in=20, seed=0, trace_path=str(path))
-        post = run_mcmc(d, cfg)
-        lines = path.read_text().strip().split("\n")
+        trace, post, n_states = fit_with_trace(tmp_path, "0.1", seed=0, samples=120)
+        lines = trace.read_text().strip().split("\n")
         header = lines[0].split(",")
-        assert header == [f"state_{i}" for i in range(d.n_points)] + ["log_posterior"]
+        assert header == [f"state_{i}" for i in range(n_states)] + ["log_posterior"]
         assert len(lines) - 1 == post.samples.shape[0]
         first = np.array([float(v) for v in lines[1].split(",")])
-        np.testing.assert_allclose(first[:-1], post.samples[0], rtol=1e-15)
-        np.testing.assert_allclose(first[-1], post.log_posteriors[0], rtol=1e-15)
+        np.testing.assert_array_equal(bits(first[:-1]), bits(post.samples[0]))
+        np.testing.assert_array_equal(bits(first[-1]), bits(post.log_posteriors[0]))
 
     def test_trace_file_parses_back_exactly(self, tmp_path):
-        path = tmp_path / "trace.csv"
-        cfg = SamplerConfig(chains=2, samples_per_chain=60, burn_in=20, seed=4, trace_path=str(path))
-        post = run_mcmc(make_density(), cfg)
-        rows = np.array([[float(v) for v in ln.split(",")] for ln in path.read_text().splitlines()[1:]])
-        np.testing.assert_array_equal(rows[:, :-1], post.samples)
-        np.testing.assert_array_equal(rows[:, -1], post.log_posteriors)
+        trace, post, _ = fit_with_trace(tmp_path, "unknown", seed=4, samples=60)
+        rows = np.array([[float(v) for v in ln.split(",")] for ln in trace.read_text().splitlines()[1:]])
+        np.testing.assert_array_equal(bits(rows[:, :-1]), bits(post.samples))
+        np.testing.assert_array_equal(bits(rows[:, -1]), bits(post.log_posteriors))
+
+
+def bits(a) -> np.ndarray:
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+def fit_with_trace(tmp_path, noise: str, seed: int, samples: int, burn: int = 20):
+    """Run `sipr fit --trace` on noisy Higdon data; return the trace file, the
+    posterior fit_dataset computes for the same arguments, and the state dimension."""
+    ds = higdon(30, 0.2, seed=4)
+    data = write_csv(tmp_path / "d.csv", ds.X, ds.y)
+    trace = tmp_path / "trace.csv"
+    assert main(["fit", "--data", data, "--target", "y", "--eta", "1.5", "--noise", noise,
+                 "--seed", str(seed), "--samples", str(samples), "--burn", str(burn),
+                 "--trace", str(trace), "--model-out", str(tmp_path / "m.json")]) == 0
+    config = SamplerConfig(chains=2, samples_per_chain=samples, burn_in=burn, seed=seed)
+    fit = fit_dataset(load_csv(data, "y"), 1.5, noise=noise if noise == "unknown" else float(noise), config=config)
+    assert fit.regime == Regime.NORMAL
+    return trace, fit.posterior, ds.n + (noise == "unknown")
 
 
 def noisy_unknown_density():
@@ -509,7 +525,8 @@ class TestExactMixture:
     def test_draws_are_made_once_when_first_read(self, monkeypatch, tmp_path):
         # A fit that reads no draws makes none; the first read of samples,
         # log_posteriors or sigma_y_samples makes all of them, bit for bit the
-        # draw made eagerly from the same seed. A --trace path reads them at once.
+        # draw made eagerly from the same seed. `sipr fit` makes them only for
+        # --trace, and writes them as they were drawn.
         calls = []
         draws = sampler._ScaleMixture.draws
 
@@ -531,8 +548,14 @@ class TestExactMixture:
             np.testing.assert_array_equal(a.view(np.int64), b.view(np.int64))
 
         calls.clear()
-        run_mcmc(d, SamplerConfig(**SMALL, trace_path=str(tmp_path / "trace.csv")))
+        ds = higdon(30, 0.2, seed=4)
+        assert main(["fit", "--data", write_csv(tmp_path / "d.csv", ds.X, ds.y), "--target", "y", "--eta", "1.5",
+                     "--model-out", str(tmp_path / "m.json")]) == 0
+        assert calls == []  # the archive reads no draws
+        trace, post, _ = fit_with_trace(tmp_path, "unknown", seed=0, samples=300, burn=100)
         assert len(calls) == 1
+        rows = np.loadtxt(trace, delimiter=",", skiprows=1)
+        np.testing.assert_array_equal(bits(rows), bits(np.column_stack([post.samples, post.log_posteriors])))
 
     def test_log_posteriors_are_the_density(self):
         for d in (make_density(), noisy_unknown_density()):
