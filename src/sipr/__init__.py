@@ -9,7 +9,6 @@ from .geometry import Regularity
 from .interpolate import (
     InterpolationModel,
     PointwisePosterior,
-    draw_sample_path,
     pointwise_posterior,
     solve_interpolation,
 )
@@ -45,7 +44,6 @@ __all__ = [
     "solve_interpolation",
     "PointwisePosterior",
     "pointwise_posterior",
-    "draw_sample_path",
     "SubspaceBasis",
     "build_orthonormal_basis",
     "KnownNoise",

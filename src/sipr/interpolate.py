@@ -217,8 +217,3 @@ def pointwise_posterior(X, y, eta, x_t, model: InterpolationModel | None = None)
     return PointwisePosterior(
         mean=float(mean[0]), scale=float(scale[0]), dof=model.dof, sd=float(sd[0])
     )
-
-
-def draw_sample_path(X, y, eta, grid, seed) -> np.ndarray:
-    """One posterior sample path over grid points; see InterpolationModel.sample_paths."""
-    return solve_interpolation(X, y, eta).sample_paths(grid, [seed])[:, 0]

@@ -1,11 +1,16 @@
 """End-to-end regression: scale, basis, exact posterior, regime.
 
-fit_regression runs the full chain on one dataset and returns a RegressionFit
-that knows its regime:
+fit_regression runs the full chain on one dataset in one pass: it computes the
+interpolant and its norm ||f||^2 (the saddle for exact data, else the basis
+and the density), applies one rule for exactly polynomial data (constant y, or
+||f||^2 at most POLYNOMIAL_TOL ||y||^2), and otherwise takes the interpolation
+pole for exact data or the regime the exact posterior's profile picks. It then
+builds the regime's map in one place and returns a RegressionFit:
 
     normal              -- exact posterior moments; bands combine t and coefficient parts
     nullspace_pole      -- the data is (or collapses to) a polynomial; the fit
-                           is weighted polynomial least squares
+                           is weighted polynomial least squares, and keeps the
+                           posterior and evidence if the profile chose it
     interpolation_pole  -- the noise collapses to zero; the fit is the exact
                            interpolation posterior
 
@@ -33,7 +38,7 @@ import numpy as np
 from . import __version__ as _pkg_version
 from ._io import _float_rows, atomic_write_text
 from .basis import SubspaceBasis, build_orthonormal_basis, evaluation_matrix
-from .data import Dataset, FeatureScaling, minmax_scale
+from .data import Dataset, FeatureScaling, kfold, minmax_scale, rmse
 from .errors import ArchiveVersionError, IOError_, NumericalError, ValidationError
 from .geometry import Regularity, _Geometry, as_points, as_regularity
 from .interpolate import POLYNOMIAL_TOL, _checked_geometry, solve_interpolation
@@ -134,23 +139,6 @@ class RegressionFit:
         return self.basis.geometry.G @ a + self.basis.geometry.M_u.T @ c_u
 
 
-def _regime_fit(regime, geometry, *, sigma_y, noise_known, a=None, c_u=None, basis=None, h_hat=None,
-                Sigma_hat=None, **fields) -> RegressionFit:
-    """The fit of a regime from its arrays: the normal regime's basis, h_hat and
-    Sigma_hat, or a pole's spline coefficients (a, c_u); see RegressionFit."""
-    N, N0 = geometry.n_points, geometry.n_null
-    if regime == Regime.NORMAL:
-        h, Sigma = h_hat, Sigma_hat
-    elif regime == Regime.INTERPOLATION_POLE:
-        basis = SubspaceBasis(geometry=geometry, H=a[:, None])
-        h, Sigma = np.concatenate([[1.0], c_u]), np.zeros((N0 + 1, N0 + 1))
-    else:
-        basis = SubspaceBasis(geometry=geometry, H=np.zeros((N, 0)))
-        h, Sigma = c_u, sigma_y**2 * np.linalg.pinv(geometry.M_u @ geometry.M_u.T)
-    return RegressionFit(regime=regime, basis=basis, h=h, Sigma=Sigma, sigma_y=sigma_y,
-                         noise_known=noise_known, **fields)
-
-
 def fit_regression(X, y, eta, noise="unknown", config: SamplerConfig | None = None) -> RegressionFit:
     """Fit the regression posterior on (X, y) in the given coordinates.
 
@@ -172,45 +160,56 @@ def fit_regression(X, y, eta, noise="unknown", config: SamplerConfig | None = No
         sigma_known = float(noise)
         if not (math.isfinite(sigma_known) and sigma_known >= 0.0):
             raise ValidationError(f"known noise sd must be >= 0, got {noise!r}")
+    exact = sigma_known == 0.0
 
-    common = dict(y=y, noise_known=known, config=config)
-
-    def nullspace_pole(geometry, **extra) -> RegressionFit:
-        # polynomial least squares; unknown noise takes the residual estimate
-        c_u, *_ = np.linalg.lstsq(geometry.M_u.T, y, rcond=None)
-        resid = y - geometry.M_u.T @ c_u
-        sigma = sigma_known if known else float(np.sqrt(resid @ resid / max(y.shape[0] - geometry.n_null, 1)))
-        return _regime_fit(Regime.NULLSPACE_POLE, geometry, c_u=c_u, sigma_y=sigma, **extra, **common)
-
-    if known and sigma_known == 0.0:
-        model = solve_interpolation(X, y, reg)
-        if model.norm_sq <= POLYNOMIAL_TOL * float(y @ y):
-            return nullspace_pole(model.geometry)  # exactly polynomial data
-        return _regime_fit(Regime.INTERPOLATION_POLE, model.geometry, a=model.a, c_u=model.c_u, sigma_y=0.0,
-                           **common)
-
-    # The basis and one eigendecomposition serve the interpolant and the
+    # 1. The interpolant (a, c_u) and its norm ||f||^2. With sigma > 0 the
+    # basis and one eigendecomposition serve the interpolant and the
     # posterior: the density's pencil gives the interpolant's coordinates.
-    geometry, y = _checked_geometry(X, y, reg)
-    basis = build_orthonormal_basis(geometry, reg)
-    sd = float(np.std(y))
-    if sd == 0.0:
-        return nullspace_pole(geometry)  # constant data is exactly polynomial
-    density = build_density(basis, y, KnownNoise(sigma_known) if known else UnknownNoise(sd / 10.0))
-    # ||f||^2 = ||h_mu_k||^2: H is orthonormal
-    if density.h_mu_norm**2 <= POLYNOMIAL_TOL * float(y @ y):
-        return nullspace_pole(geometry)  # exactly polynomial data
-    # the exact posterior and its regime
-    posterior = run_mcmc(density, config)
-    extra = dict(posterior=posterior, diagnostics_summary=posterior.diagnostics.evidence)
+    if exact:
+        model = solve_interpolation(X, y, reg)
+        geometry, a, c_u, norm_sq = model.geometry, model.a, model.c_u, model.norm_sq
+    else:
+        geometry, y = _checked_geometry(X, y, reg)
+        basis = build_orthonormal_basis(geometry, reg)
+        sd = float(np.std(y))
+        norm_sq = 0.0  # constant y is polynomial, and UnknownNoise(0) is refused
+        if sd > 0.0:
+            density = build_density(basis, y, KnownNoise(sigma_known) if known else UnknownNoise(sd / 10.0))
+            a, c_u = basis.spline_coefficients(density.h_mu_star)
+            norm_sq = density.h_mu_norm**2  # ||f||^2 = ||h_mu_k||^2: H is orthonormal
 
-    if posterior.regime == Regime.NULLSPACE_POLE:
-        return nullspace_pole(geometry, **extra)
-    sigma = sigma_known if known else posterior.sigma_y_median
-    a, c_u = basis.spline_coefficients(density.h_mu_star)
-    return _regime_fit(
-        posterior.regime, geometry, a=a, c_u=c_u, basis=basis, h_hat=posterior.h_hat,
-        Sigma_hat=posterior.Sigma_hat, sigma_y=sigma, **extra, **common,
+    # 2. Exactly polynomial data sit on the nullspace pole; otherwise exact data
+    # sit on the interpolation pole, and the exact posterior's profile picks
+    # the regime of noisy data.
+    posterior = None
+    if norm_sq <= POLYNOMIAL_TOL * float(y @ y):
+        regime = Regime.NULLSPACE_POLE
+    elif exact:
+        regime = Regime.INTERPOLATION_POLE
+    else:
+        posterior = run_mcmc(density, config)
+        regime = posterior.regime
+
+    # 3. The regime's map (H, h, Sigma); see RegressionFit. sigma_y is the
+    # known value, else the posterior median, else (at the nullspace pole)
+    # the residual estimate.
+    N, N0 = geometry.n_points, geometry.n_null
+    sigma_y = sigma_known if known or regime == Regime.NULLSPACE_POLE else posterior.sigma_y_median
+    if regime == Regime.NORMAL:
+        h, Sigma = posterior.h_hat, posterior.Sigma_hat
+    elif regime == Regime.INTERPOLATION_POLE:
+        basis = SubspaceBasis(geometry=geometry, H=a[:, None])
+        h, Sigma = np.concatenate([[1.0], c_u]), np.zeros((N0 + 1, N0 + 1))
+    else:  # polynomial least squares
+        h, *_ = np.linalg.lstsq(geometry.M_u.T, y, rcond=None)
+        resid = y - geometry.M_u.T @ h
+        if not known:
+            sigma_y = float(np.sqrt(resid @ resid / max(N - N0, 1)))
+        basis = SubspaceBasis(geometry=geometry, H=np.zeros((N, 0)))
+        Sigma = sigma_y**2 * np.linalg.pinv(geometry.M_u @ geometry.M_u.T)
+    return RegressionFit(
+        regime=regime, basis=basis, h=h, Sigma=Sigma, y=y, noise_known=known, sigma_y=sigma_y, config=config,
+        posterior=posterior, diagnostics_summary=None if posterior is None else posterior.diagnostics.evidence,
     )
 
 
@@ -408,8 +407,6 @@ def crossval(
     Each fold scales its own training features, fits, and predicts the
     held-out rows in original units. The seed only shuffles the folds.
     """
-    from .data import kfold, rmse as _rmse
-
     splits = kfold(dataset.n, k, seed=seed)
 
     folds = []
@@ -424,7 +421,7 @@ def crossval(
         fit = fit_dataset(train, eta, noise=noise)
         pred, actual = fit.predict_mean(dataset.X[test_idx]), dataset.y[test_idx]
         folds.append(
-            FoldResult(fold=j, n_test=len(actual), rmse=_rmse(pred, actual), regime=fit.regime.value)
+            FoldResult(fold=j, n_test=len(actual), rmse=rmse(pred, actual), regime=fit.regime.value)
         )
         sq_errors.append((pred - actual) ** 2)
     pooled = float(np.sqrt(np.mean(np.concatenate(sq_errors))))

@@ -125,8 +125,6 @@ class RegressionPosterior:
     Sigma_hat: np.ndarray  # posterior covariance of h*
     regime: Regime
     diagnostics: Diagnostics
-    n_basis: int | None = None
-    n_null: int | None = None
     config: SamplerConfig | None = field(default=None, repr=False)
     sigma_y_quantiles: tuple[float, float, float] | None = None  # q05, median, q95 (unknown noise)
 
@@ -639,8 +637,6 @@ class _ScaleMixture:
                 rhat_max=1.0,  # the draws are i.i.d.
                 evidence=evidence,
             ),
-            n_basis=self.nh,
-            n_null=self.n - self.nh,
             config=config,
             sigma_y_quantiles=quantiles,
         )

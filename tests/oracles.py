@@ -668,7 +668,5 @@ def hmc_posterior(density: PosteriorDensity, config: SamplerConfig, init=None) -
             evidence={"metric": metric.name, "map_iterations": map_iterations},
         ),
         sigma_y_quantiles=None if known else tuple(np.quantile(np.exp(samples[:, -1]), [0.05, 0.5, 0.95])),
-        n_basis=density.n_basis,
-        n_null=density.n_null,
         config=config,
     )

@@ -1,5 +1,6 @@
-"""Every name a sipr module imports is used there, and every name it exports is bound there;
-importing the CLI leaves scipy.stats unloaded, and no command loads scipy.optimize.
+"""Every name a sipr module imports is used there, every name it exports is bound there, and
+every private module-level function or class is used somewhere in the package; importing the
+CLI leaves scipy.stats unloaded, and no command loads scipy.optimize.
 
 No linter is a test dependency; these scans use the standard library's ast.
 """
@@ -100,6 +101,48 @@ def test_scan_flags_a_dangling_export():
         "__all__ = ['load_csv', 'np', 'X', 'Y', 'f', 'C', 'gone']\n"
     )
     assert dangling_exports(source) == ["gone"]
+
+
+def referenced_names(node: ast.AST) -> set[str]:
+    """Names a node reads, as a Name, as an Attribute or in a from-import."""
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            out.add(sub.attr)
+        elif isinstance(sub, ast.ImportFrom):
+            out |= {alias.name for alias in sub.names}
+    return out
+
+
+def orphaned_definitions(sources: dict[str, str]) -> list[str]:
+    """module:name of every private module-level function or class that no
+    other statement of the package references (its own body does not count)."""
+    statements = [(name, node) for name, source in sources.items() for node in ast.parse(source).body]
+    refs = [referenced_names(node) for _, node in statements]
+    out = []
+    for i, (name, node) in enumerate(statements):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and node.name.startswith("_"):
+            if not any(node.name in used for j, used in enumerate(refs) if j != i):
+                out.append(f"{name}:{node.name}")
+    return out
+
+
+def test_every_private_definition_is_used():
+    assert orphaned_definitions({p.name: p.read_text() for p in MODULES}) == []
+
+
+def test_scan_flags_an_orphaned_private_definition():
+    sources = {
+        "a.py": (
+            "def _orphan(n):\n    return _orphan(n - 1) if n else 0\n"
+            "def _called():\n    pass\nclass _Imported:\n    pass\n"
+            "def _read_as_attribute():\n    pass\ndef public():\n    return _called()\n"
+        ),
+        "b.py": "from .a import _Imported\nfrom . import a\nx = a._read_as_attribute\n",
+    }
+    assert orphaned_definitions(sources) == ["a.py:_orphan"]
 
 
 def test_cli_import_leaves_out_scipy_stats():

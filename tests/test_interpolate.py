@@ -23,7 +23,6 @@ from sipr.geometry import (
 )
 from sipr.interpolate import (
     POLYNOMIAL_TOL,
-    draw_sample_path,
     pointwise_posterior,
     solve_interpolation,
 )
@@ -234,9 +233,9 @@ class TestSamplePaths:
     def test_deterministic_per_seed(self):
         X, y = random_dataset(7, 1, seed=29)
         grid = np.linspace(0.0, 1.0, 25)[:, None]
-        p1 = draw_sample_path(X, y, 1.5, grid, seed=101)
-        p2 = draw_sample_path(X, y, 1.5, grid, seed=101)
-        p3 = draw_sample_path(X, y, 1.5, grid, seed=102)
+        p1 = solve_interpolation(X, y, 1.5).sample_paths(grid, [101])[:, 0]
+        p2 = solve_interpolation(X, y, 1.5).sample_paths(grid, [101])[:, 0]
+        p3 = solve_interpolation(X, y, 1.5).sample_paths(grid, [102])[:, 0]
         np.testing.assert_array_equal(p1, p2)
         assert not np.array_equal(p1, p3)
 
@@ -244,7 +243,7 @@ class TestSamplePaths:
         X = np.array([[0.1], [0.5], [0.9]])
         y = np.array([1.0, -1.0, 0.5])
         grid = np.concatenate([np.linspace(0.0, 1.0, 11)[:, None], X])
-        path = draw_sample_path(X, y, 0.5, grid, seed=7)
+        path = solve_interpolation(X, y, 0.5).sample_paths(grid, [7])[:, 0]
         np.testing.assert_allclose(path[-3:], y, atol=1e-9)
         assert path[5] == pytest.approx(-1.0, abs=1e-9)  # grid point 0.5 is a datapoint
 
@@ -254,7 +253,7 @@ class TestSamplePaths:
         # grid point a finite draw.
         X, y = random_dataset(10, 1, seed=0)
         grid = np.linspace(0.003, 0.997, 100)[:, None]
-        path = draw_sample_path(X, y, 2.5, grid, seed=0)
+        path = solve_interpolation(X, y, 2.5).sample_paths(grid, [0])[:, 0]
         assert np.all(np.isfinite(path))
 
     def test_wiggles_between_data(self):
@@ -262,7 +261,7 @@ class TestSamplePaths:
         X, y = random_dataset(5, 1, seed=31)
         grid = np.linspace(0.0, 1.0, 15)[:, None]
         model = solve_interpolation(X, y, 0.5)
-        path = draw_sample_path(X, y, 0.5, grid, seed=3)
+        path = solve_interpolation(X, y, 0.5).sample_paths(grid, [3])[:, 0]
         assert np.abs(path - model.evaluate(grid)).max() > 1e-6
 
     def test_polynomial_data_gives_the_mean(self):
@@ -270,7 +269,8 @@ class TestSamplePaths:
         y = 3.0 - 2.0 * X[:, 0]
         grid = np.linspace(-0.5, 1.5, 30)[:, None]
         model = solve_interpolation(X, y, 1.5)
-        np.testing.assert_array_equal(draw_sample_path(X, y, 1.5, grid, seed=4), model.evaluate(grid))
+        path = solve_interpolation(X, y, 1.5).sample_paths(grid, [4])[:, 0]
+        np.testing.assert_array_equal(path, model.evaluate(grid))
 
     def test_columns_match_single_seed_draws(self):
         # The last two grid points are datapoints: every path takes exactly
@@ -281,7 +281,8 @@ class TestSamplePaths:
         paths = model.sample_paths(grid, [5, 6, 7])
         assert paths.shape == (12, 3)
         for j, seed in enumerate([5, 6, 7]):
-            np.testing.assert_array_equal(paths[:, j], draw_sample_path(X, y, 1.5, grid, seed))
+            single = solve_interpolation(X, y, 1.5).sample_paths(grid, [seed])[:, 0]
+            np.testing.assert_array_equal(paths[:, j], single)
             np.testing.assert_array_equal(paths[-2:, j], model.evaluate(X[:2]))
         assert model.sample_paths(grid, []).shape == (12, 0)
 

@@ -113,13 +113,32 @@ class TestRegimes:
         with pytest.raises(ValidationError):
             fit_regression(X, y, 1.5, noise=-0.1)
 
-    def test_constant_target_is_polynomial_data(self):
+    @pytest.mark.parametrize("noise", ["unknown", 0.1, 0.0])
+    def test_constant_target_is_polynomial_data(self, noise):
         # A constant lies in every nullspace, so this short-circuits to the
         # nullspace pole instead of trying to initialize a noise scale.
         X = np.linspace(0.0, 1.0, 6)[:, None]
-        fit = fit_regression(X, np.full(6, 3.25), 1.5, noise="unknown")
+        fit = fit_regression(X, np.full(6, 3.25), 1.5, noise=noise)
         assert fit.regime == Regime.NULLSPACE_POLE
         np.testing.assert_allclose(fit.mean_c, [3.25, 0.0], atol=1e-9)
+        assert fit.posterior is None
+
+    def test_profile_chosen_nullspace_pole_keeps_its_posterior(self, tmp_path):
+        # Nearly polynomial data: the interpolant's norm passes the polynomial
+        # test, so the exact posterior is computed and its profile picks the
+        # pole. The fit keeps that posterior and the evidence that chose it.
+        X = np.linspace(0.0, 1.0, 12)[:, None]
+        y = 1.0 + 2.0 * X[:, 0] + 0.01 * np.sin(7.0 * X[:, 0])
+        fit = fit_regression(X, y, 1.5, noise=1.0, config=QUICK)
+        assert fit.regime == Regime.NULLSPACE_POLE and fit.sigma_y == 1.0
+        assert fit.posterior is not None and fit.posterior.regime == Regime.NULLSPACE_POLE
+        assert fit.diagnostics_summary is fit.posterior.diagnostics.evidence
+        ranked = sorted(((m, r) for r, m in fit.diagnostics_summary["log_mass"].items() if m is not None),
+                        reverse=True)
+        assert ranked[0][1] == Regime.NULLSPACE_POLE.value
+        path = tmp_path / "pole.json"
+        save_archive(fit, str(path))
+        assert load_archive(str(path)).diagnostics_summary == fit.diagnostics_summary
 
 
 class TestFitIsScaledInternally:

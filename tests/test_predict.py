@@ -52,7 +52,7 @@ def test_variance_decomposition(fit):
 def test_interval_from_t_quantile(fit):
     level = 0.9
     band = credible_band(fit, PROBES, level=level)
-    assert band.dof == float(fit.posterior.n_basis)
+    assert band.dof == float(fit.basis.n_basis)
     q = student_t.ppf(0.95, band.dof)
     half = q * np.sqrt(band.scale_t**2 + band.sigma_s**2)
     np.testing.assert_allclose(band.upper - band.mean, half, rtol=1e-12)

@@ -337,7 +337,6 @@ class TestRegressionRuns:
         assert post.Sigma_hat.shape == (d.n_points, d.n_points)
         assert post.sigma_y_samples is None
         assert post.sigma_y_median is None
-        assert post.n_basis == d.n_basis
         assert post.regime == Regime.NORMAL
 
     def test_unknown_noise_exposes_sigma_draws(self):
