@@ -1,16 +1,20 @@
 """Atomic file writes, and the exact text of float tables.
 
-Everything lands via rename so readers never see partial output. Float tables
-are written as "%.17g" text by a numpy kernel (_float_rows) that writes the
-same bytes as Python's % format, which it calls only for the values it
-cannot prove: non-finite ones and those near a 17-digit rounding tie.
+Everything lands via rename so readers never see partial output; the one
+writer, atomic_write, takes its content as byte blocks and writes each as it
+comes. Float tables are written as "%.17g" text by a numpy kernel
+(_float_text) that writes the same bytes as Python's % format, which it calls
+only for the values it cannot prove: non-finite ones and those near a
+17-digit rounding tie.
 """
 
 from __future__ import annotations
 
 import os
 import tempfile
+from collections.abc import Iterable, Iterator
 from functools import cache
+from itertools import chain
 
 import numpy as np
 
@@ -30,14 +34,18 @@ _U8 = np.dtype("<u8")
 # the separator. Unused bytes are 0 and are deleted from the text.
 
 
-def atomic_write_text(path: str, content: str) -> None:
-    """Write content to path through a temp file + rename in the same directory."""
+def atomic_write(path: str, blocks: Iterable[bytes | memoryview]) -> None:
+    """Write the blocks to path, each as it comes, through a temp file + rename in the same directory.
+
+    If making a block raises, the temp file is removed and path is untouched.
+    """
     directory = os.path.dirname(os.path.abspath(path)) or "."
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=os.path.basename(path))
         try:
-            with os.fdopen(fd, "w") as fh:
-                fh.write(content)
+            with os.fdopen(fd, "wb") as fh:
+                for block in blocks:
+                    fh.write(block)
             os.replace(tmp, path)
         except BaseException:
             if os.path.exists(tmp):
@@ -154,31 +162,29 @@ def _records(v) -> np.ndarray:
     return rec
 
 
-def _float_rows(table) -> list[str]:
-    """The rows of a 2-D float table as comma-separated text, exact to the bit.
+def _float_text(table) -> Iterator[bytes]:
+    """The rows of a 2-D float table as comma-separated ASCII lines, exact to the bit.
 
     Every value is written with 17 significant digits, byte for byte as
     "%.17g" writes it, which round-trips every binary64 value through float(),
     so the text parses back to the same bits; -0.0, nan and +-inf print as -0,
-    nan and +-inf. The text is built by _records as byte records, one block of
-    about _CHUNK values at a time, so transient memory does not grow with the
-    table.
+    nan and +-inf. Each row ends in a newline. The text is built by _records
+    and yielded one block of about _CHUNK values at a time, so transient
+    memory does not grow with the table.
     """
     table = np.asarray(table, dtype=float)
     m, n = table.shape
     if n == 0:
-        return [""] * m
+        yield b"\n" * m
+        return
     step = max(1, _CHUNK // n)
-    rows = []
     for start in range(0, m, step):
-        block = table[start : start + step]
-        rec = _records(block.ravel())
+        rec = _records(table[start : start + step].ravel())
         rec[n - 1 :: n, 5] ^= np.uint64((ord(",") ^ ord("\n")) << 40)  # each row ends in a newline
-        rows += rec.tobytes().translate(None, b"\0").decode("ascii").split("\n")[:-1]
-    return rows
+        yield rec.tobytes().translate(None, b"\0")
 
 
 def _write_csv(path: str, header: list[str], table, comment: str | None = None) -> None:
     """Write a 2-D float table as CSV: an optional comment line, the header, then exact rows."""
-    lines = ([] if comment is None else [comment]) + [",".join(header)] + _float_rows(table)
-    atomic_write_text(path, "\n".join([*lines, ""]))
+    head = ([] if comment is None else [comment]) + [",".join(header), ""]
+    atomic_write(path, chain(["\n".join(head).encode()], _float_text(table)))

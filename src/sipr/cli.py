@@ -15,7 +15,7 @@ import click
 import numpy as np
 
 from . import __version__
-from ._io import _write_csv, atomic_write_text
+from ._io import _write_csv, atomic_write
 from .data import load_csv, load_probe_csv
 from .errors import IOError_, NumericalError, ValidationError
 from .geometry import as_regularity
@@ -199,7 +199,7 @@ def cmd_crossval(data_path, target, eta, noise, folds, seed, out_path):
     for f in result.folds:
         lines.append(f"{f.fold},{f.n_test},{f.rmse!r},{f.regime}")
     lines.append(f"pooled,{ds.n},{result.pooled_rmse!r},-")
-    atomic_write_text(out_path, "\n".join(lines) + "\n")
+    atomic_write(out_path, [("\n".join(lines) + "\n").encode()])
     for f in result.folds:
         click.echo(f"fold {f.fold}: n={f.n_test} rmse={f.rmse:.6g} regime={f.regime}")
     click.echo(f"pooled rmse: {result.pooled_rmse:.6g}")

@@ -19,7 +19,7 @@ coordinates, and predict.credible_band gives its bands (see RegressionFit).
 Fits can be serialized to a versioned JSON archive and reloaded for
 prediction. Format 4 stores that map in every regime under the same entries:
 the kernel columns basis_H as JSON numbers with 17 significant digits (see
-_json_matrix), the coordinates h_hat, whose polynomial block weighs the
+save_archive), the coordinates h_hat, whose polynomial block weighs the
 unit-box monomials of the archived X (the identity map for fit_dataset's
 min-max scaled inputs), and their covariance Sigma_hat as one exact block of
 float64 bytes (see _block). The loader reads them back without a regime
@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__ as _pkg_version
-from ._io import _float_rows, atomic_write_text
+from ._io import _float_text, atomic_write
 from .basis import SubspaceBasis, build_orthonormal_basis, evaluation_matrix
 from .data import Dataset, FeatureScaling, kfold, minmax_scale, rmse
 from .errors import ArchiveVersionError, IOError_, NumericalError, ValidationError
@@ -246,23 +246,6 @@ def _unblock(doc: dict, shape: tuple[int, ...]) -> np.ndarray:
     return np.frombuffer(raw, dtype="<f8").astype(float).reshape(shape)
 
 
-def _json_matrix(x) -> list[str]:
-    """The pieces of a JSON array of arrays of numbers holding a finite float matrix with at
-    least one row, exact to the bit: each row is _float_rows' "%.17g" text.
-
-    %.17g writes nan and inf, which are not JSON, so a non-finite entry is
-    refused here rather than written into an archive that cannot be read.
-    """
-    x = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x)):
-        raise NumericalError(f"cannot archive a {x.shape[0]}x{x.shape[1]} matrix with non-finite entries")
-    pieces = ["[["]
-    for row in _float_rows(x):
-        pieces += [row, "], ["]
-    pieces[-1] = "]]"
-    return pieces
-
-
 def _archive_entries(fit: RegressionFit) -> dict:
     """The archive's entries, with basis_H left as an array for save_archive to format.
 
@@ -301,23 +284,41 @@ def _archive_entries(fit: RegressionFit) -> dict:
 
 
 def save_archive(fit: RegressionFit, path: str) -> None:
-    """Write a fit's archive as one line of JSON, with basis_H in its exact text (_json_matrix).
+    """Write a fit's archive as one line of JSON, streamed block by block to the file.
 
-    The pieces are joined once, so the megabytes of basis and Sigma_hat text
-    are not copied again on their way into the file.
+    basis_H is written as a JSON array of arrays of numbers, exact to the bit:
+    each row is _float_text's "%.17g" text, with its newline replaced by the
+    "], [" that joins it to the next. %.17g writes nan and inf, which are not
+    JSON, so a non-finite entry is refused before the file is opened, rather
+    than written into an archive that cannot be read.
     """
-    pieces = []
-    for key, value in _archive_entries(fit).items():
-        pieces += [", " if pieces else "{", json.dumps(key), ": "]
-        if isinstance(value, np.ndarray):
-            pieces += _json_matrix(value)
-        elif key == "Sigma_hat":
-            # base64 needs no JSON escaping: the same text as json.dumps, without its scan
-            pieces += ['{"shape": ', json.dumps(value["shape"]), ', "f8le_base64": "',
-                       value["f8le_base64"], '"}']
-        else:
-            pieces.append(json.dumps(value))
-    atomic_write_text(path, "".join([*pieces, "}\n"]))
+    entries = _archive_entries(fit)
+    H = entries["basis_H"]
+    if not np.all(np.isfinite(H)):
+        raise NumericalError(f"cannot archive a {H.shape[0]}x{H.shape[1]} matrix with non-finite entries")
+
+    def blocks():
+        sep = b"{"
+        for key, value in entries.items():
+            yield sep + json.dumps(key).encode() + b": "
+            sep = b", "
+            if key == "basis_H":
+                yield b"[["
+                for i, text in enumerate(_float_text(value)):
+                    if i:
+                        yield b"], ["
+                    yield memoryview(text.replace(b"\n", b"], ["))[:-4]  # without the block's last "], ["
+                yield b"]]"
+            elif key == "Sigma_hat":
+                # base64 needs no JSON escaping: the same text as json.dumps, without its scan
+                yield b'{"shape": ' + json.dumps(value["shape"]).encode() + b', "f8le_base64": "'
+                yield value["f8le_base64"].encode()
+                yield b'"}'
+            else:
+                yield json.dumps(value).encode()
+        yield b"}\n"
+
+    atomic_write(path, blocks())
 
 
 def load_archive(path: str) -> RegressionFit:

@@ -28,10 +28,10 @@ from functools import cached_property
 
 import numpy as np
 from scipy.linalg import solve_triangular
-from scipy.special import gammaincc, gammainccinv
+from scipy.special import gammaincc, gammainccinv, gammaln
 
 from .errors import DivergentChains, DomainError, PoleCollapse, TooFewPoints, TooFewSamples, ValidationError
-from .posterior import PosteriorDensity, _bisect
+from .posterior import PosteriorDensity
 
 # A proposal whose energy error exceeds this is counted as divergent.
 ENERGY_ERROR_MAX = 1e3
@@ -563,20 +563,35 @@ class _ScaleMixture:
         return self.T @ np.concatenate([m_bar, self.t_mu[self.nh :]]), L @ L.T + B @ B.T
 
     def sigma_quantiles(self, Q, w) -> tuple[float, float, float]:
-        """q05, median and q95 of sigma, by one bisection of the mixture's CDF in log sigma.
+        """q05, median and q95 of sigma, by safeguarded Newton on the mixture's CDF in log sigma.
 
-        Each quantile of the mixture lies between its nodes' quantiles, which
-        bracket it; the three brackets are bisected together to 1e-14.
+        In l = log sigma the CDF is F(l) = sum_k w_k Gamma(a, z_k) / Gamma(a)
+        with z_k = Q_k e^-2l / 2 and a = Nh / 2, and its derivative is
+        F'(l) = 2 sum_k w_k z_k^a e^-z_k / Gamma(a). Each quantile of the
+        mixture lies between its nodes' quantiles, which bracket it. The three
+        quantiles are solved together from the weighted mean of their nodes'
+        quantiles, with one evaluation of F and F' per step; each evaluation
+        narrows the brackets, and a Newton step that leaves its bracket or is
+        not finite bisects it instead. It stops when every step or bracket is
+        at most 1e-14.
         """
         shape = 0.5 * self.nh
         q = np.array([0.05, 0.5, 0.95])
         per_node = 0.5 * np.log(0.5 * Q[:, None] / gammainccinv(shape, q))
-
-        def excess(log_sigma):  # q minus the mixture's CDF, decreasing in log sigma
-            return q - w @ gammaincc(shape, 0.5 * Q[:, None] * np.exp(-2.0 * log_sigma))
-
-        log_sigma, _, _ = _bisect(excess, per_node.min(axis=0), per_node.max(axis=0), 1e-14, 200)
-        return tuple(math.exp(v) for v in log_sigma)
+        lo, hi = per_node.min(axis=0), per_node.max(axis=0)
+        x = w @ per_node
+        for _ in range(200):  # bisection alone would meet 1e-14 in fewer steps
+            z = 0.5 * Q[:, None] * np.exp(-2.0 * x)
+            excess = q - w @ gammaincc(shape, z)  # decreasing in x
+            lo, hi = np.where(excess > 0.0, x, lo), np.where(excess > 0.0, hi, x)
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                new = x + excess / (2.0 * (w @ np.exp(shape * np.log(z) - z - gammaln(shape))))
+            new = np.where(np.isfinite(new) & (lo <= new) & (new <= hi), new, 0.5 * (lo + hi))
+            done = (np.abs(new - x) <= 1e-14) | (hi - lo <= 1e-14)
+            x = new
+            if done.all():
+                break
+        return tuple(math.exp(v) for v in x)
 
     def draws(self, xs, Q, w, n: int, rng: np.random.Generator):
         """n i.i.d. states (h*, then log sigma when unknown), their log densities and sigmas.
@@ -596,10 +611,12 @@ class _ScaleMixture:
             u = rng.gamma(0.5 * self.nh, 2.0 / Q[k])
             sigma = 1.0 / np.sqrt(np.clip(u, np.finfo(float).tiny, 1e300))
         a = (scale**2)[:, None] * self.s
-        t = rng.standard_normal((n, self.n)) * sigma[:, None]
+        one_a = 1.0 + a
+        t = rng.standard_normal((n, self.n))
+        t *= sigma[:, None]
         t[:, : self.nh] = t[:, : self.nh] @ self.T[: self.nh, : self.nh]
-        t[:, : self.nh] *= scale[:, None] / np.sqrt(1.0 + a)
-        t[:, : self.nh] += self.mu * a / (1.0 + a)
+        t[:, : self.nh] *= scale[:, None] / np.sqrt(one_a)
+        t[:, : self.nh] += self.mu * a / one_a
         t[:, self.nh :] += self.t_mu[self.nh :]
         lp = -0.5 * self.nh * np.log((t[:, : self.nh] ** 2).sum(axis=1))
         q = ((t - self.t_mu) ** 2) @ self.s_all
@@ -624,9 +641,12 @@ class _ScaleMixture:
             # null for a regime without mass (-inf is not JSON)
             "log_mass": {r.value: float(m) if math.isfinite(m) else None for r, m in self.log_masses.items()},
         }
-        quantiles = None if self.known else self.sigma_quantiles(Q, w)
-        if quantiles is not None and regime is Regime.INTERPOLATION_POLE:
+        if self.known:
+            quantiles = None
+        elif regime is Regime.INTERPOLATION_POLE:
             quantiles = (0.0, 0.0, 0.0)  # the exact posterior of sigma there is a point mass at 0
+        else:
+            quantiles = self.sigma_quantiles(Q, w)
         return RegressionPosterior(
             draw=lambda: self.draws(xs, Q, w, n_draws, np.random.default_rng(config.seed)),
             h_hat=h_hat,

@@ -32,9 +32,10 @@ definitions, one dense solve per probe, per basis column or per iteration:
   ``_Diagonalised``), an exact log-sigma draw between trajectories and the
   regime read off the traces (``detect_poles``). The library computes the
   same posterior exactly as a one-dimensional scale mixture.
-* ``brentq_sigma_quantiles`` -- the sigma_y quantiles of the exact
-  posterior, each found by Brent's method on the mixture's CDF from its own
-  bracket. The library bisects the three brackets together.
+* ``brentq_sigma_quantiles`` and ``bisected_sigma_quantiles`` -- the sigma_y
+  quantiles of the exact posterior, each found by Brent's method on the
+  mixture's CDF from its own bracket, or by bisecting the three brackets
+  together to 1e-14. The library takes safeguarded Newton steps instead.
 * ``sequential_sample_path`` -- a sample path drawn one grid point at a time,
   each value from its pointwise t posterior and then added to the data by a
   refit. The library draws the whole grid jointly from one factored saddle.
@@ -378,6 +379,21 @@ def brentq_sigma_quantiles(Q: np.ndarray, w: np.ndarray, n_basis: int) -> tuple[
         lo, hi = per_node.min(), per_node.max()
         out.append(math.exp(lo if hi - lo < 1e-12 else brentq(excess_cdf, lo, hi, args=(q,), xtol=1e-14)))
     return tuple(out)
+
+
+def bisected_sigma_quantiles(Q: np.ndarray, w: np.ndarray, n_basis: int) -> tuple[float, float, float]:
+    """The quantiles of brentq_sigma_quantiles, by bisecting the three per-node brackets to 1e-14."""
+    shape = 0.5 * n_basis
+    q = np.array([0.05, 0.5, 0.95])
+    per_node = 0.5 * np.log(0.5 * Q[:, None] / gammainccinv(shape, q))
+    lo, hi = per_node.min(axis=0), per_node.max(axis=0)
+    for _ in range(200):
+        if np.all(hi - lo <= 1e-14):
+            break
+        mid = 0.5 * (lo + hi)
+        below = w @ gammaincc(shape, 0.5 * Q[:, None] * np.exp(-2.0 * mid)) <= q
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+    return tuple(math.exp(v) for v in 0.5 * (lo + hi))
 
 
 def sequential_sample_path(X, y, eta, grid, seed) -> tuple[np.ndarray, int]:

@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from sipr._io import _float_rows, _write_csv
+from sipr._io import _float_text, _write_csv
 
 # Values whose shortest decimal is not 17 digits, or that sit at the edges of
 # binary64: signed zero, the smallest subnormal, the largest finite value, an
@@ -69,13 +69,17 @@ def test_leading_zeros_are_the_text_of_each_value():
         [0.0, 0.0, 2.0, 0.0, 0.0, -0.0],
         [math.nan, 0.0, 0.0, 0.0, 0.0, 0.0],
     ])
-    assert _float_rows(table) == [",".join("%.17g" % v for v in row) for row in table]
-    assert _float_rows(np.zeros((3, 0))) == ["", "", ""]
+    assert float_text(table) == percent_text(table)
+    assert float_text(np.zeros((3, 0))) == b"\n\n\n"
 
 
-def percent_rows(table) -> list[str]:
-    """The reference text: one Python "%.17g" per value."""
-    return [",".join("%.17g" % v for v in row) for row in table]
+def float_text(table) -> bytes:
+    return b"".join(_float_text(table))
+
+
+def percent_text(table) -> bytes:
+    """The reference text: one Python "%.17g" per value, each row ending in a newline."""
+    return "".join(",".join("%.17g" % v for v in row) + "\n" for row in table).encode("ascii")
 
 
 def bit_patterns():
@@ -146,24 +150,26 @@ TABLES = {
 @pytest.mark.parametrize("name", TABLES)
 def test_float_rows_write_the_percent_text_of_every_value(name):
     for table in TABLES[name]():
-        assert _float_rows(table) == percent_rows(table)
+        assert float_text(table) == percent_text(table)
 
 
-def test_float_rows_transient_memory_does_not_grow_with_the_table():
-    # the text is built one block of rows at a time, so the peak less the
-    # result is one bound at 1000 and at 8000 rows of trace draws
+def test_write_csv_peak_memory_does_not_grow_with_the_table(tmp_path):
+    # the text is made and written one block of rows at a time, so the peak
+    # while a table is written is one bound at 1000 and at 8000 rows of trace
+    # draws (the whole text of 8000 rows is about 18 MB)
     rng = np.random.default_rng(27)
-    _float_rows(np.ones((1, 1)))
+    header = [f"state_{j}" for j in range(102)]
+    _write_csv(str(tmp_path / "first.csv"), ["a"], np.ones((1, 1)))
     for rows in (1000, 8000):
         table = rng.standard_normal((rows, 102))
         tracemalloc.start()
         try:
-            text = _float_rows(table)
+            _write_csv(str(tmp_path / "table.csv"), header, table)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        result = sys.getsizeof(text) + sum(map(sys.getsizeof, text))
-        assert peak - result < 2_000_000, rows
+        assert peak < 2_000_000, rows
+        assert (tmp_path / "table.csv").read_bytes().endswith(percent_text(table[-1:]))
 
 
 def test_import_builds_no_float_table():

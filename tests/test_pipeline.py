@@ -6,6 +6,7 @@ import base64
 import dataclasses
 import json
 import math
+import tempfile
 
 import numpy as np
 import pytest
@@ -269,14 +270,27 @@ class TestArchives:
         assert isinstance(row[2], float)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    def test_non_finite_basis_h_is_refused_before_writing(self, tmp_path, normal_fit, bad):
-        # %.17g would write nan or inf, which json.load cannot read back.
+    def test_non_finite_basis_h_is_refused_before_writing(self, tmp_path, normal_fit, bad, monkeypatch):
+        # %.17g would write nan or inf, which json.load cannot read back. The
+        # archive is streamed to a temp file, so the check runs before one is
+        # made: an archive already at the path is left as it was.
         H = normal_fit.basis.H.copy()
         H[1, 2] = bad
         path = tmp_path / "model.json"
         with pytest.raises(NumericalError, match="non-finite"):
             save_with_basis(normal_fit, H, path)
         assert not path.exists()
+        save_archive(normal_fit, str(path))
+        before = path.read_bytes()
+
+        def no_temp_file(*args, **kwargs):
+            raise AssertionError("a temp file was made before basis_H was checked")
+
+        monkeypatch.setattr(tempfile, "mkstemp", no_temp_file)
+        with pytest.raises(NumericalError, match="non-finite"):
+            save_with_basis(normal_fit, H, path)
+        assert path.read_bytes() == before
+        assert not list(tmp_path.glob(".tmp-*"))
 
     def test_indented_archive_still_loads(self, tmp_path, normal_fit):
         path = tmp_path / "model.json"

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
+from scipy.special import gammaincc, gammainccinv
 
 from sipr import sampler
 from sipr.basis import SubspaceBasis, build_orthonormal_basis
@@ -29,6 +30,7 @@ from tests.conftest import random_dataset, write_csv
 from tests.oracles import (
     _Diagonalised,
     _laplace_metric,
+    bisected_sigma_quantiles,
     brentq_sigma_quantiles,
     dense_density,
     detect_poles,
@@ -495,6 +497,36 @@ class TestExactMixture:
         got = np.array(mixture.sigma_quantiles(Q, w))
         expected = np.array(brentq_sigma_quantiles(Q, w, d.n_basis))
         np.testing.assert_allclose(got, expected, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("n", [20, 100, 400])
+    def test_newton_sigma_quantiles_match_bisection(self, n, monkeypatch):
+        ds = minmax_scale(higdon(n, 0.1, seed=11))
+        d = build_density(build_orthonormal_basis(ds.X, 1.5), ds.y, UnknownNoise(float(np.std(ds.y)) / 10.0))
+        mixture = sampler._ScaleMixture(d)
+        _, (_, _, Q, w, _) = mixture.solve()
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return gammaincc(*args)
+
+        monkeypatch.setattr(sampler, "gammaincc", counted)
+        got = np.array(mixture.sigma_quantiles(Q, w))
+        assert 1 <= len(calls) <= 10
+        np.testing.assert_allclose(got, bisected_sigma_quantiles(Q, w, d.n_basis), rtol=1e-13, atol=0.0)
+        cdf = w @ gammaincc(0.5 * d.n_basis, 0.5 * Q[:, None] / got**2)
+        np.testing.assert_allclose(cdf, [0.05, 0.5, 0.95], rtol=0.0, atol=1e-13)
+
+    def test_one_node_mixture_has_its_node_quantiles(self):
+        ds = minmax_scale(higdon(30, 0.1, seed=11))
+        d = build_density(build_orthonormal_basis(ds.X, 1.5), ds.y, UnknownNoise(0.01))
+        mixture = sampler._ScaleMixture(d)
+        _, (_, _, Q, _, _) = mixture.solve()
+        for k in (0, Q.shape[0] // 2, Q.shape[0] - 1):
+            w = np.zeros(Q.shape[0])
+            w[k] = 1.0
+            node = np.sqrt(0.5 * Q[k] / gammainccinv(0.5 * d.n_basis, [0.05, 0.5, 0.95]))
+            np.testing.assert_allclose(mixture.sigma_quantiles(Q, w), node, rtol=1e-13, atol=0.0)
 
     def test_draws_are_continuous_in_estar(self):
         # Computing the basis's GH as G H instead of (H^T G)^T changes the
