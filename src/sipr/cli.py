@@ -57,12 +57,9 @@ def _noise_value(noise: str):
     if noise.lower() == "unknown":
         return "unknown"
     try:
-        value = float(noise)
+        return float(noise)  # fit_regression refuses a negative or non-finite sd
     except ValueError:
         raise ValidationError(f"--noise expects a number or 'unknown', got {noise!r}") from None
-    if value < 0:
-        raise ValidationError(f"--noise must be >= 0, got {value}")
-    return value
 
 
 @click.group()

@@ -22,17 +22,7 @@ from .errors import (
     ParseError,
     ValidationError,
 )
-
-
-@dataclass(frozen=True)
-class FeatureScaling:
-    """Per-feature affine map x -> (x - mins) / ranges onto [0, 1]."""
-
-    mins: np.ndarray  # (D,)
-    ranges: np.ndarray  # (D,)
-
-    def apply(self, X: np.ndarray) -> np.ndarray:
-        return (np.atleast_2d(np.asarray(X, dtype=float)) - self.mins) / self.ranges
+from .geometry import AffineMap
 
 
 @dataclass(frozen=True)
@@ -43,7 +33,7 @@ class Dataset:
     y: np.ndarray  # (N,)
     feature_names: tuple[str, ...]
     target_name: str = "y"
-    scaling: FeatureScaling | None = None
+    scaling: AffineMap | None = None  # per-feature min-max map onto [0, 1]
 
     def __post_init__(self):
         if self.X.ndim != 2 or self.y.ndim != 1 or self.X.shape[0] != self.y.shape[0]:
@@ -81,19 +71,28 @@ def _read_rows(path: str) -> tuple[list[str], list[list[str]]]:
     return header, rows[1:]
 
 
-def _parse_cell(path: str, cell: str, row: int, col: str) -> float:
-    cell = cell.strip()
-    if not cell:
-        raise MissingValue(f"{path}: empty cell at data row {row}, column {col!r}")
-    try:
-        v = float(cell)
-    except ValueError:
-        raise ParseError(
-            f"{path}: cannot parse {cell!r} at data row {row}, column {col!r}"
-        ) from None
-    if not math.isfinite(v):
-        raise ParseError(f"{path}: non-finite value at data row {row}, column {col!r}")
-    return v
+def _parse_columns(path: str, header: list[str], data_rows: list[list[str]], columns) -> np.ndarray:
+    """The given columns (header indices) of every data row as floats, shape (rows, columns).
+
+    Row by row, each row's length is checked against the header before its
+    cells are parsed in the given order; the first bad row or cell raises.
+    """
+    out = np.empty((len(data_rows), len(columns)))
+    for r, row in enumerate(data_rows, start=1):
+        if len(row) != len(header):
+            raise ParseError(f"{path}: data row {r} has {len(row)} cells, header has {len(header)}")
+        for j, i in enumerate(columns):
+            cell, col = row[i].strip(), header[i]
+            if not cell:
+                raise MissingValue(f"{path}: empty cell at data row {r}, column {col!r}")
+            try:
+                v = float(cell)
+            except ValueError:
+                raise ParseError(f"{path}: cannot parse {cell!r} at data row {r}, column {col!r}") from None
+            if not math.isfinite(v):
+                raise ParseError(f"{path}: non-finite value at data row {r}, column {col!r}")
+            out[r - 1, j] = v
+    return out
 
 
 def load_csv(path: str, target: str) -> Dataset:
@@ -108,19 +107,9 @@ def load_csv(path: str, target: str) -> Dataset:
     if not feature_names:
         raise ValidationError(f"{path}: no feature columns besides the target")
 
-    X = np.empty((len(data_rows), len(feature_names)))
-    y = np.empty(len(data_rows))
-    for r, row in enumerate(data_rows, start=1):
-        if len(row) != len(header):
-            raise ParseError(f"{path}: data row {r} has {len(row)} cells, header has {len(header)}")
-        j = 0
-        for i, cell in enumerate(row):
-            if i == t_idx:
-                y[r - 1] = _parse_cell(path, cell, r, target)
-            else:
-                X[r - 1, j] = _parse_cell(path, cell, r, header[i])
-                j += 1
-    return Dataset(X=X, y=y, feature_names=feature_names, target_name=target)
+    table = _parse_columns(path, header, data_rows, range(len(header)))
+    X = np.delete(table, t_idx, axis=1)
+    return Dataset(X=X, y=table[:, t_idx].copy(), feature_names=feature_names, target_name=target)
 
 
 def load_probe_csv(path: str, feature_names) -> np.ndarray:
@@ -136,14 +125,7 @@ def load_probe_csv(path: str, feature_names) -> np.ndarray:
         raise ValidationError(
             f"{path}: probe file is missing feature column(s): {', '.join(missing)}"
         )
-    idx = [header.index(n) for n in feature_names]
-    P = np.empty((len(data_rows), len(idx)))
-    for r, row in enumerate(data_rows, start=1):
-        if len(row) != len(header):
-            raise ParseError(f"{path}: data row {r} has {len(row)} cells, header has {len(header)}")
-        for j, i in enumerate(idx):
-            P[r - 1, j] = _parse_cell(path, row[i], r, header[i])
-    return P
+    return _parse_columns(path, header, data_rows, [header.index(n) for n in feature_names])
 
 
 def minmax_scale(dataset: Dataset) -> Dataset:
@@ -155,7 +137,7 @@ def minmax_scale(dataset: Dataset) -> Dataset:
             raise ConstantFeature(
                 f"feature {dataset.feature_names[j]!r} is constant and cannot be scaled"
             )
-    scaling = FeatureScaling(mins=mins, ranges=ranges)
+    scaling = AffineMap(shift=mins, scale=ranges)
     return replace(dataset, X=scaling.apply(dataset.X), scaling=scaling)
 
 

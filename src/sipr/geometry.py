@@ -10,8 +10,9 @@ with u = (x - shift) / s the points mapped into the unit box, and the
 constant that turns the quadratic form a^T G a into a squared norm.
 _Geometry is their one owner: it maps a point set into the unit box, checks
 it for duplicates and assembles G and M_u, once, and holds them with the
-factored kernel system they form. The interpolant, its posterior, the
-orthonormal basis and the bands all read them from one instance.
+factored kernel system they form. This is the one module that knows the unit
+box: the interpolant, its posterior, the orthonormal basis and the bands all
+read the points' solves from one instance, in the caller's units.
 """
 
 from __future__ import annotations
@@ -22,13 +23,17 @@ from functools import cached_property
 from itertools import product
 
 import numpy as np
+from scipy.linalg import get_lapack_funcs
 from scipy.special import gammaln
 
-from ._linalg import RCOND_MIN, SymmetricFactor
-from .errors import ConstraintViolated, DimensionMismatch, DuplicatePoints, IntegerEta
+from .errors import ConstraintViolated, DimensionMismatch, DuplicatePoints, IntegerEta, SingularSystem
 
 # Tolerance for "two points coincide", applied in unit-box coordinates.
 DUPLICATE_TOL = 1e-12
+
+# Reciprocal condition number below which a system counts as singular:
+# SymmetricFactor and the regression posterior's eigendecomposition gate on it.
+RCOND_MIN = 1e-14
 
 
 @dataclass(frozen=True)
@@ -137,23 +142,51 @@ def monomial_matrix(X, eta) -> np.ndarray:
     return M
 
 
-# --- conditioning transform ----------------------------------------------
+# --- conditioning transform and the gated factor ---------------------------
 
 
 @dataclass(frozen=True)
-class UnitBoxMap:
-    """Scalar affine map x -> (x - shift) / scale used to condition solves.
+class AffineMap:
+    """Affine map x -> (x - shift) / scale, per feature or with one scale.
 
-    A single scale (the widest feature range) keeps the map isotropic, so the
-    kernel model is exactly covariant under it and results can be mapped back
-    without approximation.
+    The unit box of a point set uses a single scale (the widest feature
+    range), which keeps the map isotropic, so the kernel model is exactly
+    covariant under it and results can be mapped back without approximation.
+    Min-max scaling onto [0, 1] uses one scale per feature.
     """
 
     shift: np.ndarray  # (D,)
-    scale: float
+    scale: np.ndarray | float  # (D,) or one scale for every feature
 
-    def forward(self, X: np.ndarray) -> np.ndarray:
-        return (np.atleast_2d(X) - self.shift) / self.scale
+    def apply(self, X) -> np.ndarray:
+        return (np.atleast_2d(np.asarray(X, dtype=float)) - self.shift) / self.scale
+
+
+class SymmetricFactor:
+    """Bunch-Kaufman factorization of a symmetric indefinite matrix, rcond-gated.
+
+    The saddle systems are symmetric indefinite. Factor once, estimate the
+    reciprocal condition number from the factorization and raise
+    SingularSystem below RCOND_MIN instead of returning garbage, then solve
+    against any number of right-hand sides.
+    """
+
+    def __init__(self, A: np.ndarray):
+        A = np.ascontiguousarray(A, dtype=float)
+        sytrf, sycon, self._sytrs = get_lapack_funcs(("sytrf", "sycon", "sytrs"), (A,))
+        anorm = np.linalg.norm(A, 1)
+        self._ldu, self._ipiv, info = sytrf(A)
+        if info != 0:
+            raise SingularSystem(f"symmetric factorization failed (info={info})")
+        rcond, info = sycon(self._ldu, self._ipiv, anorm)
+        if info != 0 or not np.isfinite(rcond) or rcond < RCOND_MIN:
+            raise SingularSystem(f"system too ill-conditioned to solve (rcond={rcond:.3e})")
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        x, info = self._sytrs(self._ldu, self._ipiv, np.asarray(b, dtype=float))
+        if info != 0:
+            raise SingularSystem(f"symmetric solve failed (info={info})")
+        return x
 
 
 # --- one point set --------------------------------------------------------
@@ -174,7 +207,9 @@ class _Geometry:
         K = [[G s^(-2 eta), M_u^T], [M_u, 0]].
 
     K is factored on first use and serves every solve and probe set of the
-    point set. caller_polynomial rewrites c_u over the caller's monomials.
+    point set. interpolant, power_function and conditioned_kernel map its
+    solves back to the caller's units; caller_polynomial rewrites c_u over
+    the caller's monomials.
     """
 
     def __init__(self, X, eta):
@@ -184,8 +219,8 @@ class _Geometry:
         # the duplicate check then rejects
         lo = X.min(axis=0)
         scale = float((X.max(axis=0) - lo).max())
-        self.box = UnitBoxMap(shift=lo, scale=scale if np.isfinite(scale) and scale > 0.0 else 1.0)
-        self.U = self.box.forward(X)
+        self.box = AffineMap(shift=lo, scale=scale if np.isfinite(scale) and scale > 0.0 else 1.0)
+        self.U = self.box.apply(X)
         d2 = pairwise_sq_dists(X, X)
         np.fill_diagonal(d2, np.inf)
         if d2.min() / self.box.scale**2 < DUPLICATE_TOL**2:
@@ -224,11 +259,21 @@ class _Geometry:
     def probe_rows(self, probes) -> tuple[np.ndarray, np.ndarray]:
         """Kernel rows g(p)[n] = ||p - x_n||^(2 eta), shape (P, N), and unit-box monomials m_u(p), (N0, P)."""
         P = self.as_probes(probes)
-        return pairwise_sq_dists(P, self.X) ** self.eta.value, monomial_matrix(self.box.forward(P), self.eta)
+        return pairwise_sq_dists(P, self.X) ** self.eta.value, monomial_matrix(self.box.apply(P), self.eta)
+
+    def interpolant(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Kernel coefficients a (caller's units) and c_u of the minimum-norm interpolant of y.
+
+        One saddle solve K [a_u; c_u] = [y; 0]; the unit-box coefficients a_u
+        map back as a = a_u s^(-2 eta).
+        """
+        N = self.n_points
+        sol = self.saddle.solve(np.concatenate([y, np.zeros(self.n_null)]))
+        return sol[:N] * self.box.scale ** (-2.0 * self.eta.value), sol[N:]
 
     def border(self, probes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Unit-box probes Q, their columns B = [g(Q); m(Q)] bordering K, and W = K^-1 B."""
-        Q = self.box.forward(self.as_probes(probes))
+        Q = self.box.apply(self.as_probes(probes))
         B = np.vstack([pairwise_sq_dists(self.U, Q) ** self.eta.value, monomial_matrix(Q, self.eta)])
         return Q, B, self.saddle.solve(B)
 
@@ -248,6 +293,16 @@ class _Geometry:
         s = -math.copysign(1.0, C) * np.einsum("ip,ip->p", B, W)
         floor = RCOND_MIN * np.linalg.norm(B, axis=0) * np.linalg.norm(W, axis=0)
         return np.where(s > floor, s * self.box.scale ** (2.0 * self.eta.value) / abs(C), 0.0)
+
+    def conditioned_kernel(self, Q: np.ndarray, B: np.ndarray, W: np.ndarray) -> np.ndarray:
+        """The kernel of a border's probes conditioned on the data, shape (P, P).
+
+            K_c = (Phi - B^T W) s^(2 eta) / C,   Phi[p, q] = ||q_p - q_q||^(2 eta),
+
+        in the caller's units; its diagonal is the power function.
+        """
+        to_caller = self.box.scale ** (2.0 * self.eta.value) / eta_norm_constant(self.dim, self.eta)
+        return (pairwise_sq_dists(Q, Q) ** self.eta.value - B.T @ W) * to_caller
 
     def norm_sq(self, a) -> float:
         """Squared norm C a^T G a of the function with kernel coefficients a on these points.

@@ -8,10 +8,10 @@ with u(x) the unit-box map of the points' geometry, obtained from the saddle
 system [[G, M_u^T], [M_u, 0]] [a; c_u] = [y; 0]. Among all functions of finite
 norm that hit the data it minimizes the norm, and the posterior of the
 function value at any other point is a Student-t centered on it, and its
-values on any finite grid are jointly multivariate t. Solves run in unit-box
-coordinates for conditioning, from the one factorization of the saddle that
-the points' geometry holds; a is mapped back to the caller's units, and c
-reads the polynomial over the caller's monomials.
+values on any finite grid are jointly multivariate t. The points' geometry
+solves the saddle in unit-box coordinates for conditioning, from its one
+factorization, and maps a back to the caller's units; c reads the polynomial
+over the caller's monomials.
 """
 
 from __future__ import annotations
@@ -23,31 +23,32 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionMismatch, TooFewPoints
-from .geometry import (
-    Regularity,
-    _Geometry,
-    as_points,
-    as_regularity,
-    eta_norm_constant,
-    nullspace_dim,
-    pairwise_sq_dists,
-)
+from .geometry import Regularity, _Geometry, as_points, as_regularity, nullspace_dim
 
 # An interpolant whose squared norm falls below this fraction of ||y||^2 is
 # treated as exactly polynomial data: the posterior collapses to a point mass.
 POLYNOMIAL_TOL = 1e-12
 
 
-def t_scale_and_sd(ratio: np.ndarray, dof: float) -> tuple[np.ndarray, np.ndarray]:
-    """Scale and sd of t posteriors with dof degrees of freedom and ratios ||f||^2 / ||t_x||^2.
+def t_part(geometry: _Geometry, norm_sq: float, y: np.ndarray, probes: np.ndarray, dof: float):
+    """The t part of a posterior at probe points (P, D) of a geometry: scale, sd, spread and border.
 
-    The sd exists only for dof > 2; below that it is NaN, except at point
-    masses (ratio 0), where it is 0.
+    The spread is ||f||^2, or 0 for exactly polynomial data (||f||^2 at most
+    POLYNOMIAL_TOL ||y||^2), whose t part is a point mass. Otherwise the
+    probes border the saddle once and the ratio ||f||^2 / ||t_x||^2 is the
+    spread times the power function. The t scale is sqrt(ratio / dof); the
+    sd, sqrt(ratio / (dof - 2)), exists only for dof > 2 and is NaN below
+    that, except at point masses (ratio 0), where it is 0. The border
+    (Q, B, W, power) serves the sample paths; it is None with spread 0.
     """
-    scale = np.sqrt(ratio / dof)
-    if dof > 2:
-        return scale, np.sqrt(ratio / (dof - 2))
-    return scale, np.where(ratio == 0.0, 0.0, np.nan)
+    spread = norm_sq if norm_sq > POLYNOMIAL_TOL * float(y @ y) else 0.0
+    ratio, border = np.zeros(probes.shape[0]), None
+    if spread:
+        Q, B, W = geometry.border(probes)
+        power = geometry.power_function(B, W)
+        ratio, border = spread * power, (Q, B, W, power)
+    sd = np.sqrt(ratio / (dof - 2)) if dof > 2 else np.where(ratio == 0.0, 0.0, np.nan)
+    return np.sqrt(ratio / dof), sd, spread, border
 
 
 @dataclass(eq=False)
@@ -76,11 +77,6 @@ class InterpolationModel:
     def norm_sq(self) -> float:
         """Squared norm of the interpolant, eta_norm_sq of its coefficients."""
         return self.geometry.norm_sq(self.a)
-
-    @property
-    def _spread(self) -> float:
-        """||f||^2, or 0 for exactly polynomial data, whose posterior is a point mass."""
-        return self.norm_sq if self.norm_sq > POLYNOMIAL_TOL * float(self.y @ self.y) else 0.0
 
     def evaluate(self, probes) -> np.ndarray:
         """Interpolant values at probe points, shape (P,)."""
@@ -129,26 +125,18 @@ class InterpolationModel:
         mean = self.evaluate(P)
         seeds = list(seeds)
         paths = np.repeat(mean[:, None], len(seeds), axis=1)
-        ratio = np.zeros_like(mean)
-        if self._spread:
-            geo = self.geometry
-            Q, B, W = geo.border(P)
-            power = geo.power_function(B, W)
-            ratio = self._spread * power
-            if seeds:
-                free = power > 0.0
-                Q, B, W = Q[free], B[:, free], W[:, free]
-                C = eta_norm_constant(geo.dim, self.eta)
-                K_c = (pairwise_sq_dists(Q, Q) ** self.eta.value - B.T @ W) * (
-                    geo.box.scale ** (2.0 * self.eta.value) / C
-                )
-                lam, V = np.linalg.eigh(0.5 * (K_c + K_c.T))
-                R = (V * np.sqrt(np.maximum(lam, 0.0))) @ V.T
-                for j, seed in enumerate(seeds):
-                    rng = np.random.default_rng(seed)
-                    u = rng.chisquare(self.dof)
-                    paths[free, j] += math.sqrt(self._spread / u) * (R @ rng.standard_normal(R.shape[1]))
-        return (mean, *t_scale_and_sd(ratio, self.dof), paths)
+        scale, sd, spread, border = t_part(self.geometry, self.norm_sq, self.y, P, self.dof)
+        if seeds and border is not None:
+            Q, B, W, power = border
+            free = power > 0.0
+            K_c = self.geometry.conditioned_kernel(Q[free], B[:, free], W[:, free])
+            lam, V = np.linalg.eigh(0.5 * (K_c + K_c.T))
+            R = (V * np.sqrt(np.maximum(lam, 0.0))) @ V.T
+            for j, seed in enumerate(seeds):
+                rng = np.random.default_rng(seed)
+                u = rng.chisquare(self.dof)
+                paths[free, j] += math.sqrt(spread / u) * (R @ rng.standard_normal(R.shape[1]))
+        return mean, scale, sd, paths
 
 
 def _checked_geometry(X, y, eta) -> tuple[_Geometry, np.ndarray]:
@@ -176,10 +164,8 @@ def _checked_geometry(X, y, eta) -> tuple[_Geometry, np.ndarray]:
 def solve_interpolation(X, y, eta) -> InterpolationModel:
     """Fit the minimum-norm interpolant through (X, y)."""
     geometry, y = _checked_geometry(X, y, eta)
-    N = geometry.n_points
-    sol = geometry.saddle.solve(np.concatenate([y, np.zeros(geometry.n_null)]))
-    a = sol[:N] * geometry.box.scale ** (-2.0 * geometry.eta.value)
-    return InterpolationModel(geometry=geometry, y=y, a=a, c_u=sol[N:])
+    a, c_u = geometry.interpolant(y)
+    return InterpolationModel(geometry=geometry, y=y, a=a, c_u=c_u)
 
 
 # --- pointwise posterior --------------------------------------------------

@@ -38,9 +38,9 @@ import numpy as np
 from . import __version__ as _pkg_version
 from ._io import _float_text, atomic_write
 from .basis import SubspaceBasis, build_orthonormal_basis, evaluation_matrix
-from .data import Dataset, FeatureScaling, kfold, minmax_scale, rmse
+from .data import Dataset, kfold, minmax_scale, rmse
 from .errors import ArchiveVersionError, IOError_, NumericalError, ValidationError
-from .geometry import Regularity, _Geometry, as_points, as_regularity
+from .geometry import AffineMap, Regularity, _Geometry, as_points, as_regularity
 from .interpolate import POLYNOMIAL_TOL, _checked_geometry, solve_interpolation
 from .posterior import KnownNoise, UnknownNoise, build_density
 from .predict import CredibleBand, credible_band
@@ -77,7 +77,7 @@ class RegressionFit:
     y: np.ndarray
     noise_known: bool
     sigma_y: float  # known value, posterior median, or residual estimate
-    scaling: FeatureScaling | None = None
+    scaling: AffineMap | None = None  # min-max map of the inputs onto [0, 1]
     feature_names: tuple[str, ...] | None = None
     target_name: str = "y"
     posterior: RegressionPosterior | None = None  # the exact posterior, if this fit computed one
@@ -266,7 +266,7 @@ def _archive_entries(fit: RegressionFit) -> dict:
         "target_name": fit.target_name,
         "scaling": None
         if fit.scaling is None
-        else {"mins": _arr(fit.scaling.mins), "ranges": _arr(fit.scaling.ranges)},
+        else {"mins": _arr(fit.scaling.shift), "ranges": _arr(fit.scaling.scale)},
         "X": _arr(fit.X),
         "y": _arr(fit.y),
         "basis_H": fit.basis.H,
@@ -353,9 +353,9 @@ def _fit_from_archive(doc: dict) -> RegressionFit:
     k = {Regime.NORMAL: N - N0, Regime.INTERPOLATION_POLE: 1, Regime.NULLSPACE_POLE: 0}[regime]
     scaling = None
     if doc.get("scaling") is not None:
-        scaling = FeatureScaling(
-            mins=np.asarray(doc["scaling"]["mins"], dtype=float),
-            ranges=np.asarray(doc["scaling"]["ranges"], dtype=float),
+        scaling = AffineMap(
+            shift=np.asarray(doc["scaling"]["mins"], dtype=float),
+            scale=np.asarray(doc["scaling"]["ranges"], dtype=float),
         )
     sigma_info = doc["sigma_y"]
     cfg_doc = doc.get("config") or {}

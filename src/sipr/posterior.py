@@ -28,9 +28,9 @@ from functools import cached_property
 
 import numpy as np
 
-from ._linalg import RCOND_MIN
 from .basis import SubspaceBasis
 from .errors import DimensionMismatch, DomainError, NoConvergence, PoleCollapse, SingularSystem
+from .geometry import RCOND_MIN
 
 __all__ = [
     "KnownNoise",

@@ -14,7 +14,8 @@ mean is E h. Its uncertainty has two parts that add in quadrature:
                 of its squared kernel norm ||H h_k||^2 to the probe's test
                 function norm (read off the power function, one saddle solve
                 for all probes), with the fit's dof (sd exists only for
-                dof > 2; the scale always does); skipped when the norm is 0
+                dof > 2; the scale always does); skipped when the norm is at
+                most POLYNOMIAL_TOL ||y||^2 (see interpolate.t_part)
     sigma_s  -- the spread of the coordinates, diag(E Sigma E^T)
 
 sigma_f^2 = sigma_t^2 + sigma_s^2 is the function band and
@@ -32,7 +33,7 @@ from scipy.special import stdtrit
 from .basis import evaluation_matrix
 from .errors import ValidationError
 from .geometry import as_points
-from .interpolate import t_scale_and_sd
+from .interpolate import t_part
 
 
 @dataclass(eq=False)
@@ -77,12 +78,7 @@ def credible_band(fit, probes, level: float = 0.95) -> CredibleBand:
     E = evaluation_matrix(basis, P)
     mean = E @ fit.h
     sigma_s = np.sqrt(np.maximum(np.einsum("pi,pi->p", E @ fit.Sigma, E), 0.0))
-    ratio = np.zeros_like(mean)
-    norm = max(basis.geometry.norm_sq(fit.mean_a), 0.0)
-    if norm > 0.0:
-        _, B, W = basis.geometry.border(P)
-        ratio = norm * basis.geometry.power_function(B, W)
-    scale_t, sigma_t = t_scale_and_sd(ratio, fit.dof)
+    scale_t, sigma_t, *_ = t_part(basis.geometry, basis.geometry.norm_sq(fit.mean_a), fit.y, P, fit.dof)
     sigma_f = np.sqrt(sigma_t**2 + sigma_s**2)
     sigma_d = np.sqrt(sigma_f**2 + fit.sigma_y**2)
     half = band_halfwidth(level, fit.dof, np.sqrt(scale_t**2 + sigma_s**2))

@@ -53,7 +53,7 @@ from scipy.optimize import brentq
 from scipy.special import gammaincc, gammainccinv
 
 from sipr.basis import SubspaceBasis
-from sipr._linalg import SymmetricFactor
+from sipr.geometry import SymmetricFactor
 from sipr.errors import (
     DimensionMismatch,
     DomainError,

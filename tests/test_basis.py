@@ -157,4 +157,4 @@ def test_evaluation_matrix_shape_and_polynomial_block():
     e = evaluation_matrix(basis, probe)[0]
     assert e.shape == (9,)
     # Last N0 entries are the monomials 1, u0, u1 of the probe in the unit box.
-    np.testing.assert_allclose(e[-3:], monomial_matrix(basis.geometry.box.forward(probe), 1.5)[:, 0], rtol=1e-14)
+    np.testing.assert_allclose(e[-3:], monomial_matrix(basis.geometry.box.apply(probe), 1.5)[:, 0], rtol=1e-14)

@@ -358,6 +358,17 @@ class TestExitCodes:
         assert main(["interpolate", "--data", str(data), "--target", "y",
                      "--eta", "1.5", "--grid", grid, "--out", str(tmp_path / "o.csv")]) == 2
 
+    @pytest.mark.parametrize("noise", ["-1", "nan", "inf"])
+    @pytest.mark.parametrize("command", ["fit", "crossval"])
+    def test_negative_or_non_finite_noise_is_2(self, tmp_path, capsys, command, noise):
+        data = tmp_path / "d.csv"
+        write_higdon(data, n=8)
+        out = ["--model-out", str(tmp_path / "m.json")] if command == "fit" else ["--out", str(tmp_path / "o.csv")]
+        code = main([command, "--data", str(data), "--target", "y", "--eta", "1.5", "--noise", noise, *out])
+        assert code == 2
+        assert f"noise sd must be >= 0, got {float(noise)}" in capsys.readouterr().err
+        assert not any(tmp_path.glob("[mo].*"))
+
     def test_probes_and_grid_together_is_2(self, tmp_path):
         data = tmp_path / "d.csv"
         write_higdon(data, n=8)

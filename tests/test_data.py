@@ -66,6 +66,17 @@ class TestLoadCsv:
         with pytest.raises(ParseError, match="data row 1 has 3 cells"):
             load_csv(str(p), target="y")
 
+    def test_first_bad_cell_in_file_order_is_named(self, tmp_path):
+        # Rows in order, each row's length before its cells, cells left to
+        # right whether they hold a feature or the target.
+        p = tmp_path / "d.csv"
+        p.write_text("a,y,b\n1,2,3\n4,,oops\n5,6\n")
+        with pytest.raises(MissingValue, match="data row 2, column 'y'"):
+            load_csv(str(p), target="y")
+        p.write_text("a,y,b\n1,2,3\n4,5,oops\n5,6\n")
+        with pytest.raises(ParseError, match="cannot parse 'oops' at data row 2, column 'b'"):
+            load_csv(str(p), target="y")
+
     def test_unknown_target_lists_columns(self, tmp_path):
         p = tmp_path / "d.csv"
         p.write_text("x,y\n1,2\n")
@@ -89,14 +100,39 @@ class TestLoadCsv:
             load_probe_csv(str(probes), ["x"])
 
 
+class TestLoadProbeCsv:
+    def test_ragged_row_rejected(self, tmp_path):
+        p = tmp_path / "p.csv"
+        p.write_text("x,z\n1,2\n3\n")
+        with pytest.raises(ParseError, match="data row 2 has 1 cells, header has 2"):
+            load_probe_csv(str(p), ["x"])
+
+    def test_parse_error_names_row_and_column(self, tmp_path):
+        p = tmp_path / "p.csv"
+        p.write_text("z,x\n1,2\n3,oops\n")
+        with pytest.raises(ParseError, match="cannot parse 'oops' at data row 2, column 'x'"):
+            load_probe_csv(str(p), ["x"])
+
+    def test_missing_value_names_row_and_column(self, tmp_path):
+        p = tmp_path / "p.csv"
+        p.write_text("x,w\n1,2\n , 4\n")
+        with pytest.raises(MissingValue, match="empty cell at data row 2, column 'x'"):
+            load_probe_csv(str(p), ["w", "x"])
+
+    def test_cells_outside_the_features_are_not_parsed(self, tmp_path):
+        p = tmp_path / "p.csv"
+        p.write_text("x,y,w\n1,,4\n2,oops,5\n")
+        np.testing.assert_array_equal(load_probe_csv(str(p), ["w", "x"]), [[4.0, 1.0], [5.0, 2.0]])
+
+
 class TestMinmaxScale:
     def test_three_point_example(self, tmp_path):
         p = tmp_path / "d.csv"
         p.write_text("x,y\n2,0\n4,0\n6,0\n")
         ds = minmax_scale(load_csv(str(p), target="y"))
         np.testing.assert_allclose(ds.X[:, 0], [0.0, 0.5, 1.0])
-        np.testing.assert_allclose(ds.scaling.mins, [2.0])
-        np.testing.assert_allclose(ds.scaling.ranges, [4.0])
+        np.testing.assert_allclose(ds.scaling.shift, [2.0])
+        np.testing.assert_allclose(ds.scaling.scale, [4.0])
 
     def test_constant_feature_rejected(self, tmp_path):
         p = tmp_path / "d.csv"

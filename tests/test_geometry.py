@@ -167,7 +167,7 @@ def test_monomial_matrix_rows_are_monomials():
 class TestUnitBoxMap:
     def test_forward_lands_in_unit_box(self):
         X = np.random.default_rng(8).normal(size=(50, 2)) * [100.0, 0.01]
-        U = _Geometry(X, 1.5).box.forward(X)
+        U = _Geometry(X, 1.5).box.apply(X)
         assert U.min() >= 0.0
         assert U.max() <= 1.0 + 1e-12
 
@@ -176,4 +176,20 @@ class TestUnitBoxMap:
         X = np.array([[0.0, 0.0], [10.0, 1.0]])
         box = _Geometry(X, 1.5).box
         assert box.scale == 10.0
-        np.testing.assert_allclose(box.forward(X)[1], [1.0, 0.1])
+        np.testing.assert_allclose(box.apply(X)[1], [1.0, 0.1])
+
+
+def test_interpolant_and_conditioned_kernel_read_back_in_caller_units():
+    # Raw inputs far from the unit box: the interpolant hits the data with
+    # G and M_u as held, and the conditioned kernel's diagonal is the power
+    # function of the same border.
+    X = 1e3 + np.linspace(0.0, 40.0, 11)[:, None]
+    y = np.sin(X[:, 0] / 7.0)
+    g = _Geometry(X, 1.5)
+    a, c_u = g.interpolant(y)
+    np.testing.assert_allclose(g.G @ a + g.M_u.T @ c_u, y, rtol=0, atol=1e-9)
+    assert np.abs(g.M_u @ a).max() < 1e-9 * np.abs(a).max()
+    Q, B, W = g.border(X[[0, 2]] + [[1.5], [-0.25]])
+    K_c = g.conditioned_kernel(Q, B, W)
+    np.testing.assert_allclose(np.diag(K_c), g.power_function(B, W), rtol=1e-9)
+    np.testing.assert_allclose(K_c, K_c.T, rtol=1e-9, atol=0)

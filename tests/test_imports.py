@@ -145,6 +145,34 @@ def test_scan_flags_an_orphaned_private_definition():
     assert orphaned_definitions(sources) == ["a.py:_orphan"]
 
 
+# _Geometry's unit box, its factored unit-box saddle and the unit-box points:
+# only geometry.py knows the unit box, and every other module gets its solves
+# back in the caller's units (_Geometry.interpolant, power_function, ...).
+UNIT_BOX_ATTRIBUTES = {"box", "saddle", "U"}
+
+
+def unit_box_readers(sources: dict[str, str]) -> list[str]:
+    """module:line .name of every read of a unit-box attribute outside geometry.py."""
+    out = []
+    for name, source in sources.items():
+        if name != "geometry.py":
+            out += [f"{name}:{node.lineno} .{node.attr}" for node in ast.walk(ast.parse(source))
+                    if isinstance(node, ast.Attribute) and node.attr in UNIT_BOX_ATTRIBUTES]
+    return sorted(out)
+
+
+def test_only_geometry_reads_the_unit_box():
+    assert unit_box_readers({p.name: p.read_text() for p in MODULES}) == []
+
+
+def test_scan_flags_a_unit_box_read_outside_geometry():
+    sources = {
+        "geometry.py": "s = self.box.scale\nK = self.saddle\n",
+        "a.py": "s = geo.box.scale\nsol = geo.saddle.solve(b)\nu = geo.U\nx = geo.X\nbox = 1\n",
+    }
+    assert unit_box_readers(sources) == ["a.py:1 .box", "a.py:2 .saddle", "a.py:3 .U"]
+
+
 def test_cli_import_leaves_out_scipy_stats():
     # Every CLI process pays for what sipr.cli imports; scipy.stats alone
     # costs about half a second and sipr needs none of it.

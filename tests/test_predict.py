@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy.stats import t as student_t
 
-from sipr._linalg import SymmetricFactor
+from sipr.geometry import SymmetricFactor
 from sipr.basis import evaluation_matrix
 from sipr.cli import main
 from sipr.data import higdon
