@@ -86,8 +86,7 @@ def cmd_interpolate(data_path, target, eta, probes_path, grid, paths, seed, out_
         raise ValidationError(f"--paths must be >= 0, got {paths}")
 
     model = solve_interpolation(ds.X, ds.y, reg)
-    # posterior and sample_paths from one border solve
-    mean, scale, sd, path_rows = model._posterior_and_paths(probes, np.random.SeedSequence(seed).spawn(paths))
+    mean, scale, sd, path_rows = model.posterior(probes, np.random.SeedSequence(seed).spawn(paths))
 
     header = list(ds.feature_names) + ["mean", "scale", "sd"] + [f"path_{i}" for i in range(paths)]
     table = np.column_stack([probes, mean, scale, sd, path_rows])

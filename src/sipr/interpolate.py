@@ -91,36 +91,29 @@ class InterpolationModel:
         """Degrees of freedom of the pointwise t posteriors, N - N0."""
         return self.geometry.n_points - self.geometry.n_null
 
-    def posterior(self, probes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Mean, t scale and sd of the exact-data posterior at each probe.
+    def posterior(self, probes, seeds=()) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Mean, t scale and sd of the exact-data posterior at each probe, and joint sample paths.
 
         The t scale is sqrt(||f||^2 / (||t_x||^2 dof)); sd exists only for
         dof > 2 (NaN otherwise). Probes on a datapoint and exactly polynomial
         data give point masses: scale 0 and sd 0.
-        """
-        return self._posterior_and_paths(probes, ())[:3]
 
-    def sample_paths(self, grid, seeds) -> np.ndarray:
-        """Joint posterior sample paths over grid points, one column per seed, shape (G, S).
-
-        The exact-data posterior is a t-process, so its values on a grid are
-        jointly multivariate t (Shah, Wilson & Ghahramani, AISTATS 2014): a
-        path is mean + sqrt(||f||^2 / u) R xi with u ~ chi^2(dof), xi ~ N(0, I)
-        and R R^T = K_c, the grid's kernel conditioned on the data,
+        The paths have shape (P, len(seeds)), one column per seed, and come
+        from the same border solve. The exact-data posterior is a t-process,
+        so its values on the probes are jointly multivariate t (Shah, Wilson
+        & Ghahramani, AISTATS 2014): a path is mean + sqrt(||f||^2 / u) R xi
+        with u ~ chi^2(dof), xi ~ N(0, I) and R R^T = K_c, the probes' kernel
+        conditioned on the data,
 
             K_c = (Phi - B^T K^-1 B) scale^(2 eta) / C,   Phi[p, q] = ||q_p - q_q||^(2 eta),
 
         in unit-box coordinates; its diagonal is the power function. R = V
         sqrt(lam) V^T is the symmetric root from one eigendecomposition of K_c
         for every seed (negative rounding eigenvalues clamped to 0); it is
-        continuous in K_c, so seeded paths do not jump under rounding. Grid
-        points on a datapoint (power function 0) and exactly polynomial data
+        continuous in K_c, so seeded paths do not jump under rounding. Probes
+        on a datapoint (power function 0) and exactly polynomial data
         reproduce the mean. Deterministic for fixed seeds.
         """
-        return self._posterior_and_paths(grid, seeds)[3]
-
-    def _posterior_and_paths(self, probes, seeds):
-        """posterior(probes) and sample_paths(probes, seeds), from one border solve."""
         P = as_points(probes)
         mean = self.evaluate(P)
         seeds = list(seeds)
@@ -185,21 +178,15 @@ class PointwisePosterior:
     dof: int
     sd: float
 
-    @property
-    def is_point_mass(self) -> bool:
-        return self.scale == 0.0
 
-
-def pointwise_posterior(X, y, eta, x_t, model: InterpolationModel | None = None) -> PointwisePosterior:
+def pointwise_posterior(X, y, eta, x_t) -> PointwisePosterior:
     """Posterior of f(x_t) given exact observations (X, y).
 
-    dof = N - N0. Pass a pre-fitted model to avoid re-solving when probing
-    many points against the same data; InterpolationModel.posterior does a
-    whole probe set at once.
+    dof = N - N0. InterpolationModel.posterior does a whole probe set at
+    once against one fitted model.
     """
-    if model is None:
-        model = solve_interpolation(X, y, eta)
-    mean, scale, sd = model.posterior(np.reshape(np.asarray(x_t, dtype=float), (1, -1)))
+    model = solve_interpolation(X, y, eta)
+    mean, scale, sd, _ = model.posterior(np.reshape(np.asarray(x_t, dtype=float), (1, -1)))
     return PointwisePosterior(
         mean=float(mean[0]), scale=float(scale[0]), dof=model.dof, sd=float(sd[0])
     )

@@ -363,6 +363,10 @@ def _fit_from_archive(doc: dict) -> RegressionFit:
     if y.shape != (N,) or H.shape != (N, k) or h.shape != (k + N0,):
         raise ValueError(f"y, basis_H and h_hat have shapes {y.shape}, {H.shape} and {h.shape} "
                          f"for {N} points in the {regime.value} regime")
+    try:
+        config = SamplerConfig(**cfg_doc) if cfg_doc else None
+    except ValidationError as exc:  # an ill-formed entry of the file, not of the caller's input
+        raise ValueError(f"config: {exc}") from exc
     return RegressionFit(
         regime=regime,
         basis=SubspaceBasis(geometry=geometry, H=H),
@@ -374,7 +378,7 @@ def _fit_from_archive(doc: dict) -> RegressionFit:
         scaling=scaling,
         feature_names=tuple(doc["feature_names"]),
         target_name=doc["target_name"],
-        config=SamplerConfig(**cfg_doc) if cfg_doc else None,
+        config=config,
         diagnostics_summary=doc.get("diagnostics"),
     )
 

@@ -14,8 +14,8 @@ by the Jacobian, so no explicit prior term appears.
 
 Both quadratic forms of the density, ||h||^2 and the misfit, are diagonal in
 the coordinates t = T^-1 h* of one eigendecomposition built straight from the
-basis, once per density (``PosteriorDensity.pencil``). In t the MAP reduces
-to one scalar equation in ||h||^2, and given the scale of the norm prior the
+basis, the pencil, which ``PosteriorDensity`` holds. In t the MAP reduces to
+one scalar equation in ||h||^2, and given the scale of the norm prior the
 posterior is a diagonal Gaussian, so ``sampler.run_mcmc`` computes it as a
 one-dimensional mixture.
 """
@@ -74,46 +74,8 @@ class UnknownNoise:
         return False
 
 
-@dataclass(frozen=True, eq=False)
-class _Pencil:
-    """Coordinates t = T^-1 h* in which ||h||^2 = sum(rho t^2) and the misfit is sum(s (t - t_mu)^2).
-
-    The first Nh columns of T are orthonormal in their kernel block U (rho =
-    1, s = the misfit's weights there); the last N0 are the polynomial
-    block, with no kernel part (rho = 0, s = 1). So the kernel block h of T t
-    is exactly 0 where the first Nh entries of t are, and ||h|| =
-    ||t[:Nh]||. T^-1 is read off the same blocks: its first Nh rows are
-    [U^T, 0], its last N0 rows poly_rows.
-    """
-
-    T: np.ndarray  # (N, N)
-    s: np.ndarray  # (N,) misfit weights
-    t_mu: np.ndarray  # (N,) the interpolant's coordinates
-    poly_rows: np.ndarray  # (N0, N) the last N0 rows of T^-1
-
-    @property
-    def n_basis(self) -> int:
-        return self.T.shape[0] - self.poly_rows.shape[0]
-
-    @property
-    def rho(self) -> np.ndarray:
-        return (np.arange(self.T.shape[0]) < self.n_basis).astype(float)
-
-    def coordinates(self, h_star: np.ndarray) -> np.ndarray:
-        """t = T^-1 h*."""
-        Nh = self.n_basis
-        return np.concatenate([h_star[:Nh] @ self.T[:Nh, :Nh], self.poly_rows @ h_star])
-
-    def pull_back(self, v: np.ndarray) -> np.ndarray:
-        """T^-T v, which carries a gradient in t back to h*."""
-        Nh = self.n_basis
-        out = v[Nh:] @ self.poly_rows
-        out[:Nh] += self.T[:Nh, :Nh] @ v[:Nh]
-        return out
-
-
-def _pencil(basis: SubspaceBasis, y: np.ndarray, sigma: float) -> _Pencil:
-    """The pencil of ||h||^2 and the misfit ||E* (h* - h*_mu)||^2 / sigma^2, built from the basis.
+def _pencil(basis: SubspaceBasis, y: np.ndarray, sigma: float):
+    """The pencil (T, s, t_mu, poly_rows) of ||h||^2 and the misfit ||E* (h* - h*_mu)||^2 / sigma^2.
 
     With the thin QR M_u^T = Q1 R of the unit-box monomials and A = G H, the
     misfit's Schur complement on the kernel block is S = A^T A - F^T F, F =
@@ -151,8 +113,7 @@ def _pencil(basis: SubspaceBasis, y: np.ndarray, sigma: float) -> _Pencil:
     for _ in range(2):
         h = U @ t_mu[:Nh]
         t_mu += semi_normal(y - A @ h - Q1 @ (sigma * t_mu[Nh:] - F @ h))
-    return _Pencil(T=T, s=np.concatenate([e / sigma**2, np.ones(geometry.n_null)]), t_mu=t_mu,
-                   poly_rows=np.hstack([F, R]) / sigma)
+    return T, np.concatenate([e / sigma**2, np.ones(geometry.n_null)]), t_mu, np.hstack([F, R]) / sigma
 
 
 @dataclass(eq=False)
@@ -161,24 +122,32 @@ class PosteriorDensity:
 
     State layout: the first n_points entries are h* = (h, c_u), c_u the
     polynomial block over the geometry's unit-box monomials; unknown-noise
-    mode appends log sigma_y as the last entry. The pencil holds the misfit
-    at the known sd, or at unit sd when the noise is unknown.
+    mode appends log sigma_y as the last entry. The density holds its pencil
+    (see _pencil), coordinates t = T^-1 h* in which ||h||^2 = ||t[:Nh]||^2
+    and the misfit is sum(s (t - t_mu)^2), at the known sd, or at unit sd
+    when the noise is unknown. The first Nh columns of T are orthonormal in
+    their kernel block U (misfit weights s there); the last N0 are the
+    polynomial block, with no kernel part (s = 1). T^-1 is read off the same
+    blocks: its first Nh rows are [U^T, 0], its last N0 rows poly_rows.
     """
 
-    pencil: _Pencil
+    T: np.ndarray  # (N, N)
+    s: np.ndarray  # (N,) misfit weights
+    t_mu: np.ndarray  # (N,) the interpolant's coordinates
+    poly_rows: np.ndarray  # (N0, N) the last N0 rows of T^-1
     noise: KnownNoise | UnknownNoise
 
     @property
     def n_points(self) -> int:
-        return self.pencil.T.shape[0]
+        return self.T.shape[0]
 
     @property
     def n_basis(self) -> int:
-        return self.pencil.n_basis
+        return self.n_points - self.n_null
 
     @property
     def n_null(self) -> int:
-        return self.n_points - self.n_basis
+        return self.poly_rows.shape[0]
 
     @property
     def dim(self) -> int:
@@ -187,12 +156,24 @@ class PosteriorDensity:
     @cached_property
     def h_mu_star(self) -> np.ndarray:
         """The interpolant's coordinates."""
-        return self.pencil.T @ self.pencil.t_mu
+        return self.T @ self.t_mu
 
     @cached_property
     def h_mu_norm(self) -> float:
         """Norm of the kernel block of the interpolant's coordinates."""
         return float(np.linalg.norm(self.h_mu_star[: self.n_basis]))
+
+    def coordinates(self, h_star: np.ndarray) -> np.ndarray:
+        """t = T^-1 h*."""
+        Nh = self.n_basis
+        return np.concatenate([h_star[:Nh] @ self.T[:Nh, :Nh], self.poly_rows @ h_star])
+
+    def pull_back(self, v: np.ndarray) -> np.ndarray:
+        """T^-T v, which carries a gradient in t back to h*."""
+        Nh = self.n_basis
+        out = v[Nh:] @ self.poly_rows
+        out[:Nh] += self.T[:Nh, :Nh] @ v[:Nh]
+        return out
 
     def _split(self, state: np.ndarray) -> tuple[np.ndarray, float | None]:
         state = np.asarray(state, dtype=float).reshape(-1)
@@ -212,8 +193,8 @@ class PosteriorDensity:
     def _misfit_terms(self, h_star: np.ndarray, log_sigma: float | None) -> tuple[float, np.ndarray, np.ndarray]:
         """w = sigma^-2 relative to the pencil's sd, t = T^-1 (h* - h*_mu) and s t."""
         w = 1.0 if log_sigma is None else math.exp(-2.0 * log_sigma)
-        t = self.pencil.coordinates(h_star - self.h_mu_star)
-        return w, t, self.pencil.s * t
+        t = self.coordinates(h_star - self.h_mu_star)
+        return w, t, self.s * t
 
     # --- density interface used by the sampler ---------------------------
 
@@ -230,7 +211,7 @@ class PosteriorDensity:
         w, t, st = self._misfit_terms(h_star, log_sigma)
         g = np.zeros(self.dim)
         g[: self.n_basis] = -self.n_basis * h_star[: self.n_basis] / n2
-        g[: self.n_points] -= w * self.pencil.pull_back(st)
+        g[: self.n_points] -= w * self.pull_back(st)
         if log_sigma is not None:
             g[-1] = -self.n_points + w * float(t @ st)
         return g
@@ -241,7 +222,7 @@ def build_density(basis: SubspaceBasis, y, noise: KnownNoise | UnknownNoise) -> 
     y = np.asarray(y, dtype=float).reshape(-1)
     if y.shape[0] != basis.n_points:
         raise DimensionMismatch(f"{basis.n_points} points but {y.shape[0]} values")
-    return PosteriorDensity(pencil=_pencil(basis, y, noise.sigma if noise.is_known else 1.0), noise=noise)
+    return PosteriorDensity(*_pencil(basis, y, noise.sigma if noise.is_known else 1.0), noise=noise)
 
 
 def map_estimate(density: PosteriorDensity, tol: float = 1e-10, max_iter: int = 200) -> np.ndarray:
@@ -256,7 +237,7 @@ def map_estimate(density: PosteriorDensity, tol: float = 1e-10, max_iter: int = 
     steps do not resolve log ||h||^2 to tol.
     """
     t, _ = _map_coordinates(density, tol, max_iter)
-    return density.pencil.T @ t
+    return density.T @ t
 
 
 # How far below log ||h_mu||^2 the MAP's log ||h||^2 is searched: a fixed
@@ -326,9 +307,8 @@ def _map_coordinates(density: PosteriorDensity, tol: float = 1e-10, max_iter: in
     norm_mu = density.h_mu_norm
     if norm_mu == 0.0:
         raise PoleCollapse("interpolant is exactly polynomial; no kernel component to fit")
-    p = density.pencil
-    ws = (1.0 if density.noise.is_known else density.noise.sigma_init**-2) * p.s[:Nh]
-    rhs = ws * p.t_mu[:Nh]
+    ws = (1.0 if density.noise.is_known else density.noise.sigma_init**-2) * density.s[:Nh]
+    rhs = ws * density.t_mu[:Nh]
 
     def residual(u):
         c = Nh * np.exp(-u)[:, None]
@@ -338,11 +318,11 @@ def _map_coordinates(density: PosteriorDensity, tol: float = 1e-10, max_iter: in
     if found is None:
         raise PoleCollapse("the MAP collapses onto the nullspace pole: no fixed point above 1e-10 ||h_mu||")
     u, steps, width = found
-    t = np.concatenate([rhs / (ws + Nh * math.exp(-u)), p.t_mu[Nh:]])
+    t = np.concatenate([rhs / (ws + Nh * math.exp(-u)), density.t_mu[Nh:]])
     if width > tol:
         raise NoConvergence(
             f"MAP bisection did not reach tol={tol:g} in {max_iter} steps (bracket {width:.3e})",
-            last_iterate=p.T @ t,
+            last_iterate=density.T @ t,
             residual=width,
         )
     return t, steps

@@ -104,11 +104,6 @@ class Diagnostics:
     rhat_max: float  # split-chain R-hat of HMC chains; 1 for the exact posterior's i.i.d. draws
     evidence: dict | None = None  # regression: the profile record that chose the regime
 
-    @property
-    def mixed(self) -> bool:
-        """Split-chain scale reduction below the conventional 1.1 flag."""
-        return bool(np.isfinite(self.rhat_max) and self.rhat_max < 1.1)
-
 
 @dataclass(eq=False)
 class RegressionPosterior:
@@ -468,14 +463,13 @@ class _ScaleMixture:
     def __init__(self, density: PosteriorDensity):
         if density.h_mu_norm == 0.0:
             raise PoleCollapse("interpolant is exactly polynomial; no kernel component to fit")
-        p = density.pencil
         self.known = density.noise.is_known
         self.n, self.nh = density.n_points, density.n_basis
         if not self.known and self.nh < 3:  # E[sigma^2] = Q / (Nh - 2)
             raise TooFewPoints(f"with unknown noise the posterior variance needs N - N0 >= 3, got {self.nh}")
-        self.T, self.t_mu, self.s_all = p.T, p.t_mu, p.s
-        self.s = np.maximum(p.s[: self.nh], np.finfo(float).tiny)
-        self.mu = p.t_mu[: self.nh]
+        self.T, self.t_mu, self.s_all = density.T, density.t_mu, density.s
+        self.s = np.maximum(density.s[: self.nh], np.finfo(float).tiny)
+        self.mu = density.t_mu[: self.nh]
         self.ms = self.mu**2 * self.s
         if self.known:  # f at x -> -inf and x -> +inf
             self.plateaus = (-0.5 * self.ms.sum(), -math.inf)

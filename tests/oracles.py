@@ -72,7 +72,7 @@ from sipr.geometry import (
     monomial_matrix,
     nullspace_dim,
 )
-from sipr.interpolate import InterpolationModel, pointwise_posterior, solve_interpolation
+from sipr.interpolate import InterpolationModel, solve_interpolation
 from sipr import sampler
 from sipr.posterior import PosteriorDensity, _largest_root, _map_coordinates, build_density
 from sipr.sampler import (
@@ -311,7 +311,7 @@ def dense_density(basis: SubspaceBasis, y, noise) -> DenseDensity:
     """
     d = build_density(basis, y, noise)
     E = np.hstack([(basis.H.T @ basis.geometry.G).T, basis.geometry.M_u.T])
-    return DenseDensity(pencil=d.pencil, noise=d.noise, Estar=E, quad=E.T @ E)
+    return DenseDensity(T=d.T, s=d.s, t_mu=d.t_mu, poly_rows=d.poly_rows, noise=d.noise, Estar=E, quad=E.T @ E)
 
 
 def sigma_inv_at(density, log_sigma: float) -> np.ndarray:
@@ -414,11 +414,11 @@ def sequential_sample_path(X, y, eta, grid, seed) -> tuple[np.ndarray, int]:
     kept_mean = 0
     model = solve_interpolation(X, y, reg)
     for i, g in enumerate(grid):
-        pp = pointwise_posterior(None, None, reg, g, model=model)
-        out[i] = pp.mean
-        if pp.is_point_mass:
+        mean, scale, _, _ = model.posterior(g[None, :])
+        out[i] = mean[0]
+        if scale[0] == 0.0:
             continue
-        value = pp.mean + pp.scale * rng.standard_t(pp.dof)
+        value = mean[0] + scale[0] * rng.standard_t(model.dof)
         try:
             model = solve_interpolation(
                 np.vstack([model.X, g[None, :]]), np.append(model.y, value), reg
@@ -452,9 +452,10 @@ def _log_sigma_draw(n_points: int, q: float, rng: np.random.Generator) -> float:
 class _LaplaceMetric:
     """The negative Hessian at a state, in pencil coordinates scaled by sqrt(d).
 
-    In t the kernel-block curvature is diag(d) - k (rho t)(rho t)^T with
-    d = c rho + w s, c = Nh/||h||^2 and k = 2c/||h||^2; after scaling by
-    sqrt(d) it is I - k u u^T with u = (rho t)/sqrt(d). Where that is not
+    In t the kernel-block curvature is diag(d) - k (rho t)(rho t)^T, with rho
+    1 on the first Nh coordinates and 0 on the rest, d = c rho + w s,
+    c = Nh/||h||^2 and k = 2c/||h||^2; after scaling by sqrt(d) it is
+    I - k u u^T with u = (rho t)/sqrt(d). Where that is not
     positive definite (k ||u||^2 >= 1) the radial term is dropped (k = 0),
     leaving diag(d), which is positive definite by construction. ell is the
     log-sigma curvature sqrt(2 w q) (the cross terms with the coefficients
@@ -473,26 +474,26 @@ class _LaplaceMetric:
 
 def pencil_coordinates(density: PosteriorDensity, h_star: np.ndarray) -> np.ndarray:
     """t = T^-1 h*, as t_mu + T^-1 (h* - h*_mu): the misfit t - t_mu is exactly 0 at h*_mu."""
-    return density.pencil.t_mu + density.pencil.coordinates(h_star - density.h_mu_star)
+    return density.t_mu + density.coordinates(h_star - density.h_mu_star)
 
 
 def _laplace_metric(density: PosteriorDensity, t: np.ndarray, log_sigma: float | None) -> _LaplaceMetric:
     """The Laplace metric at pencil coordinates t (and log sigma when unknown)."""
-    p = density.pencil
+    rho = (np.arange(density.n_points) < density.n_basis).astype(float)
     w = 1.0 if log_sigma is None else math.exp(-2.0 * log_sigma)
-    n2 = float(p.rho @ (t * t))
+    n2 = float(rho @ (t * t))
     if not np.isfinite(n2) or n2 == 0.0:
         raise DomainError("no Laplace metric at ||h|| = 0 (nullspace pole)")
     c = density.n_basis / n2
     k = 2.0 * c / n2
-    sqrt_d = np.sqrt(c * p.rho + w * p.s)
-    u = p.rho * t / sqrt_d
+    sqrt_d = np.sqrt(c * rho + w * density.s)
+    u = rho * t / sqrt_d
     if not k * float(u @ u) < 1.0:
         k = 0.0
     ell = None
     if log_sigma is not None:
-        r = t - p.t_mu
-        curv = 2.0 * w * float(p.s @ (r * r))
+        r = t - density.t_mu
+        curv = 2.0 * w * float(density.s @ (r * r))
         ell = math.sqrt(curv) if math.isfinite(curv) and curv > 0.0 else 1.0
     return _LaplaceMetric(sqrt_d=sqrt_d, u=u, k=k, ell=ell)
 
@@ -510,15 +511,15 @@ class _Diagonalised:
     """
 
     def __init__(self, density: PosteriorDensity, metric):
-        p = density.pencil
         self.n = density.n_points
         self.nh = density.n_basis
         self.draws_noise = not density.noise.is_known
         self.ell = metric.ell
         self.sqrt_d = metric.sqrt_d
         d = metric.sqrt_d**2
-        self.ab = np.concatenate([p.rho / d, p.s / d])  # [a | b]
-        self.z_mu = metric.sqrt_d * p.t_mu
+        rho = (np.arange(self.n) < self.nh).astype(float)
+        self.ab = np.concatenate([rho / d, density.s / d])  # [a | b]
+        self.z_mu = metric.sqrt_d * density.t_mu
         self.k = metric.k
         self.u = metric.u
         u2 = float(self.u @ self.u)
@@ -663,7 +664,7 @@ def hmc_posterior(density: PosteriorDensity, config: SamplerConfig, init=None) -
         eps0 = [_find_initial_step(target, z0, rng) for rng in rngs]
         kept_z, kept_lp, stats = sampler._run_chains(target, z0, eps0, rngs, config)
 
-    draws = target.to_x(kept_z, density.pencil.T)
+    draws = target.to_x(kept_z, density.T)
     samples = draws.reshape(-1, z0.shape[0])
     known = density.noise.is_known
     regime = detect_poles(

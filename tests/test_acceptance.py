@@ -265,7 +265,7 @@ def test_criterion_7_sampler_calibration(report):
         assert np.all(np.abs(mean - target.mu) <= 3 * se)
         fro = np.linalg.norm(cov - target.cov) / np.linalg.norm(target.cov)
         assert fro < 0.10
-        assert post.diagnostics.mixed
+        assert post.diagnostics.rhat_max < 1.1
 
         rerun = run_mcmc(target, cfg, init=target.mu.copy(), precond=L)
         assert np.array_equal(post.samples, rerun.samples)

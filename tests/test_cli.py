@@ -167,6 +167,19 @@ class TestFitAndPredict:
         assert float(margin) >= 0.0
         assert float(margin) == pytest.approx(masses[doc["regime"]] - others[runner_up], rel=1e-3)
 
+    def test_fit_on_a_lone_pole_says_no_other_regime_has_mass(self, tmp_path, capsys):
+        # Noise far above the signal: the profile has no interior peak and,
+        # with known noise, no interpolation pole, so only the nullspace pole
+        # has mass.
+        data = tmp_path / "d.csv"
+        x = np.linspace(0.0, 1.0, 12)
+        write_csv(data, x[:, None], np.sin(6.0 * x), feature_names=["x"])
+        assert main(["fit", "--data", str(data), "--target", "y", "--eta", "1.5", "--noise", "1000",
+                     "--model-out", str(tmp_path / "m.json")]) == 0
+        out = capsys.readouterr().out
+        assert "regime: nullspace_pole" in out
+        assert "regime margin: no other regime has mass" in out.splitlines()
+
     def test_fit_is_deterministic(self, tmp_path):
         data = tmp_path / "d.csv"
         write_higdon(data, n=12)
@@ -434,6 +447,16 @@ class TestExitCodes:
             assert main(args + out) == 2, args[0]
             assert "coincide" in capsys.readouterr().err
 
+    def test_unknown_noise_with_two_kernel_coordinates_is_2(self, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        x = np.linspace(0.0, 1.0, 4)
+        write_csv(data, x[:, None], np.sin(6.0 * x), feature_names=["x"])
+        code = main(["fit", "--data", str(data), "--target", "y", "--eta", "1.5", "--noise", "unknown",
+                     "--model-out", str(tmp_path / "m.json")])
+        assert code == 2
+        assert "needs N - N0 >= 3" in capsys.readouterr().err
+        assert not (tmp_path / "m.json").exists()
+
     def test_non_archive_model_file_is_2(self, tmp_path, capsys):
         data = tmp_path / "d.csv"
         write_higdon(data, n=8)
@@ -531,6 +554,30 @@ class TestExitCodes:
                      "--out", str(tmp_path / "o.csv")])
         assert code == 2
         assert "not a model archive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("config", [{"burn_in": 5000}, {"chains": 0}])
+    def test_ill_formed_config_is_2(self, tmp_path, capsys, archive, config):
+        # The archived draw plan is an entry of the file like any other: a
+        # bad one makes the file not a model archive, named as such.
+        model, doc = archive
+        doc["config"].update(config)
+        model.write_text(json.dumps(doc))
+        with pytest.raises(ArchiveVersionError, match="not a model archive"):
+            load_archive(str(model))
+        capsys.readouterr()
+        code = main(["predict", "--model", str(model), "--grid", "0:1:5",
+                     "--out", str(tmp_path / "o.csv")])
+        assert code == 2
+        assert f"{model} is not a model archive" in capsys.readouterr().err
+
+    def test_output_in_a_missing_directory_is_4(self, tmp_path, capsys, archive):
+        model, _ = archive
+        capsys.readouterr()
+        code = main(["predict", "--model", str(model), "--grid", "0:1:5",
+                     "--out", str(tmp_path / "missing" / "b.csv")])
+        assert code == 4
+        assert "i/o failure" in capsys.readouterr().err
+        assert not (tmp_path / "missing").exists()
 
     def test_repeated_probe_column_is_2(self, tmp_path, capsys):
         data = tmp_path / "d.csv"

@@ -1,6 +1,8 @@
 """Every name a sipr module imports is used there, every name it exports is bound there, and
-every private module-level function or class is used somewhere in the package; importing the
-CLI leaves scipy.stats unloaded, and no command loads scipy.optimize.
+every private module-level function or class is used somewhere in the package; no module reads
+an underscore attribute of another object, and every method or property of a package class is
+read in the package or named in the README; importing the CLI leaves scipy.stats unloaded, and
+no command loads scipy.optimize.
 
 No linter is a test dependency; these scans use the standard library's ast.
 """
@@ -9,6 +11,7 @@ from __future__ import annotations
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -171,6 +174,82 @@ def test_scan_flags_a_unit_box_read_outside_geometry():
         "a.py": "s = geo.box.scale\nsol = geo.saddle.solve(b)\nu = geo.U\nx = geo.X\nbox = 1\n",
     }
     assert unit_box_readers(sources) == ["a.py:1 .box", "a.py:2 .saddle", "a.py:3 .U"]
+
+
+def private_attribute_readers(sources: dict[str, str]) -> list[str]:
+    """module:line .name of every underscore attribute read off anything but self or cls (dunders aside)."""
+    out = []
+    for name, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if (isinstance(node, ast.Attribute) and node.attr.startswith("_") and not node.attr.endswith("__")
+                    and not (isinstance(node.value, ast.Name) and node.value.id in ("self", "cls"))):
+                out.append(f"{name}:{node.lineno} .{node.attr}")
+    return sorted(out)
+
+
+def test_no_module_reads_another_objects_private_attribute():
+    assert private_attribute_readers({p.name: p.read_text() for p in MODULES}) == []
+
+
+def test_scan_flags_a_private_attribute_read_off_another_object():
+    sources = {
+        "a.py": (
+            "class C:\n    def f(self):\n        return self._x, type(self).__name__\n"
+            "    @classmethod\n    def g(cls):\n        return cls._y\n"
+            "def h(model):\n    return model._solve(1), model.__dict__, model.public\n"
+        ),
+        "b.py": "from . import a\nz = a._hidden\n",
+    }
+    assert private_attribute_readers(sources) == ["a.py:8 ._solve", "b.py:2 ._hidden"]
+
+
+def code_font_names(markdown: str) -> set[str]:
+    """Identifiers inside fenced code blocks and inline code spans of a Markdown text."""
+    fenced = re.findall(r"```.*?```", markdown, flags=re.S)
+    inline = re.findall(r"`([^`\n]+)`", re.sub(r"```.*?```", "", markdown, flags=re.S))
+    return set(re.findall(r"[A-Za-z_]\w*", " ".join(fenced + inline)))
+
+
+def unread_members(sources: dict[str, str], readme: str) -> list[str]:
+    """Class.name of every method or property of a package class that no attribute read names,
+    outside its own body, and that the README does not name in code font (dunders aside)."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    reads: dict[str, int] = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                reads[node.attr] = reads.get(node.attr, 0) + 1
+    documented = code_font_names(readme)
+    out = []
+    for tree in trees.values():
+        for cls in (node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)):
+            for member in cls.body:
+                if not isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef)) or member.name.endswith("__"):
+                    continue
+                own = sum(isinstance(n, ast.Attribute) and n.attr == member.name for n in ast.walk(member))
+                if reads.get(member.name, 0) == own and member.name not in documented:
+                    out.append(f"{cls.name}.{member.name}")
+    return sorted(out)
+
+
+def test_every_class_member_is_read_or_documented():
+    readme = (SRC.parent.parent / "README.md").read_text()
+    assert unread_members({p.name: p.read_text() for p in MODULES}, readme) == []
+
+
+def test_scan_flags_an_unread_class_member():
+    sources = {
+        "a.py": (
+            "class C:\n    def __init__(self):\n        self.n = 0\n"
+            "    def used(self):\n        return self.n\n"
+            "    @property\n    def shown(self):\n        return 1\n"
+            "    def recursive(self, k):\n        return self.recursive(k - 1) if k else 0\n"
+            "    def unread(self):\n        return 2\n"
+        ),
+        "b.py": "from .a import C\nvalue = C().used()\n",
+    }
+    readme = "Read `C().shown` for it.\n\n```python\nc.inline_only\n```\n"
+    assert unread_members(sources, readme) == ["C.recursive", "C.unread"]
 
 
 def test_cli_import_leaves_out_scipy_stats():

@@ -188,11 +188,9 @@ class TestPointwisePosterior:
         assert post.mean == pytest.approx(0.2, abs=1e-12)
         assert post.scale == pytest.approx(0.5804093383121949, rel=1e-9)
         assert math.isnan(post.sd)  # dof <= 2 has no finite variance
-        assert not post.is_point_mass
 
     def test_point_mass_at_datapoint(self):
         post = pointwise_posterior(self.X3, self.y3, 0.5, np.array([0.4]))
-        assert post.is_point_mass
         assert post.mean == pytest.approx(-0.5)
         assert post.scale == 0.0
         assert post.sd == 0.0
@@ -202,7 +200,7 @@ class TestPointwisePosterior:
         # rounding floor; the returned posterior should be the coincident
         # point mass rather than noise.
         post = pointwise_posterior(self.X3, self.y3, 1.5, np.array([0.4 + 1e-9]))
-        assert post.is_point_mass
+        assert post.scale == 0.0
         assert post.mean == pytest.approx(-0.5, abs=1e-6)
 
     def test_sd_defined_above_two_dof(self):
@@ -215,27 +213,17 @@ class TestPointwisePosterior:
         X = np.linspace(0.0, 1.0, 6)[:, None]
         y = 3.0 - 2.0 * X[:, 0]
         post = pointwise_posterior(X, y, 1.5, np.array([0.77]))
-        assert post.is_point_mass
+        assert post.scale == 0.0
         assert post.mean == pytest.approx(3.0 - 2.0 * 0.77, abs=1e-9)
-
-    def test_prefitted_model_matches_direct_call(self):
-        X, y = random_dataset(10, 2, seed=23)
-        model = solve_interpolation(X, y, 1.5)
-        probe = np.array([0.41, 0.62])
-        direct = pointwise_posterior(X, y, 1.5, probe)
-        cached = pointwise_posterior(None, None, 1.5, probe, model=model)
-        assert direct.mean == cached.mean
-        assert direct.scale == cached.scale
-        assert direct.dof == cached.dof
 
 
 class TestSamplePaths:
     def test_deterministic_per_seed(self):
         X, y = random_dataset(7, 1, seed=29)
         grid = np.linspace(0.0, 1.0, 25)[:, None]
-        p1 = solve_interpolation(X, y, 1.5).sample_paths(grid, [101])[:, 0]
-        p2 = solve_interpolation(X, y, 1.5).sample_paths(grid, [101])[:, 0]
-        p3 = solve_interpolation(X, y, 1.5).sample_paths(grid, [102])[:, 0]
+        p1 = solve_interpolation(X, y, 1.5).posterior(grid, [101])[3][:, 0]
+        p2 = solve_interpolation(X, y, 1.5).posterior(grid, [101])[3][:, 0]
+        p3 = solve_interpolation(X, y, 1.5).posterior(grid, [102])[3][:, 0]
         np.testing.assert_array_equal(p1, p2)
         assert not np.array_equal(p1, p3)
 
@@ -243,7 +231,7 @@ class TestSamplePaths:
         X = np.array([[0.1], [0.5], [0.9]])
         y = np.array([1.0, -1.0, 0.5])
         grid = np.concatenate([np.linspace(0.0, 1.0, 11)[:, None], X])
-        path = solve_interpolation(X, y, 0.5).sample_paths(grid, [7])[:, 0]
+        path = solve_interpolation(X, y, 0.5).posterior(grid, [7])[3][:, 0]
         np.testing.assert_allclose(path[-3:], y, atol=1e-9)
         assert path[5] == pytest.approx(-1.0, abs=1e-9)  # grid point 0.5 is a datapoint
 
@@ -253,7 +241,7 @@ class TestSamplePaths:
         # grid point a finite draw.
         X, y = random_dataset(10, 1, seed=0)
         grid = np.linspace(0.003, 0.997, 100)[:, None]
-        path = solve_interpolation(X, y, 2.5).sample_paths(grid, [0])[:, 0]
+        path = solve_interpolation(X, y, 2.5).posterior(grid, [0])[3][:, 0]
         assert np.all(np.isfinite(path))
 
     def test_wiggles_between_data(self):
@@ -261,7 +249,7 @@ class TestSamplePaths:
         X, y = random_dataset(5, 1, seed=31)
         grid = np.linspace(0.0, 1.0, 15)[:, None]
         model = solve_interpolation(X, y, 0.5)
-        path = solve_interpolation(X, y, 0.5).sample_paths(grid, [3])[:, 0]
+        path = solve_interpolation(X, y, 0.5).posterior(grid, [3])[3][:, 0]
         assert np.abs(path - model.evaluate(grid)).max() > 1e-6
 
     def test_polynomial_data_gives_the_mean(self):
@@ -269,7 +257,7 @@ class TestSamplePaths:
         y = 3.0 - 2.0 * X[:, 0]
         grid = np.linspace(-0.5, 1.5, 30)[:, None]
         model = solve_interpolation(X, y, 1.5)
-        path = solve_interpolation(X, y, 1.5).sample_paths(grid, [4])[:, 0]
+        path = solve_interpolation(X, y, 1.5).posterior(grid, [4])[3][:, 0]
         np.testing.assert_array_equal(path, model.evaluate(grid))
 
     def test_columns_match_single_seed_draws(self):
@@ -278,13 +266,13 @@ class TestSamplePaths:
         X, y = random_dataset(8, 2, seed=37)
         grid = np.vstack([np.random.default_rng(38).uniform(-0.2, 1.2, size=(10, 2)), X[:2]])
         model = solve_interpolation(X, y, 1.5)
-        paths = model.sample_paths(grid, [5, 6, 7])
+        paths = model.posterior(grid, [5, 6, 7])[3]
         assert paths.shape == (12, 3)
         for j, seed in enumerate([5, 6, 7]):
-            single = solve_interpolation(X, y, 1.5).sample_paths(grid, [seed])[:, 0]
+            single = solve_interpolation(X, y, 1.5).posterior(grid, [seed])[3][:, 0]
             np.testing.assert_array_equal(paths[:, j], single)
             np.testing.assert_array_equal(paths[-2:, j], model.evaluate(X[:2]))
-        assert model.sample_paths(grid, []).shape == (12, 0)
+        assert model.posterior(grid, [])[3].shape == (12, 0)
 
     @pytest.mark.parametrize("eta", [0.5, 1.5, 2.5])
     def test_paths_are_continuous_in_the_conditional_kernel(self, eta):
@@ -296,8 +284,8 @@ class TestSamplePaths:
         X = np.sort(rng.uniform(3.0, 20.0, 15))[:, None]
         y = np.sin(X[:, 0] / 2.0) + 0.1 * X[:, 0]
         grid = np.linspace(0.0, 25.0, 60)[:, None]  # off the datapoints
-        raw = solve_interpolation(X, y, eta).sample_paths(grid, range(3))
-        shifted = solve_interpolation(X + 100.0, y, eta).sample_paths(grid + 100.0, range(3))
+        raw = solve_interpolation(X, y, eta).posterior(grid, range(3))[3]
+        shifted = solve_interpolation(X + 100.0, y, eta).posterior(grid + 100.0, range(3))[3]
         assert np.abs(shifted - raw).max() <= 1e-6 * np.abs(raw).max()
 
     @pytest.mark.parametrize("eta", [0.5, 1.5, 2.5])
@@ -311,7 +299,7 @@ class TestSamplePaths:
         X, y = random_dataset(6, 1, seed=43)
         grid = np.linspace(-0.2, 1.2, 16)[:, None]
         n = 400
-        joint = solve_interpolation(X, y, eta).sample_paths(grid, range(n)).T
+        joint = solve_interpolation(X, y, eta).posterior(grid, range(n))[3].T
         sequential = []
         for seed in range(10_000, 10_000 + n):
             path, kept_mean = oracles.sequential_sample_path(X, y, eta, grid, seed)

@@ -15,7 +15,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from sipr._io import _float_text, _write_csv
+from sipr._io import _float_text, _write_csv, atomic_write
+from sipr.errors import IOError_
 
 # Values whose shortest decimal is not 17 digits, or that sit at the edges of
 # binary64: signed zero, the smallest subnormal, the largest finite value, an
@@ -170,6 +171,26 @@ def test_write_csv_peak_memory_does_not_grow_with_the_table(tmp_path):
             tracemalloc.stop()
         assert peak < 2_000_000, rows
         assert (tmp_path / "table.csv").read_bytes().endswith(percent_text(table[-1:]))
+
+
+def test_atomic_write_keeps_the_target_when_a_block_fails(tmp_path):
+    target = tmp_path / "t.csv"
+    target.write_bytes(b"old\n")
+
+    def blocks():
+        yield b"new,"
+        raise RuntimeError("block failed")
+
+    with pytest.raises(RuntimeError, match="block failed"):
+        atomic_write(str(target), blocks())
+    assert target.read_bytes() == b"old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]  # no .tmp-* file left behind
+
+
+def test_atomic_write_into_a_missing_directory_is_an_io_error(tmp_path):
+    with pytest.raises(IOError_, match="cannot write"):
+        atomic_write(str(tmp_path / "missing" / "b.csv"), [b"x\n"])
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_import_builds_no_float_table():

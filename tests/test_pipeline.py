@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from sipr.data import Dataset, higdon, higdon_truth, kfold, load_csv, rmse
-from sipr.errors import ArchiveVersionError, IOError_, KTooLarge, NumericalError, ValidationError
+from sipr.errors import ArchiveVersionError, IOError_, KTooLarge, NumericalError, TooFewPoints, ValidationError
 from sipr.interpolate import solve_interpolation
 from sipr.pipeline import (
     crossval,
@@ -102,7 +102,7 @@ class TestRegimes:
         np.testing.assert_allclose(fit.mean_a, model.a, rtol=0, atol=1e-8 * np.abs(model.a).max())
         np.testing.assert_allclose(fit.mean_c, model.c, rtol=0, atol=1e-8 * np.abs(model.c).max())
         probes = np.linspace(-0.2, 1.2, 15)[:, None]
-        band, (mean, scale, _) = fit.predict(probes), model.posterior(probes)
+        band, (mean, scale, *_) = fit.predict(probes), model.posterior(probes)
         assert np.abs(band.mean - mean).max() <= 1e-10 * np.abs(mean).max()
         assert np.abs(band.scale_t - scale).max() <= 1e-8 * scale.max()
 
@@ -113,6 +113,13 @@ class TestRegimes:
             fit_regression(X, y, 1.5, noise="guess")
         with pytest.raises(ValidationError):
             fit_regression(X, y, 1.5, noise=-0.1)
+
+    def test_unknown_noise_needs_three_kernel_coordinates(self):
+        # 4 points at eta = 1.5 leave N - N0 = 2: the noise posterior's
+        # variance needs at least 3.
+        X = np.linspace(0.0, 1.0, 4)[:, None]
+        with pytest.raises(TooFewPoints, match=r"needs N - N0 >= 3"):
+            fit_regression(X, np.sin(6.0 * X[:, 0]), 1.5, noise="unknown")
 
     @pytest.mark.parametrize("noise", ["unknown", 0.1, 0.0])
     def test_constant_target_is_polynomial_data(self, noise):
@@ -259,6 +266,17 @@ class TestArchives:
         path = tmp_path_factory.mktemp("archive") / "model.json"
         save_with_basis(normal_fit, H, path)
         assert np.array_equal(load_archive(str(path)).basis.H, H)
+
+    def test_basis_h_of_several_text_blocks_comes_back_exactly(self, tmp_path):
+        # 80 x 78 values fill two of _float_text's blocks, so the archive's
+        # rows are joined across a block boundary as well as inside blocks.
+        fit = fit_dataset(higdon(80, 0.1, seed=0), 1.5, noise=0.1, config=QUICK)
+        assert fit.regime == Regime.NORMAL and fit.basis.H.shape == (80, 78)
+        path = tmp_path / "model.json"
+        save_archive(fit, str(path))
+        bits = fit.basis.H.view(np.int64)
+        assert np.array_equal(np.array(json.loads(path.read_text())["basis_H"], dtype=float).view(np.int64), bits)
+        assert np.array_equal(load_archive(str(path)).basis.H.view(np.int64), bits)
 
     def test_exact_zeros_in_basis_h_are_json_integers(self, tmp_path, normal_fit):
         H = normal_fit.basis.H.copy()

@@ -15,7 +15,6 @@ from sipr.data import higdon, minmax_scale
 from sipr.errors import DomainError, NoConvergence, PoleCollapse, SingularSystem
 from sipr.posterior import (
     KnownNoise,
-    PosteriorDensity,
     UnknownNoise,
     build_density,
     map_estimate,
@@ -52,8 +51,7 @@ class TestLogDensity:
         # With the misfit weights zeroed out, rescaling the state changes
         # the log density by exactly -Nh log s for any s.
         base = make_density()
-        d = PosteriorDensity(pencil=dataclasses.replace(base.pencil, s=np.zeros(base.n_points)),
-                             noise=KnownNoise(1.0))
+        d = dataclasses.replace(base, s=np.zeros(base.n_points), noise=KnownNoise(1.0))
         state = np.random.default_rng(0).normal(size=d.n_points)
         for s in [0.5, 2.0, 10.0, 1e4]:
             delta = d.log_density(s * state) - d.log_density(state)
@@ -121,8 +119,7 @@ class TestDerivatives:
         # Zero misfit weights isolate the prior: its gradient lives
         # entirely in the kernel block.
         base = make_density()
-        d = PosteriorDensity(pencil=dataclasses.replace(base.pencil, s=np.zeros(base.n_points)),
-                             noise=KnownNoise(1.0))
+        d = dataclasses.replace(base, s=np.zeros(base.n_points), noise=KnownNoise(1.0))
         state = np.random.default_rng(3).normal(size=d.n_points)
         g = d.grad(state)
         np.testing.assert_array_equal(g[d.n_basis :], np.zeros(d.n_null))
@@ -135,18 +132,16 @@ class TestPencil:
     )
     def test_diagonalises_both_quadratic_forms(self, noise):
         d = make_density(noise=noise)  # with the dense E*^T E*
-        p = d.pencil
         Sigma0 = d.quad / d.noise.sigma**2 if d.noise.is_known else d.quad
-        P = np.diag(p.rho)
-        np.testing.assert_array_equal(p.rho, [1.0] * d.n_basis + [0.0] * d.n_null)
-        np.testing.assert_allclose(p.T[: d.n_basis].T @ p.T[: d.n_basis], P, atol=1e-12)
-        S = p.T.T @ Sigma0 @ p.T
-        np.testing.assert_allclose(S, np.diag(p.s), atol=1e-10 * np.abs(S).max())
+        P = np.diag((np.arange(d.n_points) < d.n_basis).astype(float))
+        np.testing.assert_allclose(d.T[: d.n_basis].T @ d.T[: d.n_basis], P, atol=1e-12)
+        S = d.T.T @ Sigma0 @ d.T
+        np.testing.assert_allclose(S, np.diag(d.s), atol=1e-10 * np.abs(S).max())
         # the polynomial columns carry no kernel part at all
-        assert not np.any(p.T[: d.n_basis, d.n_basis :])
+        assert not np.any(d.T[: d.n_basis, d.n_basis :])
         t = np.random.default_rng(0).normal(size=d.n_points)
-        np.testing.assert_allclose(p.coordinates(p.T @ t), t, rtol=1e-9, atol=1e-9)
-        np.testing.assert_allclose(p.pull_back(t), np.linalg.solve(p.T.T, t), rtol=1e-9, atol=1e-9)
+        np.testing.assert_allclose(d.coordinates(d.T @ t), t, rtol=1e-9, atol=1e-9)
+        np.testing.assert_allclose(d.pull_back(t), np.linalg.solve(d.T.T, t), rtol=1e-9, atol=1e-9)
 
     def test_rank_deficient_misfit_is_singular(self):
         # A basis whose last column repeats its first makes S singular; the
@@ -265,7 +260,7 @@ def whitening(d, state):
     N = d.n_points
     L_M = np.linalg.cholesky(np.eye(N) - m.k * np.outer(m.u, m.u))
     J = np.zeros((d.dim, d.dim))
-    J[:N, :N] = (d.pencil.T / m.sqrt_d) @ np.linalg.inv(L_M).T
+    J[:N, :N] = (d.T / m.sqrt_d) @ np.linalg.inv(L_M).T
     if m.ell is not None:
         J[-1, -1] = 1.0 / m.ell
     return J, m

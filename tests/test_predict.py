@@ -132,7 +132,7 @@ def test_every_regime_bands_through_credible_band(fit):
     exact = fit_regression(X, y, 1.5, noise=0.0)
     assert exact.regime == Regime.INTERPOLATION_POLE
     band = credible_band(exact, probes)
-    mean, scale, sd = solve_interpolation(X, y, 1.5).posterior(probes)
+    mean, scale, sd, _ = solve_interpolation(X, y, 1.5).posterior(probes)
     for got, want in [(band.mean, mean), (band.scale_t, scale), (band.sigma_t, sd)]:
         assert _column_gap(got, want) < 1e-10
     assert np.all(band.sigma_s == 0.0) and band.scale_t[-1] == 0.0

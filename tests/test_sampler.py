@@ -164,7 +164,7 @@ def diagonalised(noise):
     t, _ = _map_coordinates(d)
     log_sigma = None if d.noise.is_known else math.log(d.noise.sigma_init)
     target = _Diagonalised(d, _laplace_metric(d, t, log_sigma))
-    K = target.to_x(np.eye(d.dim), d.pencil.T).T  # x = K z
+    K = target.to_x(np.eye(d.dim), d.T).T  # x = K z
     return d, target, target.start(t, log_sigma), K
 
 
@@ -286,7 +286,7 @@ class TestCalibration:
         assert post.regime == Regime.NORMAL
         assert np.abs(post.h_hat - mu).max() < 0.1
         assert np.linalg.norm(post.Sigma_hat - cov) / np.linalg.norm(cov) < 0.1
-        assert post.diagnostics.mixed
+        assert post.diagnostics.rhat_max < 1.1
 
     def test_radial_shell_is_log_uniform(self):
         # p(x) ~ ||x||^-3 in 3-D restricted to a shell by C1 quadratic walls.
