@@ -75,7 +75,7 @@ def cli():
 @click.option("--probes", "probes_path", type=click.Path(), help="CSV of probe points.")
 @click.option("--grid", help="start:stop:count equispaced probes (1-D data).")
 @click.option("--paths", type=int, default=0, show_default=True, help="Append this many sample paths.")
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--out", "out_path", required=True, type=click.Path(), help="Output CSV.")
 def cmd_interpolate(data_path, target, eta, probes_path, grid, paths, seed, out_path):
     """Exact-data posterior (mean, t-scale, sd) at probe points."""
@@ -100,23 +100,22 @@ def cmd_interpolate(data_path, target, eta, probes_path, grid, paths, seed, out_
 @click.option("--eta", required=True, type=float)
 @click.option("--noise", default="unknown", show_default=True,
               help="Known noise sd, or 'unknown' to infer it.")
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--chains", type=int, default=2, show_default=True,
               help="Draws chains x (samples - burn) for --trace.")
 @click.option("--samples", type=int, default=1000, show_default=True,
               help="Sizes the --trace draws, chains x (samples - burn).")
 @click.option("--burn", "burn_in", type=int, default=500, show_default=True,
               help="Sizes the --trace draws, chains x (samples - burn).")
-@click.option("--leapfrog", type=int, default=32, show_default=True,
+@click.option("--leapfrog", type=int, default=32, show_default=True, expose_value=False,
               help="Tunes generic HMC only; fit ignores it.")
 @click.option("--trace", "trace_path", type=click.Path(), help="Dump i.i.d. posterior draws to this CSV.")
 @click.option("--model-out", "out_path", required=True, type=click.Path(), help="Model archive (JSON).")
-def cmd_fit(data_path, target, eta, noise, seed, chains, samples, burn_in, leapfrog, trace_path, out_path):
+def cmd_fit(data_path, target, eta, noise, seed, chains, samples, burn_in, trace_path, out_path):
     """Fit the regression posterior and archive the model."""
     reg = as_regularity(eta)
     ds = load_csv(data_path, target)
-    cfg = SamplerConfig(chains=chains, samples_per_chain=samples, burn_in=burn_in, seed=seed,
-                        leapfrog_steps=leapfrog)
+    cfg = SamplerConfig(chains=chains, samples_per_chain=samples, burn_in=burn_in, seed=seed)
     fit = fit_dataset(ds, reg, noise=_noise_value(noise), config=cfg)
     post = fit.posterior
     if trace_path is not None and post is not None:
@@ -124,15 +123,10 @@ def cmd_fit(data_path, target, eta, noise, seed, chains, samples, burn_in, leapf
         _write_csv(trace_path, header, np.column_stack([post.samples, post.log_posteriors]))
     save_archive(fit, out_path)
 
-    pole = fit.regime == Regime.NULLSPACE_POLE
     click.echo(f"regime: {fit.regime.value}")
-    if fit.noise_known:
-        click.echo(f"sigma_y (known): {fit.sigma_y:g}")
-    elif pole:
-        click.echo(f"sigma_y (residual estimate): {fit.sigma_y:.6g}")
-    else:
-        click.echo(f"sigma_y (posterior median): {fit.sigma_y:.6g}")
-    if pole:
+    label = "known" if fit.noise_known else "residual estimate" if fit.sigma_y_quantiles is None else "posterior median"
+    click.echo(f"sigma_y ({label}): {fit.sigma_y:.6g}")
+    if fit.regime == Regime.NULLSPACE_POLE:
         click.echo(
             "polynomial coefficients: " + ", ".join(f"{v:.6g}" for v in fit.mean_c)
             + " (in the features min-max scaled to [0, 1])"
@@ -172,8 +166,7 @@ def cmd_predict(model_path, probes_path, grid, level, out_path):
     ]
     table = np.column_stack([probes, band.mean, band.sigma_s, band.sigma_t, band.sigma_f,
                              band.sigma_d, band.lower, band.upper])
-    seed = fit.config.seed if fit.config else 0
-    _write_csv(out_path, header, table, _comment_header(seed, fit.eta.value))
+    _write_csv(out_path, header, table, _comment_header(fit.config.seed, fit.eta.value))
     click.echo(f"wrote {len(table)} probes to {out_path}")
 
 
@@ -183,7 +176,7 @@ def cmd_predict(model_path, probes_path, grid, level, out_path):
 @click.option("--eta", required=True, type=float)
 @click.option("--noise", default="unknown", show_default=True)
 @click.option("--folds", type=int, default=5, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--out", "out_path", required=True, type=click.Path(), help="Per-fold RMSE CSV.")
 def cmd_crossval(data_path, target, eta, noise, folds, seed, out_path):
     """k-fold cross-validation; per-fold and pooled RMSE in original units."""

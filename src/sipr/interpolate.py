@@ -75,7 +75,7 @@ class InterpolationModel:
 
     @cached_property
     def norm_sq(self) -> float:
-        """Squared norm of the interpolant, eta_norm_sq of its coefficients."""
+        """Squared norm C a^T G a of the interpolant (_Geometry.norm_sq of its coefficients)."""
         return self.geometry.norm_sq(self.a)
 
     def evaluate(self, probes) -> np.ndarray:

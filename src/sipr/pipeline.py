@@ -2,10 +2,10 @@
 
 fit_regression runs the full chain on one dataset in one pass: it computes the
 interpolant and its norm ||f||^2 (the saddle for exact data, else the basis
-and the density), applies one rule for exactly polynomial data (constant y, or
-||f||^2 at most POLYNOMIAL_TOL ||y||^2), and otherwise takes the interpolation
-pole for exact data or the regime the exact posterior's profile picks. It then
-builds the regime's map in one place and returns a RegressionFit:
+and the density), applies one rule for exactly polynomial data (||f||^2 at
+most POLYNOMIAL_TOL ||y||^2), and otherwise takes the interpolation pole for
+exact data or the regime the exact posterior's profile picks. It then builds
+the regime's map and sigma_y's report in one place and returns a RegressionFit:
 
     normal              -- exact posterior moments; bands combine t and coefficient parts
     nullspace_pole      -- the data is (or collapses to) a polynomial; the fit
@@ -23,7 +23,8 @@ save_archive), the coordinates h_hat, whose polynomial block weighs the
 unit-box monomials of the archived X (the identity map for fit_dataset's
 min-max scaled inputs), and their covariance Sigma_hat as one exact block of
 float64 bytes (see _block). The loader reads them back without a regime
-branch, so a reloaded model predicts bit-identically to the fresh fit.
+branch, so a reloaded model predicts bit-identically to the fresh fit and
+saves back to the same bytes.
 """
 
 from __future__ import annotations
@@ -67,7 +68,8 @@ class RegressionFit:
         interpolation_pole  the interpolant's a   (1, c_u)  0                        N - N0
         nullspace_pole      no columns (N x 0)    c_u       sigma_y^2 (M_u M_u^T)^+  inf if noise known, else N - N0
 
-    mean_c reads the mean's polynomial over the caller's monomials.
+    mean_c reads the mean's polynomial over the caller's monomials. The
+    archive holds every field but posterior, and load_archive restores them.
     """
 
     regime: Regime
@@ -77,11 +79,12 @@ class RegressionFit:
     y: np.ndarray
     noise_known: bool
     sigma_y: float  # known value, posterior median, or residual estimate
+    sigma_y_quantiles: tuple[float, float, float] | None  # (q05, median, q95) when sigma_y is the median
+    feature_names: tuple[str, ...]
+    config: SamplerConfig = field(repr=False)  # the --trace draw plan
     scaling: AffineMap | None = None  # min-max map of the inputs onto [0, 1]
-    feature_names: tuple[str, ...] | None = None
     target_name: str = "y"
     posterior: RegressionPosterior | None = None  # the exact posterior, if this fit computed one
-    config: SamplerConfig | None = field(default=None, repr=False)
     diagnostics_summary: dict | None = None
 
     @property
@@ -165,18 +168,17 @@ def fit_regression(X, y, eta, noise="unknown", config: SamplerConfig | None = No
     # 1. The interpolant (a, c_u) and its norm ||f||^2. With sigma > 0 the
     # basis and one eigendecomposition serve the interpolant and the
     # posterior: the density's pencil gives the interpolant's coordinates.
+    # The exact posterior reads no initial sigma (only the MAP does), so
+    # unknown noise takes the unit sd its pencil is built at.
     if exact:
         model = solve_interpolation(X, y, reg)
         geometry, a, c_u, norm_sq = model.geometry, model.a, model.c_u, model.norm_sq
     else:
         geometry, y = _checked_geometry(X, y, reg)
         basis = build_orthonormal_basis(geometry, reg)
-        sd = float(np.std(y))
-        norm_sq = 0.0  # constant y is polynomial, and UnknownNoise(0) is refused
-        if sd > 0.0:
-            density = build_density(basis, y, KnownNoise(sigma_known) if known else UnknownNoise(sd / 10.0))
-            a, c_u = basis.spline_coefficients(density.h_mu_star)
-            norm_sq = density.h_mu_norm**2  # ||f||^2 = ||h_mu_k||^2: H is orthonormal
+        density = build_density(basis, y, KnownNoise(sigma_known) if known else UnknownNoise(1.0))
+        a, c_u = basis.spline_coefficients(density.h_mu_star)
+        norm_sq = density.h_mu_norm**2  # ||f||^2 = ||h_mu_k||^2: H is orthonormal
 
     # 2. Exactly polynomial data sit on the nullspace pole; otherwise exact data
     # sit on the interpolation pole, and the exact posterior's profile picks
@@ -190,11 +192,11 @@ def fit_regression(X, y, eta, noise="unknown", config: SamplerConfig | None = No
         posterior = run_mcmc(density, config)
         regime = posterior.regime
 
-    # 3. The regime's map (H, h, Sigma); see RegressionFit. sigma_y is the
-    # known value, else the posterior median, else (at the nullspace pole)
-    # the residual estimate.
+    # 3. The regime's map (H, h, Sigma) and sigma_y's report; see RegressionFit.
     N, N0 = geometry.n_points, geometry.n_null
-    sigma_y = sigma_known if known or regime == Regime.NULLSPACE_POLE else posterior.sigma_y_median
+    sigma_y, quantiles = sigma_known, None
+    if not known and regime != Regime.NULLSPACE_POLE:
+        sigma_y, quantiles = posterior.sigma_y_median, posterior.sigma_y_quantiles
     if regime == Regime.NORMAL:
         h, Sigma = posterior.h_hat, posterior.Sigma_hat
     elif regime == Regime.INTERPOLATION_POLE:
@@ -208,7 +210,8 @@ def fit_regression(X, y, eta, noise="unknown", config: SamplerConfig | None = No
         basis = SubspaceBasis(geometry=geometry, H=np.zeros((N, 0)))
         Sigma = sigma_y**2 * np.linalg.pinv(geometry.M_u @ geometry.M_u.T)
     return RegressionFit(
-        regime=regime, basis=basis, h=h, Sigma=Sigma, y=y, noise_known=known, sigma_y=sigma_y, config=config,
+        regime=regime, basis=basis, h=h, Sigma=Sigma, y=y, noise_known=known, sigma_y=sigma_y,
+        sigma_y_quantiles=quantiles, feature_names=tuple(f"x{i}" for i in range(geometry.dim)), config=config,
         posterior=posterior, diagnostics_summary=None if posterior is None else posterior.diagnostics.evidence,
     )
 
@@ -246,23 +249,25 @@ def _unblock(doc: dict, shape: tuple[int, ...]) -> np.ndarray:
     return np.frombuffer(raw, dtype="<f8").astype(float).reshape(shape)
 
 
+_QUANTILE_KEYS = ("q05", "median", "q95")
+_CONFIG_KEYS = ("chains", "samples_per_chain", "burn_in", "seed")
+
+
 def _archive_entries(fit: RegressionFit) -> dict:
     """The archive's entries, with basis_H left as an array for save_archive to format.
 
     Every regime stores its map as it is: basis_H (N x k), h_hat (k + N0) and
     the Sigma_hat block ((k + N0)^2); see RegressionFit for k.
     """
-    post = fit.posterior
     sigma_summary: dict = {"mode": "known" if fit.noise_known else "unknown", "value": fit.sigma_y}
-    if fit.regime == Regime.NORMAL and post is not None and post.sigma_y_quantiles:
-        sigma_summary.update(zip(("q05", "median", "q95"), post.sigma_y_quantiles))
-    cfg = fit.config or SamplerConfig()
+    if fit.sigma_y_quantiles is not None:
+        sigma_summary.update(zip(_QUANTILE_KEYS, fit.sigma_y_quantiles))
     return {
         "format_version": ARCHIVE_VERSION,
         "package_version": _pkg_version,
         "eta": fit.eta.value,
         "regime": fit.regime.value,
-        "feature_names": list(fit.feature_names or [f"x{i}" for i in range(fit.dim)]),
+        "feature_names": list(fit.feature_names),
         "target_name": fit.target_name,
         "scaling": None
         if fit.scaling is None
@@ -273,12 +278,7 @@ def _archive_entries(fit: RegressionFit) -> dict:
         "h_hat": _arr(fit.h),
         "Sigma_hat": _block(fit.Sigma),
         "sigma_y": sigma_summary,
-        "config": {
-            "chains": cfg.chains,
-            "samples_per_chain": cfg.samples_per_chain,
-            "burn_in": cfg.burn_in,
-            "seed": cfg.seed,
-        },
+        "config": {key: getattr(fit.config, key) for key in _CONFIG_KEYS},
         "diagnostics": fit.diagnostics_summary,
     }
 
@@ -352,19 +352,18 @@ def _fit_from_archive(doc: dict) -> RegressionFit:
     N, N0 = geometry.n_points, geometry.n_null
     k = {Regime.NORMAL: N - N0, Regime.INTERPOLATION_POLE: 1, Regime.NULLSPACE_POLE: 0}[regime]
     scaling = None
-    if doc.get("scaling") is not None:
+    if doc["scaling"] is not None:
         scaling = AffineMap(
             shift=np.asarray(doc["scaling"]["mins"], dtype=float),
             scale=np.asarray(doc["scaling"]["ranges"], dtype=float),
         )
-    sigma_info = doc["sigma_y"]
-    cfg_doc = doc.get("config") or {}
     y, H, h = (np.asarray(doc[key], dtype=float) for key in ("y", "basis_H", "h_hat"))
     if y.shape != (N,) or H.shape != (N, k) or h.shape != (k + N0,):
         raise ValueError(f"y, basis_H and h_hat have shapes {y.shape}, {H.shape} and {h.shape} "
                          f"for {N} points in the {regime.value} regime")
+    noise_known, sigma_y, quantiles = _sigma_record(doc["sigma_y"])
     try:
-        config = SamplerConfig(**cfg_doc) if cfg_doc else None
+        config = SamplerConfig(**{key: doc["config"][key] for key in _CONFIG_KEYS})
     except ValidationError as exc:  # an ill-formed entry of the file, not of the caller's input
         raise ValueError(f"config: {exc}") from exc
     return RegressionFit(
@@ -373,14 +372,29 @@ def _fit_from_archive(doc: dict) -> RegressionFit:
         h=h,
         Sigma=_unblock(doc["Sigma_hat"], (k + N0, k + N0)),
         y=y,
-        noise_known=sigma_info["mode"] == "known",
-        sigma_y=float(sigma_info["value"]),
-        scaling=scaling,
+        noise_known=noise_known,
+        sigma_y=sigma_y,
+        sigma_y_quantiles=quantiles,
         feature_names=tuple(doc["feature_names"]),
-        target_name=doc["target_name"],
         config=config,
-        diagnostics_summary=doc.get("diagnostics"),
+        scaling=scaling,
+        target_name=doc["target_name"],
+        diagnostics_summary=doc["diagnostics"],
     )
+
+
+def _sigma_record(doc: dict) -> tuple[bool, float, tuple[float, float, float] | None]:
+    """(noise_known, sigma_y, sigma_y_quantiles) of an archive's sigma_y entry, refusing an ill-formed one."""
+    mode, value = doc["mode"], float(doc["value"])
+    if mode not in ("known", "unknown") or not (math.isfinite(value) and value >= 0.0):
+        raise ValueError(f"sigma_y needs mode 'known' or 'unknown' and a finite sd >= 0, got {mode!r} and {value!r}")
+    if not any(key in doc for key in _QUANTILE_KEYS):
+        return mode == "known", value, None
+    q05, median, q95 = quantiles = tuple(float(doc[key]) for key in _QUANTILE_KEYS)
+    if mode == "known" or not (math.isfinite(q05) and math.isfinite(q95) and q05 <= median == value <= q95):
+        raise ValueError(f"sigma_y quantiles {quantiles} are not finite, ordered unknown-noise quantiles "
+                         f"with median {value!r}")
+    return False, value, quantiles
 
 
 # --- cross-validation --------------------------------------------------------

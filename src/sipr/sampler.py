@@ -21,6 +21,7 @@ one master seed, so results are bit-reproducible for a fixed configuration.
 from __future__ import annotations
 
 import math
+import numbers
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from enum import Enum
@@ -73,6 +74,8 @@ class SamplerConfig:
     target_accept: float = 0.8
 
     def __post_init__(self):
+        if isinstance(self.seed, bool) or not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
+            raise ValidationError(f"seed must be a non-negative integer, got {self.seed!r}")
         if self.chains < 1:
             raise ValidationError(f"chains must be >= 1, got {self.chains}")
         if self.burn_in < 0:

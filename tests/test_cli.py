@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import base64
 import json
+import math
 import shutil
 import subprocess
 
@@ -191,13 +192,19 @@ class TestFitAndPredict:
         assert m1.read_text() == m2.read_text()
 
     def test_fit_takes_leapfrog_but_no_target_accept(self, tmp_path, capsys):
+        # leapfrog steps tune only the generic HMC sampler, so fit ignores
+        # them, even a value that sampler would refuse.
         data = tmp_path / "d.csv"
-        write_higdon(data, n=8)
-        args = ["fit", "--data", str(data), "--target", "y", "--eta", "1.5", "--noise", "0.05",
-                "--model-out", str(tmp_path / "m.json")]
-        assert main(args + ["--leapfrog", "8"]) == 0
+        write_higdon(data, n=12)
+        args = ["fit", "--data", str(data), "--target", "y", "--eta", "1.5", "--noise", "unknown"]
+        archives = []
+        for steps in ("0", "32"):
+            model = tmp_path / f"m{steps}.json"
+            assert main(args + ["--leapfrog", steps, "--model-out", str(model)]) == 0
+            archives.append(model.read_bytes())
+        assert archives[0] == archives[1]
         capsys.readouterr()
-        assert main(args + ["--target-accept", "0.8"]) == 2
+        assert main(args + ["--target-accept", "0.8", "--model-out", str(tmp_path / "m.json")]) == 2
         assert "no such option" in capsys.readouterr().err.lower()
 
     def test_seed_moves_only_the_trace(self, tmp_path):
@@ -382,6 +389,18 @@ class TestExitCodes:
         assert f"noise sd must be >= 0, got {float(noise)}" in capsys.readouterr().err
         assert not any(tmp_path.glob("[mo].*"))
 
+    @pytest.mark.parametrize("command", ["fit", "interpolate", "crossval"])
+    def test_negative_seed_is_2(self, tmp_path, capsys, command):
+        data = tmp_path / "d.csv"
+        write_higdon(data, n=12)
+        args = {"fit": ["--noise", "0.05", "--trace", str(tmp_path / "t.csv"), "--model-out", str(tmp_path / "m.json")],
+                "interpolate": ["--grid", "0:1:5", "--paths", "1", "--out", str(tmp_path / "o.csv")],
+                "crossval": ["--out", str(tmp_path / "o.csv")]}[command]
+        code = main([command, "--data", str(data), "--target", "y", "--eta", "1.5", "--seed", "-1", *args])
+        assert code == 2
+        assert "--seed" in capsys.readouterr().err
+        assert not any(tmp_path.glob("[mot].*"))
+
     def test_probes_and_grid_together_is_2(self, tmp_path):
         data = tmp_path / "d.csv"
         write_higdon(data, n=8)
@@ -555,7 +574,7 @@ class TestExitCodes:
         assert code == 2
         assert "not a model archive" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("config", [{"burn_in": 5000}, {"chains": 0}])
+    @pytest.mark.parametrize("config", [{"burn_in": 5000}, {"chains": 0}, {"seed": 1.5}, {"seed": -1}, {"seed": True}])
     def test_ill_formed_config_is_2(self, tmp_path, capsys, archive, config):
         # The archived draw plan is an entry of the file like any other: a
         # bad one makes the file not a model archive, named as such.
@@ -569,6 +588,55 @@ class TestExitCodes:
                      "--out", str(tmp_path / "o.csv")])
         assert code == 2
         assert f"{model} is not a model archive" in capsys.readouterr().err
+
+    def test_archive_without_config_is_2(self, tmp_path, capsys, archive):
+        model, doc = archive
+        del doc["config"]
+        model.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["predict", "--model", str(model), "--grid", "0:1:5", "--out", str(tmp_path / "o.csv")]) == 2
+        assert f"{model} is not a model archive" in capsys.readouterr().err
+
+    @pytest.fixture
+    def unknown_archive(self, tmp_path):
+        data = tmp_path / "d.csv"
+        write_higdon(data, n=25, sigma=0.08, seed=3)
+        model = tmp_path / "m.json"
+        assert main(["fit", "--data", str(data), "--target", "y", "--eta", "1.5", "--noise", "unknown",
+                     "--samples", "200", "--burn", "100", "--model-out", str(model)]) == 0
+        doc = json.loads(model.read_text())
+        assert doc["regime"] == "normal" and list(doc["sigma_y"]) == ["mode", "value", "q05", "median", "q95"]
+        return model, doc
+
+    @pytest.mark.parametrize(
+        "kind, edit",
+        [
+            pytest.param("archive", lambda s: s.update(value=math.nan), id="nan-value"),
+            pytest.param("archive", lambda s: s.update(value=math.inf), id="inf-value"),
+            pytest.param("archive", lambda s: s.update(value=-s["value"]), id="negative-value"),
+            pytest.param("archive", lambda s: s.update(mode="kown"), id="misspelt-mode"),
+            pytest.param("unknown_archive", lambda s: s.update(q95=math.inf), id="inf-quantile"),
+            pytest.param("unknown_archive", lambda s: s.update(q05=math.nan), id="nan-quantile"),
+            pytest.param("unknown_archive", lambda s: s.pop("q95"), id="missing-quantile"),
+            pytest.param("unknown_archive", lambda s: s.update(mode="known"), id="quantiles-of-known-noise"),
+            pytest.param("unknown_archive", lambda s: s.update(q05=s["q95"]), id="unordered-quantiles"),
+            pytest.param("unknown_archive", lambda s: s.update(value=s["q05"]), id="median-is-not-the-value"),
+        ],
+    )
+    def test_ill_formed_sigma_y_is_2(self, tmp_path, capsys, request, kind, edit):
+        # sigma_y's record is read as it was written: a finite sd >= 0 of
+        # known or unknown noise, and ordered quantiles of unknown noise
+        # whose median is that sd.
+        model, doc = request.getfixturevalue(kind)
+        edit(doc["sigma_y"])
+        model.write_text(json.dumps(doc))
+        with pytest.raises(ArchiveVersionError, match="not a model archive"):
+            load_archive(str(model))
+        capsys.readouterr()
+        code = main(["predict", "--model", str(model), "--grid", "0:1:5", "--out", str(tmp_path / "o.csv")])
+        assert code == 2
+        assert f"{model} is not a model archive" in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
 
     def test_output_in_a_missing_directory_is_4(self, tmp_path, capsys, archive):
         model, _ = archive

@@ -39,6 +39,14 @@ def save_with_basis(fit, H, path) -> None:
         save_archive(dataclasses.replace(fit, basis=dataclasses.replace(fit.basis, H=H)), str(path))
 
 
+def archive_data(data: str) -> Dataset:
+    """The data of an archive case: Higdon N = 20 or N = 25, or nine points of a line."""
+    if data == "polynomial":
+        X = np.linspace(0.0, 10.0, 9)[:, None]
+        return Dataset(X=X, y=0.5 - 0.3 * X[:, 0], feature_names=("x",), target_name="y")
+    return higdon(20, 0.08, seed=1) if data == "higdon" else higdon(25, 0.08, seed=3)
+
+
 @pytest.fixture(scope="module")
 def higdon_ds():
     return higdon(25, 0.08, seed=3)
@@ -187,12 +195,7 @@ class TestArchives:
     def test_roundtrip_preserves_predictions(self, tmp_path, data, noise, regime):
         # Every regime archives its own map, and the loader reads it back as
         # it is: the same H, h, Sigma and dof, so the same bands.
-        if data == "polynomial":
-            X = np.linspace(0.0, 10.0, 9)[:, None]
-            ds = Dataset(X=X, y=0.5 - 0.3 * X[:, 0], feature_names=("x",), target_name="y")
-        else:
-            ds = higdon(20, 0.08, seed=1) if data == "higdon" else higdon(25, 0.08, seed=3)
-        fit = fit_dataset(ds, 1.5, noise=noise, config=QUICK)
+        fit = fit_dataset(archive_data(data), 1.5, noise=noise, config=QUICK)
         assert fit.regime == regime
         path = tmp_path / "model.json"
         save_archive(fit, str(path))
@@ -213,6 +216,38 @@ class TestArchives:
         np.testing.assert_array_equal(b2.lower, b1.lower)
         np.testing.assert_array_equal(b2.sigma_d, b1.sigma_d)
         np.testing.assert_array_equal(loaded.fitted, fit.fitted)
+
+    @pytest.mark.parametrize("entry", ["fit_dataset", "fit_regression"])
+    @pytest.mark.parametrize(
+        "data, noise, regime",
+        [
+            pytest.param("higdon-25", "unknown", Regime.NORMAL, id="normal-unknown"),
+            pytest.param("higdon-25", 0.1, Regime.NORMAL, id="normal-0.1"),
+            pytest.param("higdon", "unknown", Regime.INTERPOLATION_POLE, id="interpolation-unknown"),
+            pytest.param("higdon", 0.0, Regime.INTERPOLATION_POLE, id="interpolation-0"),
+            pytest.param("polynomial", "unknown", Regime.NULLSPACE_POLE, id="nullspace-unknown"),
+            pytest.param("polynomial", 0.1, Regime.NULLSPACE_POLE, id="nullspace-0.1"),
+            pytest.param("polynomial", 0.0, Regime.NULLSPACE_POLE, id="nullspace-0"),
+        ],
+    )
+    def test_reloaded_fit_saves_back_byte_for_byte(self, tmp_path, entry, data, noise, regime):
+        # A loaded fit holds the whole record, sigma_y's report, the draw
+        # plan and the names included, so it writes the archive it came from.
+        ds = archive_data(data)
+        if entry == "fit_dataset":
+            fit = fit_dataset(ds, 1.5, noise=noise, config=QUICK)
+        else:  # raw inputs away from the unit box, with the default draw plan
+            fit = fit_regression(ds.X + 1e3, ds.y, 1.5, noise=noise)
+        assert fit.regime == regime
+        p, q = tmp_path / "p.json", tmp_path / "q.json"
+        save_archive(fit, str(p))
+        loaded = load_archive(str(p))
+        save_archive(loaded, str(q))
+        assert q.read_bytes() == p.read_bytes()
+        assert loaded.sigma_y_quantiles == fit.sigma_y_quantiles
+        assert (fit.sigma_y_quantiles is None) == (noise != "unknown" or regime == Regime.NULLSPACE_POLE)
+        assert loaded.config == fit.config
+        assert loaded.feature_names == fit.feature_names
 
     def test_archive_is_plain_json(self, tmp_path, normal_fit):
         path = tmp_path / "model.json"

@@ -133,11 +133,18 @@ class TestConfigValidation:
             dict(target_accept=0.0),
             dict(target_accept=1.5),
             dict(burn_in=-1),
+            dict(seed=-1),
+            dict(seed=1.5),
+            dict(seed=True),
+            dict(seed="0"),
         ],
     )
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValidationError):
             SamplerConfig(**kwargs)
+
+    def test_takes_any_non_negative_integral_seed(self):
+        assert SamplerConfig(seed=np.int64(7)).seed == 7
 
     def test_kept_per_chain(self):
         assert SamplerConfig(samples_per_chain=900, burn_in=400).kept_per_chain == 500
