@@ -74,7 +74,8 @@ def cli():
 @click.option("--eta", required=True, type=float, help="Regularity exponent (positive non-integer).")
 @click.option("--probes", "probes_path", type=click.Path(), help="CSV of probe points.")
 @click.option("--grid", help="start:stop:count equispaced probes (1-D data).")
-@click.option("--paths", type=int, default=0, show_default=True, help="Append this many sample paths.")
+@click.option("--paths", type=click.IntRange(min=0), default=0, show_default=True,
+              help="Append this many sample paths.")
 @click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--out", "out_path", required=True, type=click.Path(), help="Output CSV.")
 def cmd_interpolate(data_path, target, eta, probes_path, grid, paths, seed, out_path):
@@ -82,8 +83,6 @@ def cmd_interpolate(data_path, target, eta, probes_path, grid, paths, seed, out_
     reg = as_regularity(eta)
     ds = load_csv(data_path, target)
     probes = _load_probes(probes_path, grid, ds.feature_names)
-    if paths < 0:
-        raise ValidationError(f"--paths must be >= 0, got {paths}")
 
     model = solve_interpolation(ds.X, ds.y, reg)
     mean, scale, sd, path_rows = model.posterior(probes, np.random.SeedSequence(seed).spawn(paths))

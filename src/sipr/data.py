@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -165,8 +166,15 @@ def higdon(n: int, sigma_y: float, seed: int = 0, x_range: tuple[float, float] =
 # --- evaluation -------------------------------------------------------------
 
 
+def _check_seed(seed) -> None:
+    """Refuse a seed that is not a non-negative integer; numpy integers pass, bools do not."""
+    if isinstance(seed, bool) or not (isinstance(seed, numbers.Integral) and seed >= 0):
+        raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
+
+
 def kfold(n: int, k: int, seed: int = 0) -> list[tuple[np.ndarray, np.ndarray]]:
     """Shuffle 0..n-1 and deal round-robin into k folds; returns (train, test) pairs."""
+    _check_seed(seed)
     if k < 2:
         raise ValidationError(f"need at least 2 folds, got {k}")
     if k > n:

@@ -212,7 +212,7 @@ def fit_regression(X, y, eta, noise="unknown", config: SamplerConfig | None = No
     return RegressionFit(
         regime=regime, basis=basis, h=h, Sigma=Sigma, y=y, noise_known=known, sigma_y=sigma_y,
         sigma_y_quantiles=quantiles, feature_names=tuple(f"x{i}" for i in range(geometry.dim)), config=config,
-        posterior=posterior, diagnostics_summary=None if posterior is None else posterior.diagnostics.evidence,
+        posterior=posterior, diagnostics_summary=None if posterior is None else posterior.evidence,
     )
 
 
@@ -357,10 +357,17 @@ def _fit_from_archive(doc: dict) -> RegressionFit:
             shift=np.asarray(doc["scaling"]["mins"], dtype=float),
             scale=np.asarray(doc["scaling"]["ranges"], dtype=float),
         )
+        if not (np.all(np.isfinite(scaling.shift)) and np.all(np.isfinite(scaling.scale) & (scaling.scale > 0.0))):
+            raise ValueError("scaling needs finite mins and finite ranges > 0")
     y, H, h = (np.asarray(doc[key], dtype=float) for key in ("y", "basis_H", "h_hat"))
     if y.shape != (N,) or H.shape != (N, k) or h.shape != (k + N0,):
         raise ValueError(f"y, basis_H and h_hat have shapes {y.shape}, {H.shape} and {h.shape} "
                          f"for {N} points in the {regime.value} regime")
+    Sigma = _unblock(doc["Sigma_hat"], (k + N0, k + N0))
+    non_finite = [key for key, a in zip(("y", "basis_H", "h_hat", "Sigma_hat"), (y, H, h, Sigma))
+                  if not np.all(np.isfinite(a))]
+    if non_finite:
+        raise ValueError(f"{', '.join(non_finite)} hold non-finite entries")
     noise_known, sigma_y, quantiles = _sigma_record(doc["sigma_y"])
     try:
         config = SamplerConfig(**{key: doc["config"][key] for key in _CONFIG_KEYS})
@@ -370,7 +377,7 @@ def _fit_from_archive(doc: dict) -> RegressionFit:
         regime=regime,
         basis=SubspaceBasis(geometry=geometry, H=H),
         h=h,
-        Sigma=_unblock(doc["Sigma_hat"], (k + N0, k + N0)),
+        Sigma=Sigma,
         y=y,
         noise_known=noise_known,
         sigma_y=sigma_y,

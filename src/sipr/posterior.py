@@ -16,8 +16,9 @@ Both quadratic forms of the density, ||h||^2 and the misfit, are diagonal in
 the coordinates t = T^-1 h* of one eigendecomposition built straight from the
 basis, the pencil, which ``PosteriorDensity`` holds. In t the MAP reduces to
 one scalar equation in ||h||^2, and given the scale of the norm prior the
-posterior is a diagonal Gaussian, so ``sampler.run_mcmc`` computes it as a
-one-dimensional mixture.
+posterior is a diagonal Gaussian, so the posterior is a one-dimensional
+mixture over that scale: ``sampler.RegressionPosterior(density, config)``,
+which ``sampler.run_mcmc`` returns for a density.
 """
 
 from __future__ import annotations

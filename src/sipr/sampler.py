@@ -5,9 +5,9 @@ a Gaussian scale mixture, c * int N(h; 0, tau^2 I) dtau / tau, and in the
 coordinates of its pencil eigendecomposition both quadratic forms are
 diagonal, so given tau (or lambda = tau / sigma when the noise is unknown)
 the posterior is a diagonal Gaussian and the whole posterior is a
-one-dimensional mixture over log tau. ``_ScaleMixture`` evaluates its profile
-on nodes, reads the regime off it, and gives the exact moments, the exact
-sigma_y quantiles and i.i.d. draws (a node, then sigma, then the
+one-dimensional mixture over log tau. ``RegressionPosterior`` evaluates its
+profile on nodes, reads the regime off it, and holds the exact moments, the
+exact sigma_y quantiles and i.i.d. draws (a node, then sigma, then the
 coordinates); only the draws depend on the seed.
 
 Generic targets exposing ``dim``, ``log_density(state)`` and ``grad(state)``
@@ -21,9 +21,7 @@ one master seed, so results are bit-reproducible for a fixed configuration.
 from __future__ import annotations
 
 import math
-import numbers
-from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 
@@ -31,6 +29,7 @@ import numpy as np
 from scipy.linalg import solve_triangular
 from scipy.special import gammaincc, gammainccinv, gammaln
 
+from .data import _check_seed
 from .errors import DivergentChains, DomainError, PoleCollapse, TooFewPoints, TooFewSamples, ValidationError
 from .posterior import PosteriorDensity
 
@@ -74,8 +73,7 @@ class SamplerConfig:
     target_accept: float = 0.8
 
     def __post_init__(self):
-        if isinstance(self.seed, bool) or not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
-            raise ValidationError(f"seed must be a non-negative integer, got {self.seed!r}")
+        _check_seed(self.seed)
         if self.chains < 1:
             raise ValidationError(f"chains must be >= 1, got {self.chains}")
         if self.burn_in < 0:
@@ -105,46 +103,17 @@ class ChainStats:
 class Diagnostics:
     chains: tuple[ChainStats, ...]
     rhat_max: float  # split-chain R-hat of HMC chains; 1 for the exact posterior's i.i.d. draws
-    evidence: dict | None = None  # regression: the profile record that chose the regime
 
 
-@dataclass(eq=False)
-class RegressionPosterior:
-    """Posterior moments and draws in original state coordinates.
+@dataclass(frozen=True, eq=False)
+class HMCResult:
+    """The kept HMC draws of a generic target, chain-major, with their moments."""
 
-    draw() returns the draws: the states (draws, state dim), chain-major,
-    their log posteriors, and sigma_y per draw (unknown-noise mode only, else
-    None). It runs once, when samples, log_posteriors or sigma_y_samples is
-    first read, so a posterior whose draws are never read never makes them.
-    """
-
-    draw: Callable[[], tuple[np.ndarray, np.ndarray, np.ndarray | None]] = field(repr=False)
-    h_hat: np.ndarray  # posterior mean of h*
-    Sigma_hat: np.ndarray  # posterior covariance of h*
-    regime: Regime
+    samples: np.ndarray  # (chains * kept_per_chain, dim), original coordinates
+    log_posteriors: np.ndarray
+    h_hat: np.ndarray  # mean of the draws
+    Sigma_hat: np.ndarray  # covariance of the draws
     diagnostics: Diagnostics
-    config: SamplerConfig | None = field(default=None, repr=False)
-    sigma_y_quantiles: tuple[float, float, float] | None = None  # q05, median, q95 (unknown noise)
-
-    @cached_property
-    def _draws(self) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-        return self.draw()
-
-    @property
-    def samples(self) -> np.ndarray:
-        return self._draws[0]
-
-    @property
-    def log_posteriors(self) -> np.ndarray:
-        return self._draws[1]
-
-    @property
-    def sigma_y_samples(self) -> np.ndarray | None:
-        return self._draws[2]
-
-    @property
-    def sigma_y_median(self) -> float | None:
-        return None if self.sigma_y_quantiles is None else self.sigma_y_quantiles[1]
 
 
 def posterior_moments(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -389,20 +358,18 @@ def run_mcmc(
     *,
     init: np.ndarray | None = None,
     precond: np.ndarray | None = None,
-) -> RegressionPosterior:
+) -> RegressionPosterior | HMCResult:
     """The posterior of a target: exact for a regression density, sampled by HMC otherwise.
 
-    A regression PosteriorDensity is computed as its scale mixture (see
-    _ScaleMixture): exact moments, regime and sigma_y quantiles, and
-    config.chains * config.kept_per_chain i.i.d. draws from config.seed; it
-    takes no init or precond. Generic targets must pass init, may pass a
-    lower-triangular precond L (z = L^T x; identity by default) and are
-    always reported as the normal regime.
+    A regression PosteriorDensity gives RegressionPosterior(density, config)
+    and takes no init or precond. Generic targets must pass init, may pass a
+    lower-triangular precond L (z = L^T x; identity by default) and give the
+    HMCResult of config's chains.
     """
     if isinstance(density, PosteriorDensity):
         if init is not None or precond is not None:
             raise ValidationError("the exact regression posterior takes no init state or preconditioner")
-        return _ScaleMixture(density).posterior(config)
+        return RegressionPosterior(density, config)
     if init is None:
         raise ValidationError("generic targets require an explicit init state")
     init = np.asarray(init, dtype=float).reshape(-1)
@@ -424,21 +391,20 @@ def run_mcmc(
     if n_div > 0.5 * samples.shape[0]:
         raise DivergentChains(f"{n_div}/{samples.shape[0]} post-burn-in proposals diverged")
     h_hat, Sigma_hat = posterior_moments(samples)
-    return RegressionPosterior(
-        draw=lambda: (samples, kept_lp.reshape(-1), None),
+    return HMCResult(
+        samples=samples,
+        log_posteriors=kept_lp.reshape(-1),
         h_hat=h_hat,
         Sigma_hat=Sigma_hat,
-        regime=Regime.NORMAL,
         diagnostics=Diagnostics(chains=stats, rhat_max=_split_rhat(list(draws))),
-        config=config,
     )
 
 
 # --- the exact regression posterior ------------------------------------------
 
 
-class _ScaleMixture:
-    """A regression density as a mixture over one scale x, Gaussian given x.
+class RegressionPosterior:
+    """The exact posterior of a regression density: a mixture over one scale x, Gaussian given x.
 
     In pencil coordinates t the kernel coordinates have misfit weights s_i
     and means mu_i, and the polynomial ones are N(mu_c, 1), or N(mu_c,
@@ -461,52 +427,114 @@ class _ScaleMixture:
     rising side wins. The normal posterior is the mixture restricted to the
     basin; a pole's, which only the draws use, is the mixture cut where the
     profile's range ends.
+
+    The constructor computes the regime, the mean h_hat and covariance
+    Sigma_hat of h*, sigma_y_quantiles (q05, median, q95; unknown noise
+    only, else None) and evidence, the profile record that chose the regime.
+    samples (states, chain-major: h*, then log sigma when unknown),
+    log_posteriors and sigma_y_samples (unknown noise only, else None) are
+    config.chains * config.kept_per_chain i.i.d. draws from config.seed,
+    made once, when one of them is first read.
     """
 
-    def __init__(self, density: PosteriorDensity):
+    def __init__(self, density: PosteriorDensity, config: SamplerConfig):
         if density.h_mu_norm == 0.0:
             raise PoleCollapse("interpolant is exactly polynomial; no kernel component to fit")
-        self.known = density.noise.is_known
-        self.n, self.nh = density.n_points, density.n_basis
-        if not self.known and self.nh < 3:  # E[sigma^2] = Q / (Nh - 2)
-            raise TooFewPoints(f"with unknown noise the posterior variance needs N - N0 >= 3, got {self.nh}")
-        self.T, self.t_mu, self.s_all = density.T, density.t_mu, density.s
-        self.s = np.maximum(density.s[: self.nh], np.finfo(float).tiny)
-        self.mu = density.t_mu[: self.nh]
-        self.ms = self.mu**2 * self.s
-        if self.known:  # f at x -> -inf and x -> +inf
-            self.plateaus = (-0.5 * self.ms.sum(), -math.inf)
+        self._known = density.noise.is_known
+        self._n, self._nh = density.n_points, density.n_basis
+        if not self._known and self._nh < 3:  # E[sigma^2] = Q / (Nh - 2)
+            raise TooFewPoints(f"with unknown noise the posterior variance needs N - N0 >= 3, got {self._nh}")
+        self._T, self._t_mu, self._s_all = density.T, density.t_mu, density.s
+        self._s = np.maximum(density.s[: self._nh], np.finfo(float).tiny)
+        self._mu = density.t_mu[: self._nh]
+        self._ms = self._mu**2 * self._s
+        if self._known:  # f at x -> -inf and x -> +inf
+            plateaus = (-0.5 * self._ms.sum(), -math.inf)
         else:
-            self.plateaus = (-0.5 * self.nh * math.log(self.ms.sum()),
-                             -0.5 * np.log(self.s).sum() - 0.5 * self.nh * math.log(self.mu @ self.mu))
+            plateaus = (-0.5 * self._nh * math.log(self._ms.sum()),
+                        -0.5 * np.log(self._s).sum() - 0.5 * self._nh * math.log(self._mu @ self._mu))
+
+        x = self._grid()
+        f, _ = self._profile(x)
+        k = int(np.argmax(f))
+        basin = self._nodes(x, f, k, plateaus)
+        log_mass = {
+            Regime.NORMAL: basin[-1] if 0 < k < x.shape[0] - 1 else -math.inf,
+            Regime.NULLSPACE_POLE: plateaus[0] + math.log(math.log(1.0 / NULLSPACE_POLE_TOL)),
+            Regime.INTERPOLATION_POLE: plateaus[1] + math.log(math.log(1.0 / INTERPOLATION_POLE_TOL)),
+        }
+        self.regime = max(log_mass, key=log_mass.get)
+        xs, fs, Q, w, _ = basin if self.regime is Regime.NORMAL else self._nodes(x, f, k, (-math.inf, -math.inf))
+        self._mixture = xs, Q, w
+        self.h_hat, self.Sigma_hat = self._moments(xs, Q, w)
+        top = fs.max()
+        self.evidence = {
+            "nodes": int(np.count_nonzero(w)),
+            "scale": "log_tau" if self._known else "log_lambda",
+            "peak": float(xs[np.argmax(fs)]),
+            "gap_nullspace_pole": float(top - plateaus[0]),
+            "gap_interpolation_pole": None if self._known else float(top - plateaus[1]),
+            # null for a regime without mass (-inf is not JSON)
+            "log_mass": {r.value: float(m) if math.isfinite(m) else None for r, m in log_mass.items()},
+        }
+        if self._known:
+            self.sigma_y_quantiles = None
+        elif self.regime is Regime.INTERPOLATION_POLE:
+            self.sigma_y_quantiles = (0.0, 0.0, 0.0)  # the exact posterior of sigma there is a point mass at 0
+        else:
+            self.sigma_y_quantiles = self._sigma_quantiles(Q, w)
+        self.config = config
+        # i.i.d. draws; only benchmarks/tracing.py reads these per-chain stats
+        self.diagnostics = Diagnostics(chains=(ChainStats(1.0, 0.0, 0.0),) * config.chains, rhat_max=1.0)
+
+    @cached_property
+    def _draws(self) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+        n = self.config.chains * self.config.kept_per_chain
+        return self._draw(*self._mixture, n, np.random.default_rng(self.config.seed))
+
+    @property
+    def samples(self) -> np.ndarray:
+        return self._draws[0]
+
+    @property
+    def log_posteriors(self) -> np.ndarray:
+        return self._draws[1]
+
+    @property
+    def sigma_y_samples(self) -> np.ndarray | None:
+        return self._draws[2]
+
+    @property
+    def sigma_y_median(self) -> float | None:
+        return None if self.sigma_y_quantiles is None else self.sigma_y_quantiles[1]
 
     def _rows(self, x: np.ndarray):
         """Chunks of x as (rows, a) with a = e^2x s, no chunk above _CHUNK floats."""
-        step = max(1, _CHUNK // self.nh)
+        step = max(1, _CHUNK // self._nh)
         for i in range(0, x.shape[0], step):
-            yield slice(i, i + step), np.exp(2.0 * x[i : i + step, None]) * self.s
+            yield slice(i, i + step), np.exp(2.0 * x[i : i + step, None]) * self._s
 
-    def profile(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _profile(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """f and Q at every x."""
         f, Q = np.empty(x.shape), np.empty(x.shape)
         for rows, a in self._rows(x):
-            Q[rows] = (self.ms / (1.0 + a)).sum(axis=1)
+            Q[rows] = (self._ms / (1.0 + a)).sum(axis=1)
             f[rows] = -0.5 * np.log1p(a).sum(axis=1)
-        return f - (0.5 * Q if self.known else 0.5 * self.nh * np.log(Q)), Q
+        return f - (0.5 * Q if self._known else 0.5 * self._nh * np.log(Q)), Q
 
-    def grid(self) -> np.ndarray:
+    def _grid(self) -> np.ndarray:
         """A _GRID_STEP grid over every x where f can turn, plus ln(1/TOL) at each end.
 
         Beyond the scales -1/2 log s_i (and log(||mu|| / sqrt(Nh)) for known
         noise) every a_i is far from 1 on the same side, and f is monotone.
         """
-        turns = -0.5 * np.log(self.s)
+        turns = -0.5 * np.log(self._s)
         margin = math.log(1.0 / min(NULLSPACE_POLE_TOL, INTERPOLATION_POLE_TOL))
         lo = turns.min() - margin
-        hi = max(turns.max(), math.log(np.linalg.norm(self.mu) / math.sqrt(self.nh))) + margin
+        hi = max(turns.max(), math.log(np.linalg.norm(self._mu) / math.sqrt(self._nh))) + margin
         return np.linspace(lo, hi, math.ceil((hi - lo) / _GRID_STEP) + 1)
 
-    def nodes(self, x: np.ndarray, f: np.ndarray, k: int, floors: tuple[float, float]):
+    def _nodes(self, x: np.ndarray, f: np.ndarray, k: int, floors: tuple[float, float]):
         """_NODES midpoint nodes over the descent from the grid's peak x[k].
 
         The descent stops at a dip, where f meets the floor of its side
@@ -525,41 +553,26 @@ class _ScaleMixture:
             hi += 1
         a, b = x[max(lo - 1, 0)], x[min(hi + 1, x.shape[0] - 1)]
         xs = a + (b - a) * (np.arange(_NODES) + 0.5) / _NODES
-        fs, Q = self.profile(xs)
+        fs, Q = self._profile(xs)
         top = fs.max()
         w = np.maximum(np.exp(fs - top) - np.exp(np.where(xs < x[k], *floors) - top), 0.0)
         total = w.sum()
         log_mass = top + math.log(total * (b - a) / _NODES) if total > 0.0 else -math.inf
         return xs, fs, Q, w / total if total > 0.0 else w, log_mass
 
-    def solve(self):
-        """The regime and the nodes of its posterior (see nodes); keeps every regime's log-mass in log_masses."""
-        x = self.grid()
-        f, _ = self.profile(x)
-        k = int(np.argmax(f))
-        basin = self.nodes(x, f, k, self.plateaus)
-        masses = {
-            Regime.NORMAL: basin[-1] if 0 < k < x.shape[0] - 1 else -math.inf,
-            Regime.NULLSPACE_POLE: self.plateaus[0] + math.log(math.log(1.0 / NULLSPACE_POLE_TOL)),
-            Regime.INTERPOLATION_POLE: self.plateaus[1] + math.log(math.log(1.0 / INTERPOLATION_POLE_TOL)),
-        }
-        self.log_masses = masses
-        regime = max(masses, key=masses.get)
-        return regime, basin if regime is Regime.NORMAL else self.nodes(x, f, k, (-math.inf, -math.inf))
-
-    def moments(self, xs, Q, w) -> tuple[np.ndarray, np.ndarray]:
+    def _moments(self, xs, Q, w) -> tuple[np.ndarray, np.ndarray]:
         """Mean and covariance of h*: T (diag E[var] + Cov of the node means) T^T."""
         e2x = np.exp(2.0 * xs)
-        s2 = np.ones_like(xs) if self.known else Q / (self.nh - 2)  # E[sigma^2] at each node
-        a = e2x[:, None] * self.s
-        m = self.mu * a / (1.0 + a)
+        s2 = np.ones_like(xs) if self._known else Q / (self._nh - 2)  # E[sigma^2] at each node
+        a = e2x[:, None] * self._s
+        m = self._mu * a / (1.0 + a)
         m_bar = w @ m
-        ev = np.concatenate([w @ ((e2x * s2)[:, None] / (1.0 + a)), np.full(self.n - self.nh, w @ s2)])
-        L = self.T * np.sqrt(ev)
-        B = self.T[:, : self.nh] @ ((m - m_bar) * np.sqrt(w)[:, None]).T
-        return self.T @ np.concatenate([m_bar, self.t_mu[self.nh :]]), L @ L.T + B @ B.T
+        ev = np.concatenate([w @ ((e2x * s2)[:, None] / (1.0 + a)), np.full(self._n - self._nh, w @ s2)])
+        L = self._T * np.sqrt(ev)
+        B = self._T[:, : self._nh] @ ((m - m_bar) * np.sqrt(w)[:, None]).T
+        return self._T @ np.concatenate([m_bar, self._t_mu[self._nh :]]), L @ L.T + B @ B.T
 
-    def sigma_quantiles(self, Q, w) -> tuple[float, float, float]:
+    def _sigma_quantiles(self, Q, w) -> tuple[float, float, float]:
         """q05, median and q95 of sigma, by safeguarded Newton on the mixture's CDF in log sigma.
 
         In l = log sigma the CDF is F(l) = sum_k w_k Gamma(a, z_k) / Gamma(a)
@@ -572,7 +585,7 @@ class _ScaleMixture:
         not finite bisects it instead. It stops when every step or bracket is
         at most 1e-14.
         """
-        shape = 0.5 * self.nh
+        shape = 0.5 * self._nh
         q = np.array([0.05, 0.5, 0.95])
         per_node = 0.5 * np.log(0.5 * Q[:, None] / gammainccinv(shape, q))
         lo, hi = per_node.min(axis=0), per_node.max(axis=0)
@@ -590,7 +603,7 @@ class _ScaleMixture:
                 break
         return tuple(math.exp(v) for v in x)
 
-    def draws(self, xs, Q, w, n: int, rng: np.random.Generator):
+    def _draw(self, xs, Q, w, n: int, rng: np.random.Generator):
         """n i.i.d. states (h*, then log sigma when unknown), their log densities and sigmas.
 
         Each draw takes a node, then sigma given the node, then t given both.
@@ -600,60 +613,26 @@ class _ScaleMixture:
         not turn with the eigenvectors inside clusters of near-equal misfit
         weights, so seeded draws move only as much as the fit's arrays do.
         """
+        nh = self._nh
         k = rng.choice(xs.shape[0], size=n, p=w)
         scale = np.exp(xs[k])
-        if self.known:
+        if self._known:
             sigma = np.ones(n)
         else:
-            u = rng.gamma(0.5 * self.nh, 2.0 / Q[k])
+            u = rng.gamma(0.5 * nh, 2.0 / Q[k])
             sigma = 1.0 / np.sqrt(np.clip(u, np.finfo(float).tiny, 1e300))
-        a = (scale**2)[:, None] * self.s
+        a = (scale**2)[:, None] * self._s
         one_a = 1.0 + a
-        t = rng.standard_normal((n, self.n))
+        t = rng.standard_normal((n, self._n))
         t *= sigma[:, None]
-        t[:, : self.nh] = t[:, : self.nh] @ self.T[: self.nh, : self.nh]
-        t[:, : self.nh] *= scale[:, None] / np.sqrt(one_a)
-        t[:, : self.nh] += self.mu * a / one_a
-        t[:, self.nh :] += self.t_mu[self.nh :]
-        lp = -0.5 * self.nh * np.log((t[:, : self.nh] ** 2).sum(axis=1))
-        q = ((t - self.t_mu) ** 2) @ self.s_all
-        h = t @ self.T.T
-        if self.known:
+        t[:, :nh] = t[:, :nh] @ self._T[:nh, :nh]
+        t[:, :nh] *= scale[:, None] / np.sqrt(one_a)
+        t[:, :nh] += self._mu * a / one_a
+        t[:, nh:] += self._t_mu[nh:]
+        lp = -0.5 * nh * np.log((t[:, :nh] ** 2).sum(axis=1))
+        q = ((t - self._t_mu) ** 2) @ self._s_all
+        h = t @ self._T.T
+        if self._known:
             return h, lp - 0.5 * q, None
         log_sigma = np.log(sigma)
-        return np.column_stack([h, log_sigma]), lp - self.n * log_sigma - 0.5 * q / sigma**2, sigma
-
-    def posterior(self, config: SamplerConfig) -> RegressionPosterior:
-        """The exact posterior; its draws are made from config.seed when first read."""
-        regime, (xs, fs, Q, w, _) = self.solve()
-        h_hat, Sigma_hat = self.moments(xs, Q, w)
-        n_draws = config.chains * config.kept_per_chain
-        top = fs.max()
-        evidence = {
-            "nodes": int(np.count_nonzero(w)),
-            "scale": "log_tau" if self.known else "log_lambda",
-            "peak": float(xs[np.argmax(fs)]),
-            "gap_nullspace_pole": float(top - self.plateaus[0]),
-            "gap_interpolation_pole": None if self.known else float(top - self.plateaus[1]),
-            # null for a regime without mass (-inf is not JSON)
-            "log_mass": {r.value: float(m) if math.isfinite(m) else None for r, m in self.log_masses.items()},
-        }
-        if self.known:
-            quantiles = None
-        elif regime is Regime.INTERPOLATION_POLE:
-            quantiles = (0.0, 0.0, 0.0)  # the exact posterior of sigma there is a point mass at 0
-        else:
-            quantiles = self.sigma_quantiles(Q, w)
-        return RegressionPosterior(
-            draw=lambda: self.draws(xs, Q, w, n_draws, np.random.default_rng(config.seed)),
-            h_hat=h_hat,
-            Sigma_hat=Sigma_hat,
-            regime=regime,
-            diagnostics=Diagnostics(
-                chains=(ChainStats(accept_rate=1.0, divergence_rate=0.0, step_size=0.0),) * config.chains,
-                rhat_max=1.0,  # the draws are i.i.d.
-                evidence=evidence,
-            ),
-            config=config,
-            sigma_y_quantiles=quantiles,
-        )
+        return np.column_stack([h, log_sigma]), lp - self._n * log_sigma - 0.5 * q / sigma**2, sigma

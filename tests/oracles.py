@@ -79,8 +79,8 @@ from sipr.sampler import (
     INTERPOLATION_POLE_TOL,
     NULLSPACE_POLE_TOL,
     Diagnostics,
+    HMCResult,
     Regime,
-    RegressionPosterior,
     SamplerConfig,
     _find_initial_step,
     _split_rhat,
@@ -640,14 +640,15 @@ def detect_poles(
 
 
 
-def hmc_posterior(density: PosteriorDensity, config: SamplerConfig, init=None) -> RegressionPosterior:
+def hmc_posterior(density: PosteriorDensity, config: SamplerConfig, init=None) -> tuple[HMCResult, dict]:
     """Sample a regression density by HMC: the same law as the library's exact mixture.
 
     The chains run in the density's pencil coordinates with the Laplace
     metric at init, which defaults to the MAP point (plus the initial log
     sigma in unknown-noise mode); log sigma gets an exact conditional draw
-    between trajectories. The regime comes from the traces (detect_poles).
-    The diagnostics' evidence records the metric and the MAP's bisection steps.
+    between trajectories. Returns the HMC record, whose moments cover h*
+    only, and the run's evidence: the metric, the MAP's bisection steps and
+    the regime read off the traces (detect_poles).
     """
     rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(config.seed).spawn(config.chains)]
     map_iterations = None
@@ -666,24 +667,18 @@ def hmc_posterior(density: PosteriorDensity, config: SamplerConfig, init=None) -
 
     draws = target.to_x(kept_z, density.T)
     samples = draws.reshape(-1, z0.shape[0])
-    known = density.noise.is_known
     regime = detect_poles(
         [np.linalg.norm(c[:, : density.n_basis], axis=1) for c in draws],
-        None if known else [np.exp(c[:, -1]) for c in draws],
+        None if density.noise.is_known else [np.exp(c[:, -1]) for c in draws],
         density.h_mu_norm,
         float(np.std(density.Estar @ density.h_mu_star)),  # sd of the data
     )
     h_hat, Sigma_hat = posterior_moments(samples[:, : density.n_points])
-    return RegressionPosterior(
-        draw=lambda: (samples, kept_lp.reshape(-1), None if known else np.exp(samples[:, -1])),
+    result = HMCResult(
+        samples=samples,
+        log_posteriors=kept_lp.reshape(-1),
         h_hat=h_hat,
         Sigma_hat=Sigma_hat,
-        regime=regime,
-        diagnostics=Diagnostics(
-            chains=stats,
-            rhat_max=_split_rhat(list(draws)),
-            evidence={"metric": metric.name, "map_iterations": map_iterations},
-        ),
-        sigma_y_quantiles=None if known else tuple(np.quantile(np.exp(samples[:, -1]), [0.05, 0.5, 0.95])),
-        config=config,
+        diagnostics=Diagnostics(chains=stats, rhat_max=_split_rhat(list(draws))),
     )
+    return result, {"metric": metric.name, "map_iterations": map_iterations, "regime": regime}

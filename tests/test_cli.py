@@ -40,6 +40,13 @@ def read_output(path):
     return lines[0], header, data
 
 
+def nan_block(block):
+    """An archive's Sigma_hat block with its first entry replaced by NaN."""
+    values = np.frombuffer(base64.b64decode(block["f8le_base64"]), "<f8").copy()
+    values[0] = math.nan
+    return {"shape": block["shape"], "f8le_base64": base64.b64encode(values.tobytes()).decode()}
+
+
 class TestInterpolate:
     def test_two_point_example(self, tmp_path):
         data = tmp_path / "d.csv"
@@ -401,6 +408,16 @@ class TestExitCodes:
         assert "--seed" in capsys.readouterr().err
         assert not any(tmp_path.glob("[mot].*"))
 
+    @pytest.mark.parametrize("data", ["present", "missing"])
+    def test_negative_paths_is_2(self, tmp_path, capsys, data):
+        # refused at the option, before any file is read
+        path = write_higdon(tmp_path / "d.csv", n=12) if data == "present" else str(tmp_path / "absent.csv")
+        code = main(["interpolate", "--data", path, "--target", "y", "--eta", "1.5", "--grid", "0:1:5",
+                     "--paths", "-1", "--out", str(tmp_path / "o.csv")])
+        assert code == 2
+        assert "--paths" in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
+
     def test_probes_and_grid_together_is_2(self, tmp_path):
         data = tmp_path / "d.csv"
         write_higdon(data, n=8)
@@ -573,6 +590,34 @@ class TestExitCodes:
                      "--out", str(tmp_path / "o.csv")])
         assert code == 2
         assert "not a model archive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            pytest.param(lambda d: d["y"].__setitem__(0, math.nan), id="nan-y"),
+            pytest.param(lambda d: d["basis_H"][0].__setitem__(0, math.nan), id="nan-basis_H"),
+            pytest.param(lambda d: d["h_hat"].__setitem__(0, math.nan), id="nan-h_hat"),
+            pytest.param(lambda d: d["h_hat"].__setitem__(0, -math.inf), id="inf-h_hat"),
+            pytest.param(lambda d: d.update(Sigma_hat=nan_block(d["Sigma_hat"])), id="nan-Sigma_hat"),
+            pytest.param(lambda d: d["scaling"].update(mins=[math.nan]), id="nan-mins"),
+            pytest.param(lambda d: d["scaling"].update(ranges=[math.inf]), id="inf-ranges"),
+            pytest.param(lambda d: d["scaling"].update(ranges=[0.0]), id="zero-ranges"),
+            pytest.param(lambda d: d["scaling"].update(ranges=[-1.0]), id="negative-ranges"),
+        ],
+    )
+    def test_non_finite_array_or_scaling_is_2(self, tmp_path, capsys, archive, edit):
+        # A non-finite map would predict nan bands with exit 0, and a zero
+        # range would be blamed on the probes: the archive is refused instead.
+        model, doc = archive
+        edit(doc)
+        model.write_text(json.dumps(doc))
+        with pytest.raises(ArchiveVersionError, match="not a model archive"):
+            load_archive(str(model))
+        capsys.readouterr()
+        code = main(["predict", "--model", str(model), "--grid", "0:1:5", "--out", str(tmp_path / "o.csv")])
+        assert code == 2
+        assert f"{model} is not a model archive" in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
 
     @pytest.mark.parametrize("config", [{"burn_in": 5000}, {"chains": 0}, {"seed": 1.5}, {"seed": -1}, {"seed": True}])
     def test_ill_formed_config_is_2(self, tmp_path, capsys, archive, config):

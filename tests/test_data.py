@@ -202,6 +202,16 @@ class TestKfold:
         with pytest.raises(ValidationError):
             kfold(10, 1)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, "0"])
+    def test_rejects_a_seed_that_is_not_a_non_negative_integer(self, seed):
+        with pytest.raises(ValidationError):
+            kfold(10, 2, seed=seed)
+
+    def test_takes_any_non_negative_integral_seed(self):
+        for (a, b), (c, d) in zip(kfold(10, 2, seed=np.int64(7)), kfold(10, 2, seed=7)):
+            np.testing.assert_array_equal(a, c)
+            np.testing.assert_array_equal(b, d)
+
 
 class TestRmse:
     def test_zero_on_identical(self):

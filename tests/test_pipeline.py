@@ -148,7 +148,7 @@ class TestRegimes:
         fit = fit_regression(X, y, 1.5, noise=1.0, config=QUICK)
         assert fit.regime == Regime.NULLSPACE_POLE and fit.sigma_y == 1.0
         assert fit.posterior is not None and fit.posterior.regime == Regime.NULLSPACE_POLE
-        assert fit.diagnostics_summary is fit.posterior.diagnostics.evidence
+        assert fit.diagnostics_summary is fit.posterior.evidence
         ranked = sorted(((m, r) for r, m in fit.diagnostics_summary["log_mass"].items() if m is not None),
                         reverse=True)
         assert ranked[0][1] == Regime.NULLSPACE_POLE.value
@@ -430,6 +430,10 @@ class TestCrossval:
         ds = higdon(4, 0.1)
         with pytest.raises(KTooLarge):
             crossval(ds, 0.5, noise=0.0, k=5)
+
+    def test_negative_seed_is_a_validation_error(self):
+        with pytest.raises(ValidationError):
+            crossval(higdon(12, 0.05, seed=1), 1.5, noise=0.05, k=3, seed=-1)
 
 
 def test_load_csv_feeds_fit(tmp_path):

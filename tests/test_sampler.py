@@ -20,6 +20,7 @@ from sipr.pipeline import fit_dataset
 from sipr.posterior import KnownNoise, UnknownNoise, _map_coordinates, build_density
 from sipr.sampler import (
     Regime,
+    RegressionPosterior,
     SamplerConfig,
     _Rows,
     _transition,
@@ -290,7 +291,6 @@ class TestCalibration:
         cov = np.array([[1.0, 0.3], [0.3, 0.5]])
         cfg = SamplerConfig(chains=2, samples_per_chain=5500, burn_in=500, seed=0)
         post = run_mcmc(GaussianTarget(mu, cov), cfg, init=mu)
-        assert post.regime == Regime.NORMAL
         assert np.abs(post.h_hat - mu).max() < 0.1
         assert np.linalg.norm(post.Sigma_hat - cov) / np.linalg.norm(cov) < 0.1
         assert post.diagnostics.rhat_max < 1.1
@@ -362,10 +362,10 @@ class TestRegressionRuns:
 
     def test_records_the_metric_and_map_iterations(self):
         d = make_density()
-        evidence = hmc_posterior(d, SamplerConfig(**SMALL)).diagnostics.evidence
+        _, evidence = hmc_posterior(d, SamplerConfig(**SMALL))
         assert evidence["metric"] == "laplace" and evidence["map_iterations"] > 0
         # a given init skips the MAP
-        evidence = hmc_posterior(d, SamplerConfig(**SMALL), init=d.h_mu_star).diagnostics.evidence
+        _, evidence = hmc_posterior(d, SamplerConfig(**SMALL), init=d.h_mu_star)
         assert evidence["metric"] in ("laplace", "laplace_without_radial_term")
         assert evidence["map_iterations"] is None
 
@@ -460,7 +460,7 @@ class TestExactMixture:
         assert exact.regime is Regime.NORMAL
         init = exact.h_hat if d.noise.is_known else np.append(exact.h_hat, math.log(exact.sigma_y_median))
         cfg = SamplerConfig(chains=200, samples_per_chain=201, burn_in=200, seed=0)
-        hmc = hmc_posterior(d, cfg, init=init)
+        hmc, _ = hmc_posterior(d, cfg, init=init)
         P = np.random.default_rng(0).standard_normal((d.n_points, 3))
 
         def statistics(S):
@@ -498,10 +498,10 @@ class TestExactMixture:
         # the Higdon sets of the quantile tests here, in test_predict and in criterion 8
         ds = minmax_scale(higdon(n, noise, seed=seed))
         d = build_density(build_orthonormal_basis(ds.X, 1.5), ds.y, UnknownNoise(float(np.std(ds.y)) / 10.0))
-        mixture = sampler._ScaleMixture(d)
-        regime, (_, _, Q, w, _) = mixture.solve()
-        assert regime is Regime.NORMAL
-        got = np.array(mixture.sigma_quantiles(Q, w))
+        post = RegressionPosterior(d, SamplerConfig())
+        _, Q, w = post._mixture
+        assert post.regime is Regime.NORMAL
+        got = np.array(post._sigma_quantiles(Q, w))
         expected = np.array(brentq_sigma_quantiles(Q, w, d.n_basis))
         np.testing.assert_allclose(got, expected, rtol=1e-13, atol=0.0)
 
@@ -509,8 +509,8 @@ class TestExactMixture:
     def test_newton_sigma_quantiles_match_bisection(self, n, monkeypatch):
         ds = minmax_scale(higdon(n, 0.1, seed=11))
         d = build_density(build_orthonormal_basis(ds.X, 1.5), ds.y, UnknownNoise(float(np.std(ds.y)) / 10.0))
-        mixture = sampler._ScaleMixture(d)
-        _, (_, _, Q, w, _) = mixture.solve()
+        post = RegressionPosterior(d, SamplerConfig())
+        _, Q, w = post._mixture
         calls = []
 
         def counted(*args):
@@ -518,7 +518,7 @@ class TestExactMixture:
             return gammaincc(*args)
 
         monkeypatch.setattr(sampler, "gammaincc", counted)
-        got = np.array(mixture.sigma_quantiles(Q, w))
+        got = np.array(post._sigma_quantiles(Q, w))
         assert 1 <= len(calls) <= 10
         np.testing.assert_allclose(got, bisected_sigma_quantiles(Q, w, d.n_basis), rtol=1e-13, atol=0.0)
         cdf = w @ gammaincc(0.5 * d.n_basis, 0.5 * Q[:, None] / got**2)
@@ -527,13 +527,13 @@ class TestExactMixture:
     def test_one_node_mixture_has_its_node_quantiles(self):
         ds = minmax_scale(higdon(30, 0.1, seed=11))
         d = build_density(build_orthonormal_basis(ds.X, 1.5), ds.y, UnknownNoise(0.01))
-        mixture = sampler._ScaleMixture(d)
-        _, (_, _, Q, _, _) = mixture.solve()
+        post = RegressionPosterior(d, SamplerConfig())
+        _, Q, _ = post._mixture
         for k in (0, Q.shape[0] // 2, Q.shape[0] - 1):
             w = np.zeros(Q.shape[0])
             w[k] = 1.0
             node = np.sqrt(0.5 * Q[k] / gammainccinv(0.5 * d.n_basis, [0.05, 0.5, 0.95]))
-            np.testing.assert_allclose(mixture.sigma_quantiles(Q, w), node, rtol=1e-13, atol=0.0)
+            np.testing.assert_allclose(post._sigma_quantiles(Q, w), node, rtol=1e-13, atol=0.0)
 
     def test_draws_are_continuous_in_estar(self):
         # Computing the basis's GH as G H instead of (H^T G)^T changes the
@@ -557,8 +557,19 @@ class TestExactMixture:
         np.testing.assert_array_equal(a.h_hat, b.h_hat)
         np.testing.assert_array_equal(a.Sigma_hat, b.Sigma_hat)
         assert a.sigma_y_quantiles == b.sigma_y_quantiles
-        assert a.diagnostics.evidence == b.diagnostics.evidence
+        assert a.evidence == b.evidence
         assert not np.array_equal(a.samples, b.samples)
+
+    @pytest.mark.parametrize("make", EXACT, ids=["known", "unknown"])
+    def test_run_mcmc_gives_the_exact_posterior(self, make):
+        # fit_regression reaches the exact posterior through run_mcmc, the call the benchmark traces
+        d, cfg = make(), SamplerConfig(**SMALL)
+        got, exact = run_mcmc(d, cfg), RegressionPosterior(d, cfg)
+        assert isinstance(got, RegressionPosterior) and got.config is cfg
+        for a, b in ((got.h_hat, exact.h_hat), (got.Sigma_hat, exact.Sigma_hat), (got.samples, exact.samples)):
+            np.testing.assert_array_equal(bits(a), bits(b))
+        assert got.evidence == exact.evidence
+        assert len(got.diagnostics.chains) == cfg.chains
 
     def test_draws_are_made_once_when_first_read(self, monkeypatch, tmp_path):
         # A fit that reads no draws makes none; the first read of samples,
@@ -566,22 +577,20 @@ class TestExactMixture:
         # draw made eagerly from the same seed. `sipr fit` makes them only for
         # --trace, and writes them as they were drawn.
         calls = []
-        draws = sampler._ScaleMixture.draws
+        draw = RegressionPosterior._draw
 
         def counted(self, *args):
             calls.append(args[-2])
-            return draws(self, *args)
+            return draw(self, *args)
 
-        monkeypatch.setattr(sampler._ScaleMixture, "draws", counted)
+        monkeypatch.setattr(RegressionPosterior, "_draw", counted)
         d = noisy_unknown_density()
         cfg = SamplerConfig(**SMALL)
         post = run_mcmc(d, cfg)
         assert calls == []
         got = (post.sigma_y_samples, post.samples, post.log_posteriors, post.samples)
         assert calls == [cfg.chains * cfg.kept_per_chain]
-        mixture = sampler._ScaleMixture(d)
-        _, (xs, _, Q, w, _) = mixture.solve()
-        eager = draws(mixture, xs, Q, w, cfg.chains * cfg.kept_per_chain, np.random.default_rng(cfg.seed))
+        eager = draw(post, *post._mixture, cfg.chains * cfg.kept_per_chain, np.random.default_rng(cfg.seed))
         for a, b in zip(got, (eager[2], eager[0], eager[1], eager[0])):
             np.testing.assert_array_equal(a.view(np.int64), b.view(np.int64))
 
@@ -615,16 +624,16 @@ class TestExactMixture:
         d = make_density(noise=noise)
         post = run_mcmc(d, SamplerConfig(**SMALL))
         assert post.regime is regime
-        evidence = post.diagnostics.evidence
+        evidence = post.evidence
         gap = evidence["gap_nullspace_pole" if regime is Regime.NULLSPACE_POLE else "gap_interpolation_pole"]
         assert abs(gap) < 1e-3
 
     def test_profile_is_evaluated_in_chunks(self, monkeypatch):
         # no (nodes x N) temporary of the profile exceeds _CHUNK floats (1 MB)
-        m = sampler._ScaleMixture(make_density())
-        x = m.grid()
-        whole = m.profile(x)[0]
+        m = RegressionPosterior(make_density(), SamplerConfig())
+        x = m._grid()
+        whole = m._profile(x)[0]
         monkeypatch.setattr(sampler, "_CHUNK", 64)
         sizes = [a.size for _, a in m._rows(x)]
         assert max(sizes) <= 64 and len(sizes) > 1
-        np.testing.assert_array_equal(m.profile(x)[0], whole)
+        np.testing.assert_array_equal(m._profile(x)[0], whole)
